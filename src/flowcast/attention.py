@@ -18,12 +18,10 @@ from . import tensor as T
 from .tensor import ShapeError, Tensor
 
 __all__ = [
-    "AttentionConfig",
     "AttentionParams",
     "to_joint_tokens",
     "from_joint_tokens",
     "softmax_attention",
-    "similarity_attention",
     "feature_map_exp",
     "linear_attention",
     "multi_head_attention",
@@ -33,24 +31,6 @@ __all__ = [
 
 class DegenerateAttentionError(ArithmeticError):
     """An attention normalizer underflowed to (near) zero."""
-
-
-@dataclass(frozen=True)
-class AttentionConfig:
-    """Head count, per-head width, and the model width they multiply to."""
-
-    heads: int
-    head_dim: int
-    model_dim: int
-
-    def __post_init__(self):
-        if self.heads < 1 or self.head_dim < 1:
-            raise ValueError("heads and head_dim must be positive")
-        if self.model_dim != self.heads * self.head_dim:
-            raise ValueError(
-                f"model_dim {self.model_dim} != heads {self.heads} "
-                f"x head_dim {self.head_dim}"
-            )
 
 
 @dataclass
@@ -112,29 +92,6 @@ def softmax_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     return T.matmul(T.softmax(scores, axis=-1), v)
 
 
-def similarity_attention(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, sim=None
-) -> np.ndarray:
-    """Generalized attention: out_i = sum_j sim(q_i,k_j) v_j / sum_j sim.
-
-    With the default ``sim = exp(q k^T / sqrt(d))`` this equals
-    :func:`softmax_attention`; with ``sim = phi(q) . phi(k)`` it is the
-    unrewritten form of :func:`linear_attention`. Plain-array evaluation,
-    used as a correctness reference.
-    """
-    q, k, v = np.asarray(q), np.asarray(k), np.asarray(v)
-    d = q.shape[1]
-    if sim is None:
-        def sim(qi, kj):
-            return math.exp(float(qi @ kj) / math.sqrt(d))
-
-    out = np.zeros((q.shape[0], v.shape[1]))
-    for i in range(q.shape[0]):
-        weights = np.array([sim(q[i], k[j]) for j in range(k.shape[0])])
-        out[i] = (weights[:, None] * v).sum(axis=0) / weights.sum()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Linear attention
 
@@ -184,27 +141,24 @@ def linear_attention(
 
 
 def multi_head_attention(
-    x: Tensor,
-    cross_kv: Tensor | None,
-    params: AttentionParams,
-    cfg: AttentionConfig,
+    x: Tensor, cross_kv: Tensor | None, params: AttentionParams
 ) -> Tensor:
     """Heads of linear attention, concatenated and output-projected.
 
     Queries come from ``x``; keys/values from ``cross_kv`` when given
-    (cross-attention) and from ``x`` otherwise.
+    (cross-attention) and from ``x`` otherwise. The head count is
+    ``len(params.w_q)`` and the model width is that of ``params.w_o``.
     """
-    if x.shape[1] != cfg.model_dim:
-        raise ShapeError(f"token width {x.shape[1]} != model dim {cfg.model_dim}")
+    width = params.w_o.shape[0]
+    if x.shape[1] != width:
+        raise ShapeError(f"token width {x.shape[1]} != model dim {width}")
     source = x if cross_kv is None else cross_kv
-    if source.shape[1] != cfg.model_dim:
-        raise ShapeError(
-            f"key/value width {source.shape[1]} != model dim {cfg.model_dim}"
-        )
+    if source.shape[1] != width:
+        raise ShapeError(f"key/value width {source.shape[1]} != model dim {width}")
     heads = []
-    for h in range(cfg.heads):
-        qh = T.matmul(x, params.w_q[h])
-        kh = T.matmul(source, params.w_k[h])
-        vh = T.matmul(source, params.w_v[h])
+    for wq, wk, wv in zip(params.w_q, params.w_k, params.w_v):
+        qh = T.matmul(x, wq)
+        kh = T.matmul(source, wk)
+        vh = T.matmul(source, wv)
         heads.append(linear_attention(qh, kh, vh))
     return T.matmul(T.concat(heads, axis=1), params.w_o)

@@ -11,10 +11,13 @@ The same container carries model parameters, optimizer state
 (``adam.m.<name>``, ``adam.v.<name>``, ``adam.step`` ...), normalization
 statistics and the node embedding table, so evaluation can rebuild the
 model from the checkpoint alone. The layout is stable across versions.
+Writes go to a temporary file in the target's directory that then
+replaces the target, so a crash mid-save leaves the previous file intact.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -31,6 +34,16 @@ class CheckpointError(ValueError):
 
 def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
     path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        _write(tmp, arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write(path: Path, arrays: dict[str, np.ndarray]) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(arrays)))
@@ -43,6 +56,8 @@ def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
             for dim in arr.shape:
                 fh.write(struct.pack("<I", dim))
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:
@@ -68,7 +83,7 @@ def load_arrays(path) -> dict[str, np.ndarray]:
             data = np.frombuffer(blob, dtype="<f8", count=n, offset=pos)
             pos += 8 * n
             arrays[name] = data.astype(np.float64).reshape(shape)
-    except struct.error as err:
+    except (struct.error, ValueError) as err:  # ValueError: array cut short
         raise CheckpointError(f"{path}: truncated checkpoint") from err
     if pos != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - pos} trailing bytes")

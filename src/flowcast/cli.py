@@ -144,14 +144,14 @@ def cmd_train(args) -> int:
             checkpoint_path=checkpoint, log_fn=log_row, mask_eps=args.mask_eps,
         )
     except TrainingDiverged as err:
-        metrics_csv.write_text("\n".join(rows_out) + "\n")
         print(f"training diverged: {err}", file=sys.stderr)
         return 1
     finally:
+        # every exit, failed or not, keeps the epochs logged so far
+        metrics_csv.write_text("\n".join(rows_out) + "\n")
         manifest["ended_at"] = dt.datetime.now(dt.timezone.utc).isoformat()
         write_manifest(manifest_path, manifest)
 
-    metrics_csv.write_text("\n".join(rows_out) + "\n")
     print(f"checkpoint -> {checkpoint}")
     print(f"metrics -> {metrics_csv}")
     return 0
@@ -315,7 +315,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, ValueError, RuntimeError, AssertionError) as err:
+    except (OSError, ValueError, RuntimeError, ArithmeticError, AssertionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

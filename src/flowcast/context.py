@@ -319,5 +319,4 @@ def gru_sequence(
             outs.append(h)
         seq = outs
         finals.append(h)
-    stacked = T.concat([T.reshape(o, (1, n, f)) for o in seq], axis=0)
-    return stacked, finals
+    return T.reshape(T.concat(seq, axis=0), (steps, n, f)), finals

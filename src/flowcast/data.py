@@ -26,7 +26,6 @@ __all__ = [
     "make_windows",
     "split_boundaries",
     "assign_windows",
-    "chronological_split",
     "metrics",
     "save_predictions",
 ]
@@ -232,15 +231,6 @@ def assign_windows(
                 assignment[name].append(idx)
                 break
     return assignment
-
-
-def chronological_split(
-    windows: list[SampleWindow],
-    total_steps: int,
-    fractions: tuple[float, float, float] = (0.7, 0.1, 0.2),
-) -> dict[str, list[int]]:
-    """Split window indices chronologically on raw time indices."""
-    return assign_windows(windows, split_boundaries(total_steps, fractions))
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,12 @@ from .tensor import ShapeError, Tensor
 
 __all__ = [
     "RoadGraph",
-    "HopMatrix",
     "UNREACHABLE",
     "load_adjacency",
     "shortest_path_hops",
     "hop_adjacency",
     "degree_normalize",
-    "diffusion_conv",
+    "hop_transitions",
     "multi_hop_conv",
     "GraphFormatError",
 ]
@@ -90,7 +89,12 @@ def load_adjacency(path) -> RoadGraph:
             if not line or line.startswith("#"):
                 continue
             if line.upper().startswith("N="):
-                declared_n = int(line[2:])
+                try:
+                    declared_n = int(line[2:])
+                except ValueError:
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: non-integer node count {line!r}"
+                    ) from None
                 continue
             parts = [p.strip() for p in line.split(",")]
             if len(parts) != 3:
@@ -144,24 +148,15 @@ def shortest_path_hops(g: RoadGraph) -> np.ndarray:
     return dist
 
 
-@dataclass
-class HopMatrix:
-    """Stack of binary matrices; layer i-1 marks pairs exactly i hops apart."""
+def hop_adjacency(s: np.ndarray, k: int) -> np.ndarray:
+    """Split the hop-distance matrix into exact-hop shells 1..k.
 
-    hops: np.ndarray  # (k, N, N) in {0, 1}
-    k: int
-
-    def __post_init__(self):
-        if self.hops.shape[0] != self.k:
-            raise ValueError("hop stack depth does not match k")
-
-
-def hop_adjacency(s: np.ndarray, k: int) -> HopMatrix:
-    """Split the hop-distance matrix into exact-hop shells 1..k."""
+    Returns a (k, N, N) stack in {0, 1}; layer i-1 marks pairs exactly i
+    hops apart.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    stack = np.stack([(s == i).astype(np.float64) for i in range(1, k + 1)])
-    return HopMatrix(hops=stack, k=k)
+    return np.stack([(s == i).astype(np.float64) for i in range(1, k + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -184,51 +179,20 @@ def degree_normalize(h: np.ndarray, direction: str) -> np.ndarray:
     return inv[:, None] * mat
 
 
-def transition_pair(h: np.ndarray) -> np.ndarray:
-    """D_o^-1 h + D_i^-1 h^T: bidirectional aggregation operator."""
-    return degree_normalize(h, "out") + degree_normalize(h, "in")
+def hop_transitions(hops: np.ndarray) -> np.ndarray:
+    """Bidirectional operator D_o^-1 H_i + D_i^-1 H_i^T per hop shell, (k, N, N)."""
+    return np.stack([degree_normalize(h, "out") + degree_normalize(h, "in") for h in hops])
 
 
-def diffusion_conv(x: Tensor, a: np.ndarray, k_step: int, w: Tensor) -> Tensor:
-    """Step-``k_step`` diffusion term: ((D_o^-1 A)^k + (D_i^-1 A^T)^k) X W.
-
-    Building block and oracle for :func:`multi_hop_conv`; k_step = 0 gives
-    2 X W since both transition powers are the identity.
-    """
-    if k_step < 0:
-        raise ValueError(f"k_step must be >= 0, got {k_step}")
-    if x.data.ndim != 2 or x.shape[0] != a.shape[0]:
-        raise ShapeError(f"diffusion_conv: x {x.shape} vs adjacency {a.shape}")
-    fwd = np.linalg.matrix_power(degree_normalize(a, "out"), k_step)
-    bwd = np.linalg.matrix_power(degree_normalize(a, "in"), k_step)
-    return T.matmul(T.matmul(Tensor(fwd + bwd), x), w)
-
-
-def hop_transitions(hops: HopMatrix) -> list[np.ndarray]:
-    """Precompute the bidirectional aggregation operator per hop shell."""
-    return [transition_pair(h) for h in hops.hops]
-
-
-def multi_hop_conv(
-    x_t: Tensor,
-    hops: HopMatrix,
-    w_x: list[Tensor],
-    w_d: Tensor,
-    trans: list[np.ndarray] | None = None,
-) -> Tensor:
+def multi_hop_conv(x_t: Tensor, trans: np.ndarray, w_x: list[Tensor], w_d: Tensor) -> Tensor:
     """Multi-head diffusion over exact-hop shells.
 
-    Head i aggregates (D_o^-1 H_i + D_i^-1 H_i^T)(X_t W_x[i]); heads are
-    concatenated and projected by ``w_d``. Feature width must split evenly
-    across the k heads (validated at model build time). ``trans`` lets
-    callers reuse :func:`hop_transitions` across time steps.
+    Head i aggregates ``trans[i] @ (X_t W_x[i])``, with ``trans`` from
+    :func:`hop_transitions`; heads are concatenated and projected by
+    ``w_d``. Feature width must split evenly across the k heads (validated
+    at model build time).
     """
-    if len(w_x) != hops.k:
-        raise ShapeError(f"expected {hops.k} head weights, got {len(w_x)}")
-    if trans is None:
-        trans = hop_transitions(hops)
-    heads = []
-    for i in range(hops.k):
-        mixed = T.matmul(x_t, w_x[i])
-        heads.append(T.matmul(Tensor(trans[i]), mixed))
+    if len(w_x) != trans.shape[0]:
+        raise ShapeError(f"expected {trans.shape[0]} head weights, got {len(w_x)}")
+    heads = [T.matmul(Tensor(trans[i]), T.matmul(x_t, w)) for i, w in enumerate(w_x)]
     return T.matmul(T.concat(heads, axis=1), w_d)

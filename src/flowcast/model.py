@@ -21,7 +21,6 @@ import numpy as np
 
 from . import tensor as T
 from .attention import (
-    AttentionConfig,
     AttentionParams,
     from_joint_tokens,
     multi_head_attention,
@@ -40,7 +39,7 @@ from .data import (
     zscore_fit,
     zscore_invert,
 )
-from .graph import HopMatrix, RoadGraph, hop_adjacency, hop_transitions, multi_hop_conv, shortest_path_hops
+from .graph import RoadGraph, hop_adjacency, hop_transitions, multi_hop_conv, shortest_path_hops
 from .optim import AdamState, adam_step, lr_at_epoch, zero_grads
 from .tensor import ShapeError, Tensor
 
@@ -61,7 +60,6 @@ __all__ = [
     "decoder_forward",
     "forward_sample",
     "forward_batch",
-    "predict_batch",
     "train",
     "evaluate",
     "prepare_dataset",
@@ -111,6 +109,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if min(self.heads, self.head_dim, self.hops) < 1:
+            raise ConfigError("heads, head_dim and hops must be >= 1")
         if self.width != self.heads * self.head_dim:
             raise ConfigError(
                 f"width {self.width} != heads {self.heads} x head_dim {self.head_dim}"
@@ -123,10 +123,6 @@ class ModelConfig:
             raise ConfigError("channels, slots_per_day and batch_size must be >= 1")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
-
-    @property
-    def attn(self) -> AttentionConfig:
-        return AttentionConfig(self.heads, self.head_dim, self.width)
 
     @property
     def time_enc_width(self) -> int:
@@ -177,7 +173,10 @@ def load_config(path, overrides: dict | None = None) -> ModelConfig:
         key, value = key.strip(), value.strip()
         if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown config key '{key}'")
-        values[key] = _parse_field(key, value)
+        try:
+            values[key] = _parse_field(key, value)
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: bad value {value!r} for '{key}'") from None
     if overrides:
         for key, value in overrides.items():
             if key not in known:
@@ -336,8 +335,8 @@ class GraphInputs:
     """Per-graph preprocessing shared by every forward pass."""
 
     graph: RoadGraph
-    hops: HopMatrix
-    trans: list[np.ndarray]
+    hops: np.ndarray   # (k, N, N) exact-hop shells
+    trans: np.ndarray  # (k, N, N) bidirectional transition per shell
 
     @classmethod
     def build(cls, graph: RoadGraph, k: int) -> "GraphInputs":
@@ -397,7 +396,7 @@ def context_block(
     embedding; time one-hot] -> 5F, project to F, plus a residual from the
     feature stream. Returns tokens plus the GRU's final hidden states.
     """
-    steps, n, f = xh.shape
+    steps, n, _ = xh.shape
     if time_proj.shape[0] != steps:
         raise ContractError(
             f"temporal context covers {time_proj.shape[0]} steps, block has {steps}"
@@ -406,18 +405,17 @@ def context_block(
         raise ContractError(
             f"spatial context covers {emb_proj.shape[0]} nodes, block has {n}"
         )
-    spatial = [
-        multi_hop_conv(xh[t], ginputs.hops, block.hop_w, block.hop_out, ginputs.trans)
-        for t in range(steps)
-    ]
-    spatial_tok = T.concat([T.reshape(s, (1, n, f)) for s in spatial], axis=0)
+    spatial_tok = T.concat(
+        [multi_hop_conv(xh[t], ginputs.trans, block.hop_w, block.hop_out) for t in range(steps)],
+        axis=0,
+    )
     temporal_tok, finals = gru_sequence(xh, h0, block.gru)
 
     x_tok = to_joint_tokens(xh)
     stacked = T.concat(
         [
             x_tok,
-            to_joint_tokens(spatial_tok),
+            spatial_tok,
             to_joint_tokens(temporal_tok),
             _tile_nodes(emb_proj, steps),
             _tile_steps(time_proj, n),
@@ -440,7 +438,7 @@ def encoder_forward(
     steps, n, f = xh.shape
     h0 = [Tensor(np.zeros((n, f))) for _ in range(cfg.gru_layers)]
     ctx, finals = context_block(cfg, params.encoder, xh, emb_proj, time_hist, ginputs, h0)
-    enc = T.add(ctx, multi_head_attention(ctx, None, params.encoder.attn, cfg.attn))
+    enc = T.add(ctx, multi_head_attention(ctx, None, params.encoder.attn))
     return enc, finals
 
 
@@ -473,11 +471,9 @@ def transform_layer(
             layer_in = hidden[i]
         generated.append(hidden[-1])
         step_in = hidden[-1]
-    gen = T.concat([T.reshape(g, (1, n, cfg.width)) for g in generated], axis=0)
-
     q_in = T.concat(
         [
-            to_joint_tokens(gen),
+            T.concat(generated, axis=0),
             _tile_nodes(emb_proj, cfg.horizon),
             _tile_steps(time_fut, n),
         ],
@@ -493,7 +489,7 @@ def transform_layer(
         axis=1,
     )
     kv_tok = T.add(T.matmul(kv_in, tp.kv_fuse_w), tp.kv_fuse_b)
-    return multi_head_attention(q_tok, kv_tok, tp.attn, cfg.attn)
+    return multi_head_attention(q_tok, kv_tok, tp.attn)
 
 
 def decoder_forward(
@@ -512,7 +508,7 @@ def decoder_forward(
     ctx, _ = context_block(
         cfg, params.decoder, xh, emb_proj, time_fut, ginputs, list(enc_finals)
     )
-    dec = T.add(ctx, multi_head_attention(ctx, None, params.decoder.attn, cfg.attn))
+    dec = T.add(ctx, multi_head_attention(ctx, None, params.decoder.attn))
     return from_joint_tokens(dec, cfg.horizon, n)
 
 
@@ -568,20 +564,6 @@ def forward_batch(
     return out
 
 
-def predict_batch(
-    cfg: ModelConfig,
-    params: ModelParams,
-    ginputs: GraphInputs,
-    node_emb: np.ndarray,
-    xs: np.ndarray,
-    t0s,
-) -> np.ndarray:
-    """Inference-only batch forward; no graph is built."""
-    with T.no_grad():
-        preds = forward_batch(cfg, params, ginputs, node_emb, xs, t0s)
-    return np.stack([p.data for p in preds])
-
-
 @dataclass
 class Forecaster:
     """Config + parameters + graph preprocessing + node embeddings."""
@@ -602,7 +584,10 @@ class Forecaster:
         )
 
     def predict(self, xs: np.ndarray, t0s) -> np.ndarray:
-        return predict_batch(self.cfg, self.params, self.ginputs, self.node_emb, xs, t0s)
+        """Inference-only batch forward; no graph is built."""
+        with T.no_grad():
+            preds = forward_batch(self.cfg, self.params, self.ginputs, self.node_emb, xs, t0s)
+        return np.stack([p.data for p in preds])
 
 
 # ---------------------------------------------------------------------------
@@ -802,12 +787,15 @@ def save_model(path, model: Forecaster, state: AdamState | None = None) -> None:
 
 def load_model(path, graph: RoadGraph | None = None) -> tuple[Forecaster, AdamState | None]:
     arrays = load_arrays(path)
+
+    def entry(key: str) -> np.ndarray:
+        if key not in arrays:
+            raise CheckpointError(f"{path}: missing entry {key}")
+        return arrays[key]
+
     cfg_kwargs = {}
     for f in fields(ModelConfig):
-        key = f"cfg.{f.name}"
-        if key not in arrays:
-            raise CheckpointError(f"{path}: missing config entry {key}")
-        raw = arrays[key]
+        raw = entry(f"cfg.{f.name}")
         if f.name in _LIST_FIELDS:
             cfg_kwargs[f.name] = [int(v) for v in raw]
         elif f.name in ("lr", "lr_decay_factor"):
@@ -817,32 +805,28 @@ def load_model(path, graph: RoadGraph | None = None) -> tuple[Forecaster, AdamSt
     cfg = ModelConfig(**cfg_kwargs)
 
     if graph is None:
-        if "graph.adjacency" not in arrays:
-            raise CheckpointError(f"{path}: missing graph.adjacency")
-        graph = RoadGraph.from_adjacency(arrays["graph.adjacency"])
-    model = Forecaster.new(cfg, graph, arrays["node.embeddings"])
+        graph = RoadGraph.from_adjacency(entry("graph.adjacency"))
+    model = Forecaster.new(cfg, graph, entry("node.embeddings"))
     for name, p in model.params.named().items():
         key = f"param.{name}"
-        if key not in arrays:
-            raise CheckpointError(f"{path}: missing parameter {key}")
-        loaded = arrays[key]
+        loaded = entry(key)
         if loaded.shape != p.data.shape:
             raise CheckpointError(
                 f"{path}: {key} expected shape {p.data.shape}, found {loaded.shape}"
             )
         p.data = loaded
     if "norm.mean" in arrays:
-        model.norm = (float(arrays["norm.mean"]), float(arrays["norm.std"]))
+        model.norm = (float(arrays["norm.mean"]), float(entry("norm.std")))
 
     state = None
     if "adam.step" in arrays:
         state = AdamState(
             step=int(arrays["adam.step"]),
-            beta1=float(arrays["adam.beta1"]),
-            beta2=float(arrays["adam.beta2"]),
-            eps=float(arrays["adam.eps"]),
+            beta1=float(entry("adam.beta1")),
+            beta2=float(entry("adam.beta2")),
+            eps=float(entry("adam.eps")),
         )
         for name in model.params.named():
-            state.m[name] = arrays[f"adam.m.{name}"]
-            state.v[name] = arrays[f"adam.v.{name}"]
+            state.m[name] = entry(f"adam.m.{name}")
+            state.v[name] = entry(f"adam.v.{name}")
     return model, state

@@ -3,7 +3,8 @@
 Every value flowing through the forecaster is a :class:`Tensor`: a numpy
 array plus an optional gradient and a backpointer into the computation
 graph. Operations build the graph eagerly; :func:`backward` walks it in
-reverse topological order and accumulates gradients into ``.grad``.
+reverse topological order and accumulates gradients into ``.grad`` of the
+leaves (parameters and other tensors with no parents) only.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "ShapeError",
-    "tensor",
     "param",
-    "zeros",
     "no_grad",
     "matmul",
     "transpose",
@@ -61,8 +60,8 @@ def no_grad():
 class Tensor:
     """A float64 array node in the computation graph.
 
-    ``data`` is never mutated by operations; ``grad`` is populated (and
-    accumulated into) by :func:`backward`. ``parents`` holds
+    ``data`` is never mutated by operations; on leaves, ``grad`` is
+    populated (and accumulated into) by :func:`backward`. ``parents`` holds
     ``(input tensor, grad_fn)`` pairs, where ``grad_fn`` maps the output
     gradient to that input's gradient contribution.
     """
@@ -118,18 +117,9 @@ class Tensor:
         return _slice(self, idx)
 
 
-def tensor(data) -> Tensor:
-    """Constant tensor (no gradient tracking)."""
-    return Tensor(data)
-
-
 def param(data) -> Tensor:
     """Learnable tensor: participates in gradient computation."""
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
-
-
-def zeros(*shape: int, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
 
 
 def _as_tensor(x) -> Tensor:
@@ -158,9 +148,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _check_broadcastable(a: Tensor, b: Tensor, op: str) -> None:
+def _broadcast(op: str, fn, a: Tensor, b: Tensor) -> np.ndarray:
+    """``fn(a.data, b.data)``, with numpy's broadcast failure as a ShapeError."""
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return fn(a.data, b.data)
     except ValueError:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
 
@@ -191,32 +182,28 @@ def transpose(a: Tensor) -> Tensor:
 # Elementwise
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcastable(a, b, "add")
-    return _make(a.data + b.data, (
+    return _make(_broadcast("add", np.add, a, b), (
         (a, lambda g, s=a.shape: _unbroadcast(g, s)),
         (b, lambda g, s=b.shape: _unbroadcast(g, s)),
     ))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcastable(a, b, "sub")
-    return _make(a.data - b.data, (
+    return _make(_broadcast("sub", np.subtract, a, b), (
         (a, lambda g, s=a.shape: _unbroadcast(g, s)),
         (b, lambda g, s=b.shape: -_unbroadcast(g, s)),
     ))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcastable(a, b, "mul")
-    return _make(a.data * b.data, (
+    return _make(_broadcast("mul", np.multiply, a, b), (
         (a, lambda g, bd=b.data, s=a.shape: _unbroadcast(g * bd, s)),
         (b, lambda g, ad=a.data, s=b.shape: _unbroadcast(g * ad, s)),
     ))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcastable(a, b, "div")
-    return _make(a.data / b.data, (
+    return _make(_broadcast("div", np.divide, a, b), (
         (a, lambda g, bd=b.data, s=a.shape: _unbroadcast(g / bd, s)),
         (b, lambda g, ad=a.data, bd=b.data, s=b.shape:
             _unbroadcast(-g * ad / (bd * bd), s)),
@@ -267,17 +254,13 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def concat(tensors, axis: int = 0) -> Tensor:
     """Concatenate along ``axis``; all other dimensions must agree."""
-    tensors = [(_as_tensor(t)) for t in tensors]
-    base = tensors[0]
-    for t in tensors[1:]:
-        if t.data.ndim != base.data.ndim or any(
-            i != axis and t.shape[i] != base.shape[i] for i in range(t.data.ndim)
-        ):
-            raise ShapeError(
-                f"concat axis={axis}: incompatible shapes "
-                f"{[t.shape for t in tensors]}"
-            )
-    out = np.concatenate([t.data for t in tensors], axis=axis)
+    tensors = [_as_tensor(t) for t in tensors]
+    try:
+        out = np.concatenate([t.data for t in tensors], axis=axis)
+    except ValueError:
+        raise ShapeError(
+            f"concat axis={axis}: incompatible shapes {[t.shape for t in tensors]}"
+        ) from None
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -328,11 +311,13 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 # Autodiff driver
 
 def backward(loss: Tensor) -> None:
-    """Populate ``.grad`` on every tensor reachable from ``loss``.
+    """Populate ``.grad`` on every leaf reachable from ``loss``.
 
-    ``loss`` must be a scalar. Gradients accumulate across calls; callers
-    that want fresh gradients must clear them first (the training loop
-    zeroes parameter grads every step).
+    Leaves are tensors with no parents (parameters, in the model); they are
+    the only tensors whose gradient is read, so intermediates never hold a
+    ``.grad`` array. ``loss`` must be a scalar. Gradients accumulate across
+    calls; callers that want fresh gradients must clear them first (the
+    training loop zeroes parameter grads every step).
     """
     if loss.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -356,14 +341,15 @@ def backward(loss: Tensor) -> None:
                 stack.append((parent, False))
 
     # Gradients flow through pass-local scratch storage and are committed
-    # into .grad once per node, so repeated backward calls accumulate
-    # ∂loss/∂t exactly once per call.
+    # into a leaf's .grad once, so repeated backward calls accumulate
+    # ∂loss/∂leaf exactly once per call.
     flow: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(topo):
         g = flow.pop(id(node), None)
         if g is None:
             continue
-        node.grad = g if node.grad is None else node.grad + g
+        if not node.parents:
+            node.grad = g if node.grad is None else node.grad + g
         for parent, fn in node.parents:
             contrib = fn(g)
             pid = id(parent)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from flowcast import tensor as T
-from flowcast.attention import linear_attention, similarity_attention, softmax_attention
+from flowcast.attention import linear_attention, softmax_attention
 from flowcast.cli import main
 from flowcast.context import (
     gru_cell,
@@ -23,7 +23,13 @@ from flowcast.context import (
     temporal_onehot,
 )
 from flowcast.data import assign_windows, make_windows, metrics
-from flowcast.graph import RoadGraph, hop_adjacency, multi_hop_conv, shortest_path_hops
+from flowcast.graph import (
+    RoadGraph,
+    hop_adjacency,
+    hop_transitions,
+    multi_hop_conv,
+    shortest_path_hops,
+)
 from flowcast.model import (
     Forecaster,
     ModelConfig,
@@ -37,6 +43,7 @@ from flowcast.synth import make_ring_dataset, ring_graph
 from flowcast.tensor import Tensor, backward, l1_loss
 
 from gradcheck import grad_close, numeric_grad
+from oracles import similarity_attention
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -169,14 +176,14 @@ def test_criterion_3_gradient_suite():
 
     # multi-hop diffusion conv
     graph = ring_graph(4)
-    hops = hop_adjacency(shortest_path_hops(graph), 2)
+    trans = hop_transitions(hop_adjacency(shortest_path_hops(graph), 2))
     mx = T.param(rng.uniform(-1, 1, (4, f)))
     w_x = [T.param(rng.uniform(-0.5, 0.5, (f, f // 2))) for _ in range(2)]
     w_d = T.param(rng.uniform(-0.5, 0.5, (f, f)))
     mmask = Tensor(rng.uniform(-1, 1, (4, f)))
     conv_params = {"mx": mx, "w_d": w_d, "w_x0": w_x[0], "w_x1": w_x[1]}
     _fd_check(lambda: (
-        lambda: T.sum_(T.mul(multi_hop_conv(mx, hops, w_x, w_d), mmask)),
+        lambda: T.sum_(T.mul(multi_hop_conv(mx, trans, w_x, w_d), mmask)),
         conv_params,
     ))
 
@@ -190,9 +197,8 @@ def test_criterion_3_gradient_suite():
         {"q": q, "k": k, "v": v},
     ))
 
-    from flowcast.attention import AttentionConfig, AttentionParams, multi_head_attention
+    from flowcast.attention import AttentionParams, multi_head_attention
 
-    cfg_a = AttentionConfig(heads=2, head_dim=2, model_dim=4)
     attn = AttentionParams(
         w_q=[T.param(rng.uniform(-0.5, 0.5, (4, 2))) for _ in range(2)],
         w_k=[T.param(rng.uniform(-0.5, 0.5, (4, 2))) for _ in range(2)],
@@ -204,7 +210,7 @@ def test_criterion_3_gradient_suite():
     mha_params = {"ax": ax}
     mha_params.update(attn.named("attn"))
     _fd_check(lambda: (
-        lambda: T.sum_(T.mul(multi_head_attention(ax, None, attn, cfg_a), hmask)),
+        lambda: T.sum_(T.mul(multi_head_attention(ax, None, attn), hmask)),
         mha_params,
     ))
 
@@ -259,9 +265,9 @@ def test_criterion_4_hop_adjacency_oracle():
 
         hops = hop_adjacency(shortest_path_hops(graph), k)
         for i in range(k):
-            assert np.array_equal(hops.hops[i], (dist == i + 1).astype(float))
+            assert np.array_equal(hops[i], (dist == i + 1).astype(float))
             for j in range(i + 1, k):
-                assert not np.any(hops.hops[i] * hops.hops[j])
+                assert not np.any(hops[i] * hops[j])
     _passed(4, "hop shells match the Floyd-Warshall reference on 50 graphs, "
                "pairwise disjoint")
 

@@ -6,20 +6,19 @@ import pytest
 
 from flowcast import tensor as T
 from flowcast.attention import (
-    AttentionConfig,
     AttentionParams,
     DegenerateAttentionError,
     feature_map_exp,
     from_joint_tokens,
     linear_attention,
     multi_head_attention,
-    similarity_attention,
     softmax_attention,
     to_joint_tokens,
 )
 from flowcast.tensor import ShapeError, Tensor
 
 from gradcheck import grad_close, numeric_grad
+from oracles import similarity_attention
 
 
 def brute_force_kernel_attention(q, k, v):
@@ -225,69 +224,65 @@ def test_linear_attention_gradients():
 # ---------------------------------------------------------------------------
 # Multi-head wrapper
 
-def _mha_params(rng, cfg, identity=False):
+def _mha_params(rng, heads, head_dim, identity=False):
     def head(shape):
         if identity:
             return Tensor(np.eye(*shape))
         return T.param(rng.uniform(-0.5, 0.5, shape))
 
+    model_dim = heads * head_dim
     return AttentionParams(
-        w_q=[head((cfg.model_dim, cfg.head_dim)) for _ in range(cfg.heads)],
-        w_k=[head((cfg.model_dim, cfg.head_dim)) for _ in range(cfg.heads)],
-        w_v=[head((cfg.model_dim, cfg.head_dim)) for _ in range(cfg.heads)],
-        w_o=head((cfg.model_dim, cfg.model_dim)),
+        w_q=[head((model_dim, head_dim)) for _ in range(heads)],
+        w_k=[head((model_dim, head_dim)) for _ in range(heads)],
+        w_v=[head((model_dim, head_dim)) for _ in range(heads)],
+        w_o=head((model_dim, model_dim)),
     )
-
-
-def test_config_validates_product():
-    with pytest.raises(ValueError):
-        AttentionConfig(heads=8, head_dim=16, model_dim=100)
-    cfg = AttentionConfig(heads=8, head_dim=16, model_dim=128)
-    assert cfg.model_dim == cfg.heads * cfg.head_dim
 
 
 def test_single_head_identity_projections_reduce_to_linear_attention():
     rng = np.random.default_rng(15)
-    cfg = AttentionConfig(heads=1, head_dim=4, model_dim=4)
-    params = _mha_params(rng, cfg, identity=True)
+    params = _mha_params(rng, heads=1, head_dim=4, identity=True)
     x = Tensor(rng.uniform(-1, 1, (6, 4)))
-    via_mha = multi_head_attention(x, None, params, cfg)
+    via_mha = multi_head_attention(x, None, params)
     direct = linear_attention(x, x, x)
     assert np.max(np.abs(via_mha.data - direct.data)) < 1e-14
 
 
 def test_mha_output_shape_with_cross_inputs():
     rng = np.random.default_rng(16)
-    cfg = AttentionConfig(heads=2, head_dim=3, model_dim=6)
-    params = _mha_params(rng, cfg)
+    params = _mha_params(rng, heads=2, head_dim=3)
     x = Tensor(rng.normal(size=(5, 6)))
     for kv_rows in (1, 4, 9):
         kv = Tensor(rng.normal(size=(kv_rows, 6)))
-        assert multi_head_attention(x, kv, params, cfg).shape == (5, 6)
+        assert multi_head_attention(x, kv, params).shape == (5, 6)
 
 
 def test_mha_rejects_wrong_kv_width():
     rng = np.random.default_rng(17)
-    cfg = AttentionConfig(heads=2, head_dim=3, model_dim=6)
-    params = _mha_params(rng, cfg)
+    params = _mha_params(rng, heads=2, head_dim=3)
     with pytest.raises(ShapeError):
         multi_head_attention(
-            Tensor(rng.normal(size=(5, 6))), Tensor(rng.normal(size=(5, 7))),
-            params, cfg,
+            Tensor(rng.normal(size=(5, 6))), Tensor(rng.normal(size=(5, 7))), params
         )
+
+
+def test_mha_rejects_wrong_query_width():
+    rng = np.random.default_rng(17)
+    params = _mha_params(rng, heads=2, head_dim=3)
+    with pytest.raises(ShapeError, match="token width 7"):
+        multi_head_attention(Tensor(rng.normal(size=(5, 7))), None, params)
 
 
 def test_mha_gradients():
     rng = np.random.default_rng(18)
-    cfg = AttentionConfig(heads=2, head_dim=2, model_dim=4)
-    params = _mha_params(rng, cfg)
+    params = _mha_params(rng, heads=2, head_dim=2)
     x = T.param(rng.uniform(-1, 1, (4, 4)))
     c = Tensor(rng.normal(size=(4, 4)))
 
-    T.backward(T.sum_(T.mul(multi_head_attention(x, None, params, cfg), c)))
+    T.backward(T.sum_(T.mul(multi_head_attention(x, None, params), c)))
 
     def forward():
-        return (multi_head_attention(x, None, params, cfg).data * c.data).sum()
+        return (multi_head_attention(x, None, params).data * c.data).sum()
 
     for t in [x, params.w_o, params.w_q[0], params.w_k[1], params.w_v[0]]:
         assert grad_close(t.grad, numeric_grad(forward, t.data))

@@ -1,20 +1,26 @@
 """Command-line interface: artifacts, determinism, and exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from flowcast import cli
+from flowcast.attention import DegenerateAttentionError
+from flowcast.checkpoint import load_arrays, save_arrays
 from flowcast.cli import main
-from flowcast.context import load_embeddings
+from flowcast.context import load_embeddings, save_embeddings
 from flowcast.model import (
+    EpochLog,
     Forecaster,
     ModelConfig,
     load_model,
     save_config,
     save_model,
 )
-from flowcast.synth import make_ring_dataset, write_dataset_files
+from flowcast.optim import AdamState, GradientError
+from flowcast.synth import make_ring_dataset, ring_graph, write_dataset_files
 
 
 @pytest.fixture
@@ -155,6 +161,38 @@ def test_train_rejects_unknown_config_key(toy_files, capsys):
     assert "widht" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "error",
+    [DegenerateAttentionError("attention normalizer degenerate at query row 3"),
+     GradientError("non-finite gradient in parameter 'input.w'")],
+)
+def test_train_numeric_failure_exits_one_and_keeps_metrics(
+    toy_files, monkeypatch, capsys, error
+):
+    paths, cfg_path, tmp_path = toy_files
+    emb_path = tmp_path / "emb.txt"
+    save_embeddings(emb_path, np.zeros((5, 64)))
+
+    def failing_train(cfg, dataset, graph, node_emb, checkpoint_path=None, log_fn=None,
+                      mask_eps=1.0):
+        log_fn(EpochLog(0, "train", 1.0, math.nan, math.nan, cfg.lr, 0.1))
+        raise error
+
+    monkeypatch.setattr(cli, "train", failing_train)
+    out_dir = tmp_path / "run_fail"
+    rc = main([
+        "train", "--config", str(cfg_path), "--data", str(paths["readings"]),
+        "--graph", str(paths["adjacency"]), "--embeddings", str(emb_path),
+        "--out", str(out_dir),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(error) in err
+    metrics = (out_dir / "metrics.csv").read_text().splitlines()
+    assert metrics[0] == "epoch,split,mae,rmse,mape,lr,seconds"
+    assert metrics[1].startswith("0,train,1.000000")
+
+
 def test_train_with_precomputed_embeddings(toy_files):
     paths, cfg_path, tmp_path = toy_files
     emb_path = tmp_path / "emb.txt"
@@ -233,6 +271,35 @@ def test_eval_perfect_oracle_gives_zero_metrics(tmp_path, capsys):
     out = capsys.readouterr().out
     for line in out.splitlines():
         assert "MAE 0.0000" in line and "RMSE 0.0000" in line
+
+
+@pytest.mark.parametrize(
+    "damage",
+    ["truncate", "adam.m.input.w", "adam.v.input.w", "node.embeddings", "norm.std"],
+)
+def test_eval_damaged_checkpoint_exits_one_with_one_line(toy_files, capsys, damage):
+    paths, _, tmp_path = toy_files
+    cfg = ModelConfig(
+        width=8, heads=2, head_dim=4, hops=1, gru_layers=1, history=4,
+        horizon=4, channels=1, slots_per_day=24, seed=0,
+    )
+    model = Forecaster.new(cfg, ring_graph(5), np.zeros((5, 64)))
+    model.norm = (0.0, 1.0)
+    ckpt = tmp_path / "damaged.ckpt"
+    save_model(ckpt, model, AdamState.for_params(model.params.named()))
+    if damage == "truncate":
+        ckpt.write_bytes(ckpt.read_bytes()[:-4])  # inside the last array's data
+    else:
+        arrays = load_arrays(ckpt)
+        del arrays[damage]
+        save_arrays(ckpt, arrays)
+
+    rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(paths["readings"])])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "damaged.ckpt" in err
+    if damage != "truncate":
+        assert damage in err
 
 
 def test_eval_node_count_mismatch(toy_files, tmp_path, capsys):

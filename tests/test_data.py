@@ -8,7 +8,6 @@ from flowcast.data import (
     DatasetMeta,
     DegenerateDataError,
     assign_windows,
-    chronological_split,
     load_dataset,
     load_meta,
     load_readings,
@@ -194,7 +193,7 @@ def test_split_boundaries_require_unit_sum():
 def test_chronological_split_no_leakage():
     readings = np.zeros((200, 2, 1))
     windows = make_windows(readings, 12, 12)
-    split = chronological_split(windows, 200)
+    split = assign_windows(windows, split_boundaries(200))
     bounds = split_boundaries(200)
     for name in ("train", "val", "test"):
         for idx in split[name]:
@@ -207,7 +206,7 @@ def test_chronological_split_no_leakage():
 
 def test_split_ranges_disjoint_and_ordered():
     windows = make_windows(np.zeros((300, 1, 1)), 12, 12)
-    split = chronological_split(windows, 300)
+    split = assign_windows(windows, split_boundaries(300))
     all_idx = split["train"] + split["val"] + split["test"]
     assert len(set(all_idx)) == len(all_idx)
     assert split["train"][-1] < split["val"][0] < split["test"][0]

@@ -7,11 +7,10 @@ from flowcast import tensor as T
 from flowcast.graph import (
     UNREACHABLE,
     GraphFormatError,
-    HopMatrix,
     RoadGraph,
     degree_normalize,
-    diffusion_conv,
     hop_adjacency,
+    hop_transitions,
     load_adjacency,
     multi_hop_conv,
     shortest_path_hops,
@@ -19,6 +18,7 @@ from flowcast.graph import (
 from flowcast.tensor import Tensor, backward
 
 from gradcheck import grad_close, numeric_grad
+from oracles import diffusion_conv
 
 
 def floyd_warshall_hops(adj: np.ndarray) -> np.ndarray:
@@ -79,7 +79,7 @@ def test_bfs_matches_floyd_warshall_on_random_graphs():
 
 def test_line_graph_hops():
     hops = hop_adjacency(shortest_path_hops(line_graph()), k=2)
-    h1, h2 = hops.hops
+    h1, h2 = hops
     assert h1[0, 1] == 1 and h1[1, 2] == 1 and h1.sum() == 2
     assert h2[0, 2] == 1 and h2.sum() == 1
 
@@ -90,7 +90,7 @@ def test_k1_equals_binarized_adjacency():
     hops = hop_adjacency(shortest_path_hops(g), k=1)
     binarized = (g.adjacency != 0).astype(float)
     np.fill_diagonal(binarized, 0.0)
-    assert np.array_equal(hops.hops[0], binarized)
+    assert np.array_equal(hops[0], binarized)
 
 
 def test_hop_union_covers_reachable_pairs_and_shells_are_disjoint():
@@ -101,13 +101,13 @@ def test_hop_union_covers_reachable_pairs_and_shells_are_disjoint():
         g = random_graph(rng, n)
         s = shortest_path_hops(g)
         hops = hop_adjacency(s, k)
-        union = hops.hops.sum(axis=0)
+        union = hops.sum(axis=0)
         expected = ((s >= 1) & (s <= k)).astype(float)
         assert np.array_equal(union, expected)  # disjoint => sum == union
         for i in range(k):
-            assert np.all(np.diag(hops.hops[i]) == 0)
+            assert np.all(np.diag(hops[i]) == 0)
             for j in range(i + 1, k):
-                assert np.all(hops.hops[i] * hops.hops[j] == 0)
+                assert np.all(hops[i] * hops[j] == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +191,10 @@ def test_multi_hop_conv_no_edges_gives_zero():
     rng = np.random.default_rng(14)
     f, n, k = 4, 5, 2
     g = RoadGraph(n_nodes=n, edges=[])
-    hops = hop_adjacency(shortest_path_hops(g), k)
+    trans = hop_transitions(hop_adjacency(shortest_path_hops(g), k))
     out = multi_hop_conv(
         Tensor(rng.normal(size=(n, f))),
-        hops,
+        trans,
         _head_weights(rng, f, k),
         T.param(rng.normal(size=(f, f))),
     )
@@ -207,11 +207,11 @@ def test_multi_hop_conv_k1_equals_diffusion_conv():
     adj = (rng.random((n, n)) < 0.4).astype(float)  # binary weights
     np.fill_diagonal(adj, 0.0)
     g = RoadGraph.from_adjacency(adj)
-    hops = hop_adjacency(shortest_path_hops(g), k=1)
+    trans = hop_transitions(hop_adjacency(shortest_path_hops(g), k=1))
     x = Tensor(rng.normal(size=(n, f)))
     w = Tensor(rng.normal(size=(f, f)))
 
-    via_hops = multi_hop_conv(x, hops, [Tensor(np.eye(f))], w)
+    via_hops = multi_hop_conv(x, trans, [Tensor(np.eye(f))], w)
     via_diffusion = diffusion_conv(x, adj, 1, w)
     assert np.max(np.abs(via_hops.data - via_diffusion.data)) < 1e-12
 
@@ -229,7 +229,7 @@ def test_multi_hop_conv_matches_dense_reference():
     # dense reference: explicit degree inversions, no shared helpers
     heads = []
     for i in range(k):
-        h = hops.hops[i]
+        h = hops[i]
         d_out = h.sum(axis=1)
         d_in = h.T.sum(axis=1)
         fwd = np.where(d_out[:, None] > 0, h / np.where(d_out, d_out, 1)[:, None], 0)
@@ -238,7 +238,7 @@ def test_multi_hop_conv_matches_dense_reference():
     expected = np.concatenate(heads, axis=1) @ w_d
 
     out = multi_hop_conv(
-        Tensor(x), hops, [Tensor(w) for w in w_x], Tensor(w_d)
+        Tensor(x), hop_transitions(hops), [Tensor(w) for w in w_x], Tensor(w_d)
     )
     assert np.max(np.abs(out.data - expected)) < 1e-10
 
@@ -256,10 +256,13 @@ def test_multi_hop_conv_permutation_equivariance():
     g_perm = RoadGraph.from_adjacency(p_mat @ g.adjacency @ p_mat.T)
 
     out = multi_hop_conv(
-        Tensor(x), hop_adjacency(shortest_path_hops(g), k), w_x, w_d
+        Tensor(x), hop_transitions(hop_adjacency(shortest_path_hops(g), k)), w_x, w_d
     ).data
     out_perm = multi_hop_conv(
-        Tensor(p_mat @ x), hop_adjacency(shortest_path_hops(g_perm), k), w_x, w_d
+        Tensor(p_mat @ x),
+        hop_transitions(hop_adjacency(shortest_path_hops(g_perm), k)),
+        w_x,
+        w_d,
     ).data
     assert np.max(np.abs(out_perm - p_mat @ out)) < 1e-10
 
@@ -268,24 +271,19 @@ def test_multi_hop_conv_gradients():
     rng = np.random.default_rng(20)
     n, f, k = 4, 4, 2
     g = random_graph(rng, n, density=0.5)
-    hops = hop_adjacency(shortest_path_hops(g), k)
+    trans = hop_transitions(hop_adjacency(shortest_path_hops(g), k))
     x = T.param(rng.normal(size=(n, f)))
     w_x = _head_weights(rng, f, k)
     w_d = T.param(rng.normal(size=(f, f)))
     c = Tensor(rng.normal(size=(n, f)))
 
-    backward(T.sum_(T.mul(multi_hop_conv(x, hops, w_x, w_d), c)))
+    backward(T.sum_(T.mul(multi_hop_conv(x, trans, w_x, w_d), c)))
 
     def forward():
-        return (multi_hop_conv(x, hops, w_x, w_d).data * c.data).sum()
+        return (multi_hop_conv(x, trans, w_x, w_d).data * c.data).sum()
 
     for t in [x, w_d, *w_x]:
         assert grad_close(t.grad, numeric_grad(forward, t.data))
-
-
-def test_hop_matrix_validates_depth():
-    with pytest.raises(ValueError):
-        HopMatrix(hops=np.zeros((2, 3, 3)), k=3)
 
 
 # ---------------------------------------------------------------------------
@@ -311,4 +309,11 @@ def test_load_adjacency_malformed_line(tmp_path):
     path = tmp_path / "edges.csv"
     path.write_text("0,1,1.0\n3,zzz\n")
     with pytest.raises(GraphFormatError, match="2"):
+        load_adjacency(path)
+
+
+def test_load_adjacency_bad_node_count_names_file_and_line(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_text("0,1,1.0\nN=abc\n")
+    with pytest.raises(GraphFormatError, match=r"edges\.csv:2:"):
         load_adjacency(path)

@@ -80,6 +80,15 @@ def test_config_rejects_inconsistent_width():
         ModelConfig(width=100, heads=8, head_dim=16)
 
 
+@pytest.mark.parametrize(
+    "sizes",
+    [dict(width=0, heads=0, head_dim=16), dict(width=0, heads=8, head_dim=0), dict(hops=0)],
+)
+def test_config_rejects_nonpositive_counts(sizes):
+    with pytest.raises(ConfigError, match=">= 1"):
+        ModelConfig(**sizes)
+
+
 def test_config_rejects_bad_hop_split():
     with pytest.raises(ConfigError, match="hops"):
         ModelConfig(width=128, heads=8, head_dim=16, hops=7)
@@ -105,6 +114,13 @@ def test_config_unknown_key(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("widht = 128\n")
     with pytest.raises(ConfigError, match="widht"):
+        load_config(path)
+
+
+def test_config_bad_value_names_file_and_line(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("epochs = 2\nlr = abc\n")
+    with pytest.raises(ConfigError, match=r"run\.cfg:2: .*'lr'"):
         load_config(path)
 
 
@@ -625,6 +641,21 @@ def test_model_checkpoint_round_trip(tmp_path, tiny_model):
     assert loaded_state.step == 1
     x = np.random.default_rng(16).normal(size=(m.cfg.history, 3, 1))
     assert np.array_equal(m.predict(x[None], [3]), loaded.predict(x[None], [3]))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["adam.m.input.w", "adam.v.decoder.fuse.b", "node.embeddings", "norm.std"],
+)
+def test_load_model_missing_entry_names_it(tmp_path, tiny_model, entry):
+    tiny_model.norm = (1.0, 2.0)
+    path = tmp_path / "model.ckpt"
+    save_model(path, tiny_model, AdamState.for_params(tiny_model.params.named()))
+    arrays = load_arrays(path)
+    del arrays[entry]
+    save_arrays(path, arrays)
+    with pytest.raises(CheckpointError, match=f"missing entry {entry}"):
+        load_model(path, tiny_model.ginputs.graph)
 
 
 def test_checkpoint_shape_mismatch_reports_dims(tmp_path, tiny_model):

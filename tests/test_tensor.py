@@ -98,6 +98,14 @@ def test_concat_along_axis_1():
 def test_concat_shape_mismatch():
     with pytest.raises(ShapeError):
         T.concat([Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 3)))], axis=1)
+    with pytest.raises(ShapeError, match=r"concat axis=0: .*\(2, 2\).*\(2, 2, 1\)"):
+        T.concat([Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2, 1)))], axis=0)
+
+
+@pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div])
+def test_elementwise_shape_error_names_op_and_both_shapes(op):
+    with pytest.raises(ShapeError, match=rf"{op.__name__}: .*\(2, 3\).*\(4,\)"):
+        op(Tensor(np.ones((2, 3))), Tensor(np.ones(4)))
 
 
 def test_concat_gradient_splits():
@@ -112,6 +120,17 @@ def test_concat_gradient_splits():
 def test_reshape_element_count_check():
     with pytest.raises(ShapeError):
         T.reshape(Tensor(np.zeros((2, 3))), (4, 2))
+
+
+def test_backward_sets_grad_on_leaves_only():
+    rng = np.random.default_rng(3)
+    w = T.param(rng.normal(size=(3, 2)))
+    b = T.param(rng.normal(size=2))
+    hidden = T.tanh(T.matmul(Tensor(rng.normal(size=(4, 3))), w))
+    loss = T.sum_(T.add(hidden, b))
+    backward(loss)
+    assert w.grad is not None and b.grad is not None
+    assert hidden.grad is None and loss.grad is None
 
 
 def test_slice_gradient_scatters():
@@ -335,6 +354,25 @@ def test_checkpoint_round_trip(tmp_path):
     for name in arrays:
         assert np.array_equal(loaded[name], arrays[name])
         assert loaded[name].shape == arrays[name].shape
+
+
+def test_checkpoint_truncated_mid_array_names_file(tmp_path):
+    path = tmp_path / "cut.ckpt"
+    save_arrays(path, {"w": np.arange(100.0)})
+    blob = path.read_bytes()
+    path.write_bytes(blob[: len(blob) - 400])  # ends inside the 800-byte array
+    with pytest.raises(CheckpointError, match="cut.ckpt"):
+        load_arrays(path)
+
+
+def test_checkpoint_failed_save_keeps_old_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_arrays(path, {"w": np.arange(6.0)})
+    before = path.read_bytes()
+    with pytest.raises(ValueError):  # the second entry is not numeric
+        save_arrays(path, {"w": np.zeros(1000), "bad": np.array(["x"])})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
