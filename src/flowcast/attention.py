@@ -5,6 +5,9 @@ score matrix. ``linear_attention`` replaces the softmax with a positive
 exponential feature map and exploits matmul associativity: the key-value
 summary (d x d) and key normalizer (d) are accumulated once, so time and
 memory are linear in the token count instead of quadratic.
+
+Every function takes optional leading batch axes, ``(..., M, d)``; each
+sample keeps its own summary and normalizer.
 """
 
 from __future__ import annotations
@@ -56,38 +59,38 @@ class AttentionParams:
 # Token layout
 
 def to_joint_tokens(x: Tensor) -> Tensor:
-    """Flatten (T, N, F) into (T*N, F) tokens, time-major."""
-    if x.data.ndim != 3:
-        raise ShapeError(f"expected a (T, N, F) tensor, got {x.shape}")
-    steps, nodes, width = x.shape
-    return T.reshape(x, (steps * nodes, width))
+    """Flatten (..., T, N, F) into (..., T*N, F) tokens, time-major."""
+    if x.data.ndim < 3:
+        raise ShapeError(f"expected a (..., T, N, F) tensor, got {x.shape}")
+    *lead, steps, nodes, width = x.shape
+    return T.reshape(x, (*lead, steps * nodes, width))
 
 
 def from_joint_tokens(tokens: Tensor, steps: int, nodes: int) -> Tensor:
     """Inverse of :func:`to_joint_tokens`; bit-exact round trip."""
-    if tokens.data.ndim != 2 or tokens.shape[0] != steps * nodes:
+    if tokens.data.ndim < 2 or tokens.shape[-2] != steps * nodes:
         raise ShapeError(
             f"cannot fold {tokens.shape} into ({steps}, {nodes}, features)"
         )
-    return T.reshape(tokens, (steps, nodes, tokens.shape[1]))
+    return T.reshape(tokens, (*tokens.shape[:-2], steps, nodes, tokens.shape[-1]))
 
 
 # ---------------------------------------------------------------------------
 # Quadratic reference
 
 def _check_qkv(q: Tensor, k: Tensor, v: Tensor) -> None:
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
-        raise ShapeError("attention operands must be 2-D")
-    if q.shape[1] != k.shape[1]:
+    if min(q.data.ndim, k.data.ndim, v.data.ndim) < 2:
+        raise ShapeError("attention operands must have rank >= 2")
+    if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"query dim {q.shape} vs key dim {k.shape}")
-    if k.shape[0] != v.shape[0]:
+    if k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"key rows {k.shape} vs value rows {v.shape}")
 
 
 def softmax_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """softmax(Q K^T / sqrt(d)) V — O(M^2) time and memory."""
     _check_qkv(q, k, v)
-    d = q.shape[1]
+    d = q.shape[-1]
     scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(d))
     return T.matmul(T.softmax(scores, axis=-1), v)
 
@@ -99,7 +102,8 @@ def feature_map_exp(x: Tensor, shift: str = "none") -> Tensor:
     """Strictly positive exponential feature map.
 
     ``shift`` subtracts a gradient-detached maximum before exponentiating:
-    "rows" per row, "global" one scalar for the whole matrix. Both rescale
+    "rows" per row, "global" one scalar per matrix (over the last two
+    axes, so each sample of a batch gets its own). Both rescale
     an attention numerator and denominator identically, so the attention
     ratio is unchanged while exp stays in range.
     """
@@ -108,7 +112,7 @@ def feature_map_exp(x: Tensor, shift: str = "none") -> Tensor:
     if shift == "rows":
         m = x.data.max(axis=-1, keepdims=True)
     elif shift == "global":
-        m = x.data.max()
+        m = x.data.max(axis=(-2, -1), keepdims=True)
     else:
         raise ValueError(f"unknown shift mode {shift!r}")
     return T.exp(T.sub(x, Tensor(m)))
@@ -120,22 +124,23 @@ def linear_attention(
     """Kernelized attention in right-associated order: O(M) in tokens.
 
     Accumulates S = sum_j phi(k_j)^T v_j (d x d) and z = sum_j phi(k_j)
-    once, then each output row is (phi(q_i) S) / (phi(q_i) . z). The
-    q shift is per row and the k shift global; a per-row k shift would
+    once per sample, then each output row is (phi(q_i) S) / (phi(q_i) . z).
+    The q shift is per row and the k shift global; a per-row k shift would
     not cancel from the ratio and is therefore never applied.
     """
     _check_qkv(q, k, v)
     phi_q = feature_map_exp(q, "rows" if stabilize else "none")
     phi_k = feature_map_exp(k, "global" if stabilize else "none")
-    summary = T.matmul(T.transpose(phi_k), v)  # (d, d_v)
-    normalizer = T.sum_(phi_k, axis=0)  # (d,)
-    num = T.matmul(phi_q, summary)  # (M, d_v)
-    den = T.matmul(phi_q, T.reshape(normalizer, (normalizer.shape[0], 1)))
+    summary = T.matmul(T.transpose(phi_k), v)  # (..., d, d_v)
+    normalizer = T.sum_(phi_k, axis=-2)  # (..., d)
+    num = T.matmul(phi_q, summary)  # (..., M, d_v)
+    den = T.matmul(phi_q, T.reshape(normalizer, normalizer.shape + (1,)))
     bad = ~(den.data >= 1e-30)  # catches underflow and NaN alike
     if bad.any():
-        row = int(np.argmax(bad))
+        *sample, row, _ = (int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        where = f"sample {', '.join(map(str, sample))}, " if sample else ""
         raise DegenerateAttentionError(
-            f"attention normalizer degenerate at query row {row}"
+            f"attention normalizer degenerate at {where}query row {row}"
         )
     return T.div(num, den)
 
@@ -150,15 +155,15 @@ def multi_head_attention(
     ``len(params.w_q)`` and the model width is that of ``params.w_o``.
     """
     width = params.w_o.shape[0]
-    if x.shape[1] != width:
-        raise ShapeError(f"token width {x.shape[1]} != model dim {width}")
+    if x.shape[-1] != width:
+        raise ShapeError(f"token width {x.shape[-1]} != model dim {width}")
     source = x if cross_kv is None else cross_kv
-    if source.shape[1] != width:
-        raise ShapeError(f"key/value width {source.shape[1]} != model dim {width}")
+    if source.shape[-1] != width:
+        raise ShapeError(f"key/value width {source.shape[-1]} != model dim {width}")
     heads = []
     for wq, wk, wv in zip(params.w_q, params.w_k, params.w_v):
         qh = T.matmul(x, wq)
         kh = T.matmul(source, wk)
         vh = T.matmul(source, wv)
         heads.append(linear_attention(qh, kh, vh))
-    return T.matmul(T.concat(heads, axis=1), params.w_o)
+    return T.matmul(T.concat(heads, axis=-1), params.w_o)

@@ -287,7 +287,7 @@ class GruLayerParams:
 
 
 def gru_cell(x_t: Tensor, h_prev: Tensor, layer: GruLayerParams) -> Tensor:
-    """One recurrence step: H = U * H_prev + (1 - U) * tanh-candidate."""
+    """One recurrence step on (..., N, F): H = U * H_prev + (1 - U) * tanh-candidate."""
     if x_t.shape != h_prev.shape:
         raise ShapeError(f"gru_cell: input {x_t.shape} vs hidden {h_prev.shape}")
     r = T.sigmoid(x_t @ layer.w_xr + h_prev @ layer.w_hr + layer.b_r)
@@ -301,15 +301,14 @@ def gru_sequence(
     h0: list[Tensor],
     layers: list[GruLayerParams],
 ) -> tuple[Tensor, list[Tensor]]:
-    """Run stacked GRU layers over a (T, N, F) sequence, strictly causal.
+    """Run stacked GRU layers over a (..., T, N, F) sequence, strictly causal.
 
     Layer l consumes layer l-1's output sequence. Returns the top layer's
-    outputs for every step plus each layer's final hidden state.
+    outputs for every step plus each layer's final (..., N, F) hidden state.
     """
     if len(h0) != len(layers):
         raise ShapeError(f"{len(layers)} layers but {len(h0)} initial states")
-    steps, n, f = x.shape
-    seq = [x[t] for t in range(steps)]
+    seq = [x[..., t, :, :] for t in range(x.shape[-3])]
     finals: list[Tensor] = []
     for h_init, layer in zip(h0, layers):
         h = h_init
@@ -319,4 +318,4 @@ def gru_sequence(
             outs.append(h)
         seq = outs
         finals.append(h)
-    return T.reshape(T.concat(seq, axis=0), (steps, n, f)), finals
+    return T.reshape(T.concat(seq, axis=-2), x.shape), finals

@@ -184,15 +184,16 @@ def hop_transitions(hops: np.ndarray) -> np.ndarray:
     return np.stack([degree_normalize(h, "out") + degree_normalize(h, "in") for h in hops])
 
 
-def multi_hop_conv(x_t: Tensor, trans: np.ndarray, w_x: list[Tensor], w_d: Tensor) -> Tensor:
-    """Multi-head diffusion over exact-hop shells.
+def multi_hop_conv(x: Tensor, trans: np.ndarray, w_x: list[Tensor], w_d: Tensor) -> Tensor:
+    """Multi-head diffusion over exact-hop shells, on (..., N, F) features.
 
-    Head i aggregates ``trans[i] @ (X_t W_x[i])``, with ``trans`` from
-    :func:`hop_transitions`; heads are concatenated and projected by
+    Head i aggregates ``trans[i] @ (X W_x[i])`` over the node axis, with
+    ``trans`` from :func:`hop_transitions` broadcast over any leading axes
+    (samples, time steps); heads are concatenated and projected by
     ``w_d``. Feature width must split evenly across the k heads (validated
     at model build time).
     """
     if len(w_x) != trans.shape[0]:
         raise ShapeError(f"expected {trans.shape[0]} head weights, got {len(w_x)}")
-    heads = [T.matmul(Tensor(trans[i]), T.matmul(x_t, w)) for i, w in enumerate(w_x)]
-    return T.matmul(T.concat(heads, axis=1), w_d)
+    heads = [T.matmul(Tensor(trans[i]), T.matmul(x, w)) for i, w in enumerate(w_x)]
+    return T.matmul(T.concat(heads, axis=-1), w_d)

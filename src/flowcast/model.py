@@ -8,6 +8,12 @@ multi-head linear attention over all tokens at once, and keeps residual
 paths throughout. A transform stage rolls a GRU forward over the horizon
 and cross-attends against encoder tokens, so all horizon steps are
 produced in a single pass with no output fed back as input.
+
+Shapes follow numpy's ``@``: every forward function takes optional leading
+batch axes, so features are (..., T, N, F) and joint tokens (..., T*N, F).
+:func:`forward_batch` runs a whole (B, T, N, C) batch as one graph; static
+context (node embeddings (N, F), time one-hots (..., T, F)) joins by
+broadcasting.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from .data import (
     zscore_invert,
 )
 from .graph import RoadGraph, hop_adjacency, hop_transitions, multi_hop_conv, shortest_path_hops
-from .optim import AdamState, adam_step, lr_at_epoch, zero_grads
+from .optim import AdamState, GradientError, adam_step, lr_at_epoch, zero_grads
 from .tensor import ShapeError, Tensor
 
 __all__ = [
@@ -58,7 +64,6 @@ __all__ = [
     "encoder_forward",
     "transform_layer",
     "decoder_forward",
-    "forward_sample",
     "forward_batch",
     "train",
     "evaluate",
@@ -79,7 +84,7 @@ class ContractError(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; carries the last good checkpoint path."""
+    """A training step failed numerically; carries the last good checkpoint path."""
 
     def __init__(self, message: str, checkpoint: Path | None = None):
         super().__init__(message)
@@ -348,37 +353,36 @@ class GraphInputs:
 # Forward pieces
 
 def input_projection(params: ModelParams, x: Tensor) -> Tensor:
-    """(T, N, C) -> (T, N, F), one shared linear map per (t, node)."""
-    steps, n, c = x.shape
-    if c != params.in_w.shape[0]:
+    """(..., T, N, C) -> (..., T, N, F), one shared linear map per (t, node)."""
+    if x.shape[-1] != params.in_w.shape[0]:
         raise ShapeError(
-            f"input has {c} channels, projection expects {params.in_w.shape[0]}"
+            f"input has {x.shape[-1]} channels, projection expects {params.in_w.shape[0]}"
         )
-    flat = T.reshape(x, (steps * n, c))
-    out = T.add(T.matmul(flat, params.in_w), params.in_b)
-    return T.reshape(out, (steps, n, params.in_w.shape[1]))
+    return T.add(T.matmul(x, params.in_w), params.in_b)
 
 
 def output_projection(params: ModelParams, feats: Tensor) -> Tensor:
-    """(T, N, F) -> (T, N, C)."""
-    steps, n, f = feats.shape
-    flat = T.reshape(feats, (steps * n, f))
-    out = T.add(T.matmul(flat, params.out_w), params.out_b)
-    return T.reshape(out, (steps, n, params.out_w.shape[1]))
+    """(..., T, N, F) -> (..., T, N, C)."""
+    return T.add(T.matmul(feats, params.out_w), params.out_b)
 
 
-def _tile_nodes(mat: Tensor, steps: int) -> Tensor:
-    """(N, F) per-node rows -> (steps*N, F) tokens, same rows every step."""
-    n, f = mat.shape
-    grid = T.add(T.reshape(mat, (1, n, f)), Tensor(np.zeros((steps, n, f))))
-    return T.reshape(grid, (steps * n, f))
+def _fuse(w: Tensor, b: Tensor, streams: list[Tensor]) -> Tensor:
+    """``concat(streams, axis=-1) @ w + b`` without the concat.
+
+    Stream i meets its own F-row block of ``w``, and the products add up
+    by broadcasting, so static context of shape (N, F) or (..., T, 1, F)
+    joins (..., T, N, F) features without being tiled.
+    """
+    f = w.shape[1]
+    out = b
+    for i, stream in enumerate(streams):
+        out = T.add(out, T.matmul(stream, w[i * f : (i + 1) * f]))
+    return out
 
 
-def _tile_steps(mat: Tensor, nodes: int) -> Tensor:
-    """(T, F) per-step rows -> (T*nodes, F) tokens, same row for all nodes."""
-    steps, f = mat.shape
-    grid = T.add(T.reshape(mat, (steps, 1, f)), Tensor(np.zeros((steps, nodes, f))))
-    return T.reshape(grid, (steps * nodes, f))
+def _per_step(time_proj: Tensor) -> Tensor:
+    """(..., T, F) -> (..., T, 1, F), broadcastable over the node axis."""
+    return T.reshape(time_proj, time_proj.shape[:-1] + (1, time_proj.shape[-1]))
 
 
 def context_block(
@@ -394,36 +398,25 @@ def context_block(
 
     Per token (t, i): concat[features; hop-diffusion; GRU state; node
     embedding; time one-hot] -> 5F, project to F, plus a residual from the
-    feature stream. Returns tokens plus the GRU's final hidden states.
+    feature stream. ``xh`` is (..., T, N, F), ``emb_proj`` (N, F) and
+    ``time_proj`` (..., T, F). Returns (..., T*N, F) tokens plus the GRU's
+    final hidden states.
     """
-    steps, n, _ = xh.shape
-    if time_proj.shape[0] != steps:
+    steps, n = xh.shape[-3:-1]
+    if time_proj.shape[-2] != steps:
         raise ContractError(
-            f"temporal context covers {time_proj.shape[0]} steps, block has {steps}"
+            f"temporal context covers {time_proj.shape[-2]} steps, block has {steps}"
         )
-    if emb_proj.shape[0] != n:
+    if emb_proj.shape[-2] != n:
         raise ContractError(
-            f"spatial context covers {emb_proj.shape[0]} nodes, block has {n}"
+            f"spatial context covers {emb_proj.shape[-2]} nodes, block has {n}"
         )
-    spatial_tok = T.concat(
-        [multi_hop_conv(xh[t], ginputs.trans, block.hop_w, block.hop_out) for t in range(steps)],
-        axis=0,
+    spatial = multi_hop_conv(xh, ginputs.trans, block.hop_w, block.hop_out)
+    temporal, finals = gru_sequence(xh, h0, block.gru)
+    fused = _fuse(
+        block.fuse_w, block.fuse_b, [xh, spatial, temporal, emb_proj, _per_step(time_proj)]
     )
-    temporal_tok, finals = gru_sequence(xh, h0, block.gru)
-
-    x_tok = to_joint_tokens(xh)
-    stacked = T.concat(
-        [
-            x_tok,
-            spatial_tok,
-            to_joint_tokens(temporal_tok),
-            _tile_nodes(emb_proj, steps),
-            _tile_steps(time_proj, n),
-        ],
-        axis=1,
-    )
-    fused = T.add(T.matmul(stacked, block.fuse_w), block.fuse_b)
-    return T.add(fused, x_tok), finals
+    return to_joint_tokens(T.add(fused, xh)), finals
 
 
 def encoder_forward(
@@ -435,8 +428,7 @@ def encoder_forward(
     ginputs: GraphInputs,
 ) -> tuple[Tensor, list[Tensor]]:
     """Context block, then self attention with a residual connection."""
-    steps, n, f = xh.shape
-    h0 = [Tensor(np.zeros((n, f))) for _ in range(cfg.gru_layers)]
+    h0 = [Tensor(np.zeros(xh.shape[:-3] + xh.shape[-2:])) for _ in range(cfg.gru_layers)]
     ctx, finals = context_block(cfg, params.encoder, xh, emb_proj, time_hist, ginputs, h0)
     enc = T.add(ctx, multi_head_attention(ctx, None, params.encoder.attn))
     return enc, finals
@@ -460,7 +452,7 @@ def transform_layer(
     historical static context) form keys and values of a cross attention.
     """
     tp = params.transform
-    n = x_last.shape[0]
+    n = x_last.shape[-2]
     hidden = list(enc_finals)
     step_in = x_last
     generated: list[Tensor] = []
@@ -471,25 +463,13 @@ def transform_layer(
             layer_in = hidden[i]
         generated.append(hidden[-1])
         step_in = hidden[-1]
-    q_in = T.concat(
-        [
-            T.concat(generated, axis=0),
-            _tile_nodes(emb_proj, cfg.horizon),
-            _tile_steps(time_fut, n),
-        ],
-        axis=1,
+    rollout = from_joint_tokens(T.concat(generated, axis=-2), cfg.horizon, n)
+    q_tok = _fuse(tp.q_fuse_w, tp.q_fuse_b, [rollout, emb_proj, _per_step(time_fut)])
+    enc = from_joint_tokens(enc_tokens, cfg.history, n)
+    kv_tok = _fuse(tp.kv_fuse_w, tp.kv_fuse_b, [enc, emb_proj, _per_step(time_hist)])
+    return multi_head_attention(
+        to_joint_tokens(q_tok), to_joint_tokens(kv_tok), tp.attn
     )
-    q_tok = T.add(T.matmul(q_in, tp.q_fuse_w), tp.q_fuse_b)
-    kv_in = T.concat(
-        [
-            enc_tokens,
-            _tile_nodes(emb_proj, cfg.history),
-            _tile_steps(time_hist, n),
-        ],
-        axis=1,
-    )
-    kv_tok = T.add(T.matmul(kv_in, tp.kv_fuse_w), tp.kv_fuse_b)
-    return multi_head_attention(q_tok, kv_tok, tp.attn)
 
 
 def decoder_forward(
@@ -502,8 +482,8 @@ def decoder_forward(
     ginputs: GraphInputs,
 ) -> Tensor:
     """Mirror of the encoder over the horizon span; GRU starts from the
-    encoder's final hidden state. Returns (horizon, N, F) features."""
-    n = emb_proj.shape[0]
+    encoder's final hidden state. Returns (..., horizon, N, F) features."""
+    n = emb_proj.shape[-2]
     xh = from_joint_tokens(dec_tokens, cfg.horizon, n)
     ctx, _ = context_block(
         cfg, params.decoder, xh, emb_proj, time_fut, ginputs, list(enc_finals)
@@ -512,39 +492,10 @@ def decoder_forward(
     return from_joint_tokens(dec, cfg.horizon, n)
 
 
-def forward_sample(
-    cfg: ModelConfig,
-    params: ModelParams,
-    ginputs: GraphInputs,
-    node_emb: np.ndarray,
-    x: np.ndarray,
-    t0: int,
-) -> Tensor:
-    """Full pipeline for one normalized window: (T_h, N, C) -> (T_p, N, C).
-
-    All horizon steps come from one pass; predictions are never consumed
-    as inputs (the only recurrence is over internal features).
-    """
-    emb_proj = T.add(T.matmul(Tensor(node_emb), params.emb_w), params.emb_b)
-    hist_hot = temporal_encoding(t0, cfg.history, cfg.slots_per_day, cfg.start_weekday)
-    fut_hot = temporal_encoding(
-        t0 + cfg.history, cfg.horizon, cfg.slots_per_day, cfg.start_weekday
-    )
-    time_hist = T.add(T.matmul(Tensor(hist_hot), params.time_w), params.time_b)
-    time_fut = T.add(T.matmul(Tensor(fut_hot), params.time_w), params.time_b)
-
-    xh = input_projection(params, Tensor(x))
-    enc_tokens, enc_finals = encoder_forward(
-        cfg, params, xh, emb_proj, time_hist, ginputs
-    )
-    dec_in = transform_layer(
-        cfg, params, enc_tokens, enc_finals, xh[cfg.history - 1],
-        emb_proj, time_hist, time_fut,
-    )
-    dec_feats = decoder_forward(
-        cfg, params, dec_in, enc_finals, emb_proj, time_fut, ginputs
-    )
-    return output_projection(params, dec_feats)
+def _reject_non_finite(xs: np.ndarray) -> None:
+    finite = np.isfinite(xs).reshape(len(xs), -1).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite values in input sample {int(np.argmin(finite))}")
 
 
 def forward_batch(
@@ -554,14 +505,35 @@ def forward_batch(
     node_emb: np.ndarray,
     xs: np.ndarray,
     t0s,
-) -> list[Tensor]:
-    """Per-sample forwards over a batch; rejects non-finite inputs by index."""
-    out = []
-    for b in range(xs.shape[0]):
-        if not np.all(np.isfinite(xs[b])):
-            raise ValueError(f"non-finite values in input sample {b}")
-        out.append(forward_sample(cfg, params, ginputs, node_emb, xs[b], int(t0s[b])))
-    return out
+) -> Tensor:
+    """Full pipeline for a batch of normalized windows, as one graph:
+    (B, T_h, N, C) windows starting at steps ``t0s`` -> (B, T_p, N, C).
+
+    All horizon steps come from one pass; predictions are never consumed
+    as inputs (the only recurrence is over internal features). Rejects
+    non-finite inputs by sample index.
+    """
+    _reject_non_finite(xs)
+    emb_proj = T.add(T.matmul(Tensor(node_emb), params.emb_w), params.emb_b)
+    span = cfg.history + cfg.horizon
+    hot = np.stack([
+        temporal_encoding(int(t0), span, cfg.slots_per_day, cfg.start_weekday) for t0 in t0s
+    ])
+    time_proj = T.add(T.matmul(Tensor(hot), params.time_w), params.time_b)
+    time_hist, time_fut = time_proj[:, : cfg.history], time_proj[:, cfg.history :]
+
+    xh = input_projection(params, Tensor(xs))
+    enc_tokens, enc_finals = encoder_forward(
+        cfg, params, xh, emb_proj, time_hist, ginputs
+    )
+    dec_in = transform_layer(
+        cfg, params, enc_tokens, enc_finals, xh[:, cfg.history - 1],
+        emb_proj, time_hist, time_fut,
+    )
+    dec_feats = decoder_forward(
+        cfg, params, dec_in, enc_finals, emb_proj, time_fut, ginputs
+    )
+    return output_projection(params, dec_feats)
 
 
 @dataclass
@@ -584,10 +556,18 @@ class Forecaster:
         )
 
     def predict(self, xs: np.ndarray, t0s) -> np.ndarray:
-        """Inference-only batch forward; no graph is built."""
+        """Inference-only forward, (B, T_h, N, C) -> (B, T_p, N, C); no graph is built."""
+        _reject_non_finite(xs)
+        # One window at a time: a no-grad window of the reference config on
+        # 228 nodes peaks at about 28 MB of arrays, and a batch of B at B times that.
         with T.no_grad():
-            preds = forward_batch(self.cfg, self.params, self.ginputs, self.node_emb, xs, t0s)
-        return np.stack([p.data for p in preds])
+            return np.concatenate([
+                forward_batch(
+                    self.cfg, self.params, self.ginputs, self.node_emb,
+                    xs[b : b + 1], t0s[b : b + 1],
+                ).data
+                for b in range(len(xs))
+            ])
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +593,6 @@ def evaluate(
     windows: list[SampleWindow],
     horizons: list[int] | None = None,
     mask_eps: float = 1.0,
-    batch: int = 64,
 ) -> dict[str, tuple[float, float, float]]:
     """De-normalized (MAE, RMSE, MAPE%) per horizon prefix plus 'average'.
 
@@ -622,20 +601,15 @@ def evaluate(
     """
     if model.norm is None:
         raise ContractError("model has no normalization stats; train or load first")
-    preds, truths = [], []
-    for lo in range(0, len(windows), batch):
-        chunk = windows[lo : lo + batch]
-        xs = np.stack([w.x for w in chunk])
-        out = model.predict(xs, [w.t0 for w in chunk])
-        preds.append(out)
-        truths.append(np.stack([w.y for w in chunk]))
-    pred = zscore_invert(np.concatenate(preds), model.norm)
-    truth = zscore_invert(np.concatenate(truths), model.norm)
-
-    results: dict[str, tuple[float, float, float]] = {}
     for h in horizons or []:
         if not 1 <= h <= model.cfg.horizon:
             raise ValueError(f"horizon {h} outside 1..{model.cfg.horizon}")
+    xs = np.stack([w.x for w in windows])
+    pred = zscore_invert(model.predict(xs, [w.t0 for w in windows]), model.norm)
+    truth = zscore_invert(np.stack([w.y for w in windows]), model.norm)
+
+    results: dict[str, tuple[float, float, float]] = {}
+    for h in horizons or []:
         results[str(h)] = metrics(pred[:, :h], truth[:, :h], mask_eps)
     results["average"] = metrics(pred, truth, mask_eps)
     return results
@@ -661,6 +635,15 @@ class EpochLog:
 CSV_HEADER = "epoch,split,mae,rmse,mape,lr,seconds"
 
 
+def _diverged(message: str, checkpoint: Path | None) -> TrainingDiverged:
+    """A :class:`TrainingDiverged` that says where the last good checkpoint is."""
+    where = (
+        f"last good checkpoint kept at {checkpoint}" if checkpoint
+        else "no checkpoint was good yet"
+    )
+    return TrainingDiverged(f"{message}; {where}", checkpoint=checkpoint)
+
+
 def train(
     cfg: ModelConfig,
     dataset: Dataset,
@@ -675,7 +658,9 @@ def train(
     One shuffled pass over the training windows per epoch; validation MAE
     decides the best checkpoint. ``dataset`` must be normalized and split
     (see :func:`prepare_dataset`). Raises :class:`TrainingDiverged` on a
-    non-finite loss, keeping the last good checkpoint on disk.
+    non-finite loss or a numeric failure inside a step (a degenerate
+    attention normalizer, a non-finite gradient), keeping the last good
+    checkpoint on disk.
     """
     if dataset.norm is None or not dataset.splits:
         raise ContractError("dataset is not prepared; call prepare_dataset first")
@@ -696,7 +681,7 @@ def train(
 
     history: list[EpochLog] = []
     best_val = math.inf
-    saved_once = False
+    saved: Path | None = None  # the last good checkpoint, once one is written
     for epoch in range(cfg.epochs):
         lr = lr_at_epoch(epoch, cfg.lr, cfg.lr_decay_epochs, cfg.lr_decay_factor)
         started = time.perf_counter()
@@ -704,30 +689,21 @@ def train(
         epoch_abs_err = 0.0
         for lo in range(0, len(order), cfg.batch_size):
             batch = [train_windows[i] for i in order[lo : lo + cfg.batch_size]]
-            zero_grads(params)
-            xs = np.stack([w.x for w in batch])
-            preds = forward_batch(
-                cfg, model.params, model.ginputs, node_emb, xs, [w.t0 for w in batch]
-            )
-            losses = [
-                T.l1_loss(p, Tensor(w.y)) for p, w in zip(preds, batch)
-            ]
-            total = losses[0]
-            for extra in losses[1:]:
-                total = T.add(total, extra)
-            loss = T.scale(total, 1.0 / len(batch))
-            if not np.isfinite(loss.data):
-                raise TrainingDiverged(
-                    "training loss became non-finite"
-                    + (
-                        f"; last good checkpoint kept at {checkpoint_path}"
-                        if checkpoint_path and saved_once
-                        else "; no checkpoint was good yet"
-                    ),
-                    checkpoint=checkpoint_path if saved_once else None,
+            try:
+                zero_grads(params)
+                pred = forward_batch(
+                    cfg, model.params, model.ginputs, node_emb,
+                    np.stack([w.x for w in batch]), [w.t0 for w in batch],
                 )
-            T.backward(loss)
-            adam_step(params, state, lr)
+                loss = T.scale(
+                    T.l1_loss(pred, Tensor(np.stack([w.y for w in batch]))), 1.0 / len(batch)
+                )
+                if not np.isfinite(loss.data):
+                    raise _diverged("training loss became non-finite", saved)
+                T.backward(loss)
+                adam_step(params, state, lr)
+            except (ArithmeticError, GradientError) as err:
+                raise _diverged(f"training step failed: {err}", saved) from err
             epoch_abs_err += float(loss.data) * len(batch)
 
         train_mae = epoch_abs_err / (len(order) * per_entry) * std
@@ -746,7 +722,7 @@ def train(
             improved = True
         if improved and checkpoint_path is not None:
             save_model(checkpoint_path, model, state)
-            saved_once = True
+            saved = checkpoint_path
         history.extend(rows)
         if log_fn:
             for row in rows:

@@ -149,33 +149,35 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _broadcast(op: str, fn, a: Tensor, b: Tensor) -> np.ndarray:
-    """``fn(a.data, b.data)``, with numpy's broadcast failure as a ShapeError."""
+    """``fn(a.data, b.data)``, with numpy's shape failure as a ShapeError."""
     try:
         return fn(a.data, b.data)
     except ValueError:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are incompatible") from None
 
 
 # ---------------------------------------------------------------------------
 # Linear algebra
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product with gradients dA = dC @ B^T, dB = A^T @ dC."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    out = a.data @ b.data
-    return _make(out, (
-        (a, lambda g, bd=b.data: g @ bd.T),
-        (b, lambda g, ad=a.data: ad.T @ g),
+    """Product over the last two axes, broadcasting leading axes like ``@``.
+
+    Gradients dA = dC @ B^T and dB = A^T @ dC, each summed back down to
+    its operand's shape.
+    """
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ShapeError(f"matmul needs operands of rank >= 2, got {a.shape} and {b.shape}")
+    return _make(_broadcast("matmul", np.matmul, a, b), (
+        (a, lambda g, bd=b.data, s=a.shape: _unbroadcast(g @ np.swapaxes(bd, -1, -2), s)),
+        (b, lambda g, ad=a.data, s=b.shape: _unbroadcast(np.swapaxes(ad, -1, -2) @ g, s)),
     ))
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-D tensor, got {a.shape}")
-    return _make(a.data.T.copy(), ((a, lambda g: g.T),))
+    """Swap the last two axes."""
+    if a.data.ndim < 2:
+        raise ShapeError(f"transpose needs a tensor of rank >= 2, got {a.shape}")
+    return _make(np.swapaxes(a.data, -1, -2).copy(), ((a, lambda g: np.swapaxes(g, -1, -2)),))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from flowcast.graph import (
 from flowcast.model import (
     Forecaster,
     ModelConfig,
-    forward_sample,
+    forward_batch,
     load_config,
     prepare_dataset,
     train,
@@ -221,12 +221,12 @@ def test_criterion_3_gradient_suite():
         epochs=1, seed=3,
     )
     model = Forecaster.new(cfg, ring_graph(3), rng.normal(size=(3, 64)) * 0.3)
-    xin = rng.uniform(-1, 1, (2, 3, 1))
-    first = forward_sample(cfg, model.params, model.ginputs, model.node_emb, xin, 5)
+    xin = rng.uniform(-1, 1, (1, 2, 3, 1))
+    first = forward_batch(cfg, model.params, model.ginputs, model.node_emb, xin, [5])
     target = Tensor(first.data - rng.uniform(0.5, 1.5, first.data.shape))
 
     def model_loss():
-        pred = forward_sample(cfg, model.params, model.ginputs, model.node_emb, xin, 5)
+        pred = forward_batch(cfg, model.params, model.ginputs, model.node_emb, xin, [5])
         return l1_loss(pred, target)
 
     backward(model_loss())

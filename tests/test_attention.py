@@ -41,9 +41,12 @@ def brute_force_kernel_attention(q, k, v):
 
 def test_joint_tokens_round_trip():
     rng = np.random.default_rng(1)
-    x = Tensor(rng.normal(size=(3, 4, 5)))
-    back = from_joint_tokens(to_joint_tokens(x), steps=3, nodes=4)
-    assert np.array_equal(back.data, x.data)
+    for shape in [(3, 4, 5), (2, 3, 4, 5)]:  # one sample, then a batch
+        x = Tensor(rng.normal(size=shape))
+        tokens = to_joint_tokens(x)
+        assert tokens.shape == shape[:-3] + (12, 5)
+        back = from_joint_tokens(tokens, steps=3, nodes=4)
+        assert np.array_equal(back.data, x.data)
 
 
 def test_joint_tokens_time_major_order():
@@ -205,6 +208,28 @@ def test_linear_attention_degenerate_normalizer():
         linear_attention(q, k, v)
 
 
+def test_degenerate_normalizer_names_the_sample():
+    q = np.zeros((3, 4, 2))
+    q[1, 2] = np.nan
+    with pytest.raises(DegenerateAttentionError, match="sample 1, query row 2"):
+        linear_attention(Tensor(q), Tensor(np.zeros((3, 4, 2))), Tensor(np.ones((3, 4, 2))))
+
+
+def test_batched_linear_attention_equals_stacked_calls():
+    rng = np.random.default_rng(19)
+    q = rng.uniform(-2, 2, (2, 7, 4))
+    k = rng.uniform(-2, 2, (2, 5, 4))
+    v = rng.normal(size=(2, 5, 2))
+    # keys near +700 in sample 0 and -700 in sample 1: one key shift for
+    # the whole batch would underflow every exp(k - shift) of sample 1
+    for offset in (0.0, 700.0):
+        keys = k + np.array([offset, -offset])[:, None, None]
+        batched = linear_attention(Tensor(q), Tensor(keys), Tensor(v)).data
+        for b in range(2):
+            single = linear_attention(Tensor(q[b]), Tensor(keys[b]), Tensor(v[b])).data
+            assert np.max(np.abs(batched[b] - single)) <= 1e-12
+
+
 def test_linear_attention_gradients():
     rng = np.random.default_rng(14)
     q = T.param(rng.uniform(-1, 1, (5, 3)))
@@ -246,6 +271,17 @@ def test_single_head_identity_projections_reduce_to_linear_attention():
     via_mha = multi_head_attention(x, None, params)
     direct = linear_attention(x, x, x)
     assert np.max(np.abs(via_mha.data - direct.data)) < 1e-14
+
+
+def test_batched_mha_equals_stacked_calls():
+    rng = np.random.default_rng(21)
+    params = _mha_params(rng, heads=2, head_dim=3)
+    x = rng.normal(size=(3, 5, 6))
+    kv = rng.normal(size=(3, 4, 6))
+    batched = multi_head_attention(Tensor(x), Tensor(kv), params).data
+    for b in range(3):
+        single = multi_head_attention(Tensor(x[b]), Tensor(kv[b]), params).data
+        assert np.max(np.abs(batched[b] - single)) <= 1e-12
 
 
 def test_mha_output_shape_with_cross_inputs():

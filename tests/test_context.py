@@ -320,6 +320,20 @@ def test_gru_two_layers_equal_manual_chaining():
     assert np.array_equal(finals[1].data, top_final[0].data)
 
 
+def test_gru_sequence_over_a_batch_equals_per_sample_calls():
+    rng = np.random.default_rng(39)
+    f, n, steps = 4, 3, 5
+    layers = [_gru_layer(rng, f), _gru_layer(rng, f)]
+    x = rng.normal(size=(2, steps, n, f))
+    h0 = rng.normal(size=(2, n, f))
+    outs, finals = gru_sequence(Tensor(x), [Tensor(h0), Tensor(h0)], layers)
+    assert outs.shape == x.shape and finals[1].shape == (2, n, f)
+    for b in range(2):
+        one, one_finals = gru_sequence(Tensor(x[b]), [Tensor(h0[b]), Tensor(h0[b])], layers)
+        assert np.max(np.abs(outs.data[b] - one.data)) <= 1e-12
+        assert np.max(np.abs(finals[1].data[b] - one_finals[1].data)) <= 1e-12
+
+
 def test_gru_hidden_stays_in_unit_interval():
     rng = np.random.default_rng(38)
     f, n, steps = 4, 3, 40

@@ -267,6 +267,20 @@ def test_multi_hop_conv_permutation_equivariance():
     assert np.max(np.abs(out_perm - p_mat @ out)) < 1e-10
 
 
+def test_multi_hop_conv_over_leading_axes_equals_per_step_calls():
+    rng = np.random.default_rng(21)
+    n, f, k = 5, 4, 2
+    trans = hop_transitions(hop_adjacency(shortest_path_hops(random_graph(rng, n, 0.4)), k))
+    w_x = _head_weights(rng, f, k)
+    w_d = T.param(rng.normal(size=(f, f)))
+    x = rng.normal(size=(2, 3, n, f))  # (B, T, N, F)
+    out = multi_hop_conv(Tensor(x), trans, w_x, w_d).data
+    for b in range(2):
+        for t in range(3):
+            step = multi_hop_conv(Tensor(x[b, t]), trans, w_x, w_d).data
+            assert np.max(np.abs(out[b, t] - step)) <= 1e-12
+
+
 def test_multi_hop_conv_gradients():
     rng = np.random.default_rng(20)
     n, f, k = 4, 4, 2

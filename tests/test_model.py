@@ -4,7 +4,9 @@ training loop, and checkpoint round trips."""
 import numpy as np
 import pytest
 
+from flowcast import model as model_module
 from flowcast import tensor as T
+from flowcast.attention import DegenerateAttentionError
 from flowcast.checkpoint import CheckpointError, load_arrays, save_arrays
 from flowcast.data import assign_windows, make_windows
 from flowcast.graph import RoadGraph
@@ -21,7 +23,6 @@ from flowcast.model import (
     encoder_forward,
     evaluate,
     forward_batch,
-    forward_sample,
     init_params,
     input_projection,
     load_config,
@@ -33,7 +34,7 @@ from flowcast.model import (
     train,
     transform_layer,
 )
-from flowcast.optim import AdamState, adam_step, zero_grads
+from flowcast.optim import AdamState, GradientError, adam_step, zero_grads
 from flowcast.synth import make_ring_dataset, ring_graph
 from flowcast.tensor import Tensor, backward, l1_loss
 
@@ -370,6 +371,17 @@ def test_forward_shapes_and_identical_samples(tiny_model):
     assert not np.array_equal(preds[0], preds[2])
 
 
+def test_forward_batch_equals_single_window_calls(tiny_model):
+    m = tiny_model
+    xs = np.random.default_rng(17).normal(size=(3, m.cfg.history, 3, 1))
+    t0s = [0, 5, 11]  # distinct slots of day and weekdays
+    batched = forward_batch(m.cfg, m.params, m.ginputs, m.node_emb, xs, t0s)
+    assert batched.shape == (3, m.cfg.horizon, 3, 1)
+    for b in range(3):
+        one = forward_batch(m.cfg, m.params, m.ginputs, m.node_emb, xs[b : b + 1], t0s[b : b + 1])
+        assert np.max(np.abs(batched.data[b] - one.data[0])) <= 1e-12
+
+
 def test_forward_rejects_non_finite_sample(tiny_model):
     m = tiny_model
     xs = np.zeros((2, m.cfg.history, 3, 1))
@@ -448,13 +460,13 @@ def test_single_shot_inference_is_pointwise_on_features(tiny_model):
 def test_full_model_gradient_check(tiny_model):
     m = tiny_model
     rng = np.random.default_rng(15)
-    x = rng.uniform(-1, 1, (2, 3, 1))
-    pred = forward_sample(m.cfg, m.params, m.ginputs, m.node_emb, x, 5)
+    xs = rng.uniform(-1, 1, (1, 2, 3, 1))
+    pred = forward_batch(m.cfg, m.params, m.ginputs, m.node_emb, xs, [5])
     target = Tensor(pred.data - rng.uniform(0.5, 1.5, pred.data.shape))
-    backward(l1_loss(forward_sample(m.cfg, m.params, m.ginputs, m.node_emb, x, 5), target))
+    backward(l1_loss(forward_batch(m.cfg, m.params, m.ginputs, m.node_emb, xs, [5]), target))
 
     def loss_value():
-        out = forward_sample(m.cfg, m.params, m.ginputs, m.node_emb, x, 5)
+        out = forward_batch(m.cfg, m.params, m.ginputs, m.node_emb, xs, [5])
         return float(np.abs(out.data - target.data).sum())
 
     named = m.params.named()
@@ -545,6 +557,53 @@ def test_training_divergence_keeps_last_checkpoint(tmp_path):
         train(cfg, prepared, graph, node_emb, checkpoint_path=ckpt, mask_eps=1e-6)
 
 
+def test_training_step_failure_keeps_last_checkpoint(tmp_path, monkeypatch):
+    cfg, prepared, graph, node_emb = _prepared_ring(epochs=2, batch_size=256)
+    logged = []  # rows of epoch 0, logged after its checkpoint was saved
+
+    def failing_adam_step(params, state, lr):
+        if logged:
+            raise GradientError("non-finite gradient in parameter 'input.w'")
+        adam_step(params, state, lr)
+
+    monkeypatch.setattr(model_module, "adam_step", failing_adam_step)
+    ckpt = tmp_path / "model.ckpt"
+    with pytest.raises(TrainingDiverged, match="input.w.*last good checkpoint kept at") as info:
+        train(cfg, prepared, graph, node_emb, checkpoint_path=ckpt,
+              log_fn=logged.append, mask_eps=1e-6)
+    assert info.value.checkpoint == ckpt
+    assert isinstance(info.value.__cause__, GradientError)
+    assert load_model(ckpt)[0].cfg == cfg
+
+
+def test_training_step_failure_before_any_save(tmp_path, monkeypatch):
+    cfg, prepared, graph, node_emb = _prepared_ring(epochs=1, batch_size=256)
+
+    def degenerate(*args):
+        raise DegenerateAttentionError("attention normalizer degenerate at sample 0, query row 3")
+
+    monkeypatch.setattr(model_module, "multi_head_attention", degenerate)
+    with pytest.raises(TrainingDiverged, match="query row 3; no checkpoint was good yet") as info:
+        train(cfg, prepared, graph, node_emb, checkpoint_path=tmp_path / "model.ckpt",
+              mask_eps=1e-6)
+    assert info.value.checkpoint is None
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_training_passes_other_step_errors_through(monkeypatch):
+    cfg, prepared, graph, node_emb = _prepared_ring(epochs=1, batch_size=256)
+
+    class Probe(Exception):
+        pass
+
+    def probe(params):
+        raise Probe
+
+    monkeypatch.setattr(model_module, "zero_grads", probe)
+    with pytest.raises(Probe):
+        train(cfg, prepared, graph, node_emb, mask_eps=1e-6)
+
+
 def test_overfit_32_noiseless_samples_drives_loss_below_2pct():
     # compact memorization run: no noise, small span, fixed 32 windows
     cfg = ModelConfig.toy(
@@ -580,14 +639,10 @@ def test_overfit_32_noiseless_samples_drives_loss_below_2pct():
         pos += 8
         zero_grads(named)
         xs = np.stack([w.x for w in batch])
-        preds = forward_batch(
+        pred = forward_batch(
             cfg, model.params, model.ginputs, node_emb, xs, [w.t0 for w in batch]
         )
-        total = None
-        for p, w in zip(preds, batch):
-            term = l1_loss(p, Tensor(w.y))
-            total = term if total is None else T.add(total, term)
-        backward(T.scale(total, 1.0 / len(batch)))
+        backward(T.scale(l1_loss(pred, Tensor(np.stack([w.y for w in batch]))), 1.0 / len(batch)))
         adam_step(named, state, cfg.lr if step < 350 else cfg.lr * 0.1)
     final = total_l1()
     assert final < 0.02 * initial, f"{final} vs initial {initial}"

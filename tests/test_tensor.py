@@ -1,5 +1,7 @@
 """Tensor engine: op semantics, gradient correctness, Adam, checkpointing."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,22 +27,46 @@ def test_matmul_hand_arithmetic():
 
 
 def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-        T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+    # inner mismatch, mismatched batch axes, and a 1-D operand
+    for left, right in [((2, 3), (2, 3)), ((2, 3, 4), (3, 4, 2)), ((3,), (3, 2))]:
+        names = rf"{re.escape(str(left))}.*{re.escape(str(right))}"
+        with pytest.raises(ShapeError, match=names):
+            T.matmul(Tensor(np.zeros(left)), Tensor(np.zeros(right)))
 
 
 def test_matmul_gradient_matches_finite_differences():
+    # 2-D, a batch against shared weights, a shared node operator against
+    # (B, T, N, F) features, and a batch against a batch
     rng = np.random.default_rng(7)
-    a = T.param(rng.uniform(-1, 1, (3, 4)))
-    b = T.param(rng.uniform(-1, 1, (4, 2)))
+    for left, right in [
+        ((3, 4), (4, 2)), ((2, 3, 4), (4, 2)), ((3, 3), (2, 2, 3, 4)), ((2, 3, 4), (2, 4, 2)),
+    ]:
+        a = T.param(rng.uniform(-1, 1, left))
+        b = T.param(rng.uniform(-1, 1, right))
+        c = Tensor(rng.uniform(-1, 1, np.broadcast_shapes(left[:-2], right[:-2])
+                               + (left[-2], right[-1])))
 
-    loss = T.sum_(T.matmul(a, b))
-    backward(loss)
+        backward(T.sum_(T.mul(T.matmul(a, b), c)))
 
-    num_a = numeric_grad(lambda: T.matmul(a, b).data.sum(), a.data)
-    num_b = numeric_grad(lambda: T.matmul(a, b).data.sum(), b.data)
-    assert grad_close(a.grad, num_a, rtol=1e-6)
-    assert grad_close(b.grad, num_b, rtol=1e-6)
+        def forward():
+            return (T.matmul(a, b).data * c.data).sum()
+
+        assert a.grad.shape == left and b.grad.shape == right
+        assert grad_close(a.grad, numeric_grad(forward, a.data), rtol=1e-6)
+        assert grad_close(b.grad, numeric_grad(forward, b.data), rtol=1e-6)
+
+
+def test_transpose_swaps_last_two_axes():
+    rng = np.random.default_rng(8)
+    x = T.param(rng.uniform(-1, 1, (2, 3, 4)))
+    c = Tensor(rng.uniform(-1, 1, (2, 4, 3)))
+    out = T.transpose(x)
+    assert np.array_equal(out.data, x.data.transpose(0, 2, 1))
+    backward(T.sum_(T.mul(out, c)))
+    numeric = numeric_grad(lambda: (T.transpose(x).data * c.data).sum(), x.data)
+    assert grad_close(x.grad, numeric, rtol=1e-6)
+    with pytest.raises(ShapeError, match=r"\(3,\)"):
+        T.transpose(Tensor(np.zeros(3)))
 
 
 @pytest.mark.parametrize(
