@@ -153,6 +153,7 @@ def multi_head_attention(
     Queries come from ``x``; keys/values from ``cross_kv`` when given
     (cross-attention) and from ``x`` otherwise. The head count is
     ``len(params.w_q)`` and the model width is that of ``params.w_o``.
+    A degenerate normalizer is re-raised naming the head.
     """
     width = params.w_o.shape[0]
     if x.shape[-1] != width:
@@ -161,9 +162,12 @@ def multi_head_attention(
     if source.shape[-1] != width:
         raise ShapeError(f"key/value width {source.shape[-1]} != model dim {width}")
     heads = []
-    for wq, wk, wv in zip(params.w_q, params.w_k, params.w_v):
+    for i, (wq, wk, wv) in enumerate(zip(params.w_q, params.w_k, params.w_v)):
         qh = T.matmul(x, wq)
         kh = T.matmul(source, wk)
         vh = T.matmul(source, wv)
-        heads.append(linear_attention(qh, kh, vh))
+        try:
+            heads.append(linear_attention(qh, kh, vh))
+        except DegenerateAttentionError as err:
+            raise DegenerateAttentionError(f"head {i}: {err}") from err
     return T.matmul(T.concat(heads, axis=-1), params.w_o)

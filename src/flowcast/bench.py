@@ -65,11 +65,29 @@ def crosscheck_kernels(dim: int, seed: int = 0) -> None:
         raise AssertionError("linear kernel output left the value convex hull")
 
 
-def _time_once(fn, q, k, v) -> float:
-    start = time.perf_counter()
+# Each timing sample is the mean of enough back-to-back calls to last at
+# least this long, so sub-millisecond kernels are not timed from one call.
+MIN_SAMPLE_S = 0.02
+
+
+def _time_calls(fn, q, k, v, number: int) -> float:
+    """Seconds per call, averaged over ``number`` back-to-back calls."""
     with T.no_grad():
-        fn(q, k, v)
-    return time.perf_counter() - start
+        start = time.perf_counter()
+        for _ in range(number):
+            fn(q, k, v)
+        return (time.perf_counter() - start) / number
+
+
+def _calls_per_sample(fn, q, k, v) -> int:
+    """Smallest of 1, 2, 5, 10, 20, 50, ... calls lasting ``MIN_SAMPLE_S``,
+    found as ``timeit.Timer.autorange`` does; also warms the kernel up."""
+    scale = 1
+    while True:
+        for number in (scale, 2 * scale, 5 * scale):
+            if _time_calls(fn, q, k, v, number) * number >= MIN_SAMPLE_S:
+                return number
+        scale *= 10
 
 
 def _peak_bytes(fn, q, k, v) -> int:
@@ -93,6 +111,9 @@ def run_benchmark(
 ) -> list[BenchRow]:
     """Median-of-repeats timings plus a separate traced-memory pass.
 
+    Each of the ``repeats`` samples is the per-call mean of back-to-back
+    calls lasting at least ``MIN_SAMPLE_S`` in all.
+
     Quadratic runs whose M^2 exceeds ``budget`` are skipped (with a log
     line), never failed: the point of the budget is to keep the quadratic
     kernel from taking the host down.
@@ -112,8 +133,8 @@ def run_benchmark(
                         f"({m * m} entries) exceeds budget {budget}"
                     )
                 continue
-            _time_once(fn, q, k, v)  # warm-up
-            times = sorted(_time_once(fn, q, k, v) for _ in range(repeats))
+            number = _calls_per_sample(fn, q, k, v)
+            times = sorted(_time_calls(fn, q, k, v, number) for _ in range(repeats))
             median = times[len(times) // 2]
             rows.append(
                 BenchRow(m, variant, median, _peak_bytes(fn, q, k, v))

@@ -28,6 +28,7 @@ import numpy as np
 from . import tensor as T
 from .attention import (
     AttentionParams,
+    DegenerateAttentionError,
     from_joint_tokens,
     multi_head_attention,
     to_joint_tokens,
@@ -419,6 +420,14 @@ def context_block(
     return to_joint_tokens(T.add(fused, xh)), finals
 
 
+def _attend(block: str, x: Tensor, cross_kv: Tensor | None, attn: AttentionParams) -> Tensor:
+    """:func:`multi_head_attention`, naming ``block`` in a degenerate-normalizer error."""
+    try:
+        return multi_head_attention(x, cross_kv, attn)
+    except DegenerateAttentionError as err:
+        raise DegenerateAttentionError(f"{block} {err}") from err
+
+
 def encoder_forward(
     cfg: ModelConfig,
     params: ModelParams,
@@ -430,7 +439,7 @@ def encoder_forward(
     """Context block, then self attention with a residual connection."""
     h0 = [Tensor(np.zeros(xh.shape[:-3] + xh.shape[-2:])) for _ in range(cfg.gru_layers)]
     ctx, finals = context_block(cfg, params.encoder, xh, emb_proj, time_hist, ginputs, h0)
-    enc = T.add(ctx, multi_head_attention(ctx, None, params.encoder.attn))
+    enc = T.add(ctx, _attend("encoder", ctx, None, params.encoder.attn))
     return enc, finals
 
 
@@ -467,9 +476,7 @@ def transform_layer(
     q_tok = _fuse(tp.q_fuse_w, tp.q_fuse_b, [rollout, emb_proj, _per_step(time_fut)])
     enc = from_joint_tokens(enc_tokens, cfg.history, n)
     kv_tok = _fuse(tp.kv_fuse_w, tp.kv_fuse_b, [enc, emb_proj, _per_step(time_hist)])
-    return multi_head_attention(
-        to_joint_tokens(q_tok), to_joint_tokens(kv_tok), tp.attn
-    )
+    return _attend("transform", to_joint_tokens(q_tok), to_joint_tokens(kv_tok), tp.attn)
 
 
 def decoder_forward(
@@ -488,7 +495,7 @@ def decoder_forward(
     ctx, _ = context_block(
         cfg, params.decoder, xh, emb_proj, time_fut, ginputs, list(enc_finals)
     )
-    dec = T.add(ctx, multi_head_attention(ctx, None, params.decoder.attn))
+    dec = T.add(ctx, _attend("decoder", ctx, None, params.decoder.attn))
     return from_joint_tokens(dec, cfg.horizon, n)
 
 

@@ -5,11 +5,17 @@ array plus an optional gradient and a backpointer into the computation
 graph. Operations build the graph eagerly; :func:`backward` walks it in
 reverse topological order and accumulates gradients into ``.grad`` of the
 leaves (parameters and other tensors with no parents) only.
+
+A backward pass sums each node's gradient in place in a buffer the pass
+owns, and a slice scatters its gradient into its parent's buffer instead
+of building a full-size array, so T slices of a (..., T, N, F) tensor
+cost O(T·N·F), not T full arrays (see :func:`backward`).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,7 +69,8 @@ class Tensor:
     ``data`` is never mutated by operations; on leaves, ``grad`` is
     populated (and accumulated into) by :func:`backward`. ``parents`` holds
     ``(input tensor, grad_fn)`` pairs, where ``grad_fn`` maps the output
-    gradient to that input's gradient contribution.
+    gradient to that input's gradient contribution: an array of the
+    input's shape, or a :class:`_Scatter` for a slice.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "parents")
@@ -218,13 +225,11 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    # Split by sign to avoid overflow in exp for large |x|.
-    x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # sigmoid(x) = (1 + tanh(x/2)) / 2: one pass, no masks, and tanh never
+    # overflows, unlike exp(-x) for large negative x.
+    out = np.tanh(0.5 * a.data)
+    out += 1.0
+    out *= 0.5
     return _make(out, ((a, lambda g, o=out: g * o * (1.0 - o)),))
 
 
@@ -286,15 +291,15 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(a.data.reshape(shape), ((a, lambda g, s=a.shape: g.reshape(s)),))
 
 
+class _Scatter(NamedTuple):
+    """A slice's gradient contribution: add ``grad`` at ``idx`` of its parent."""
+
+    idx: object
+    grad: np.ndarray
+
+
 def _slice(a: Tensor, idx) -> Tensor:
-    out = a.data[idx]
-
-    def grad_fn(g, shape=a.shape, idx=idx):
-        full = np.zeros(shape)
-        full[idx] = g
-        return full
-
-    return _make(np.array(out), ((a, grad_fn),))
+    return _make(np.array(a.data[idx]), ((a, lambda g, idx=idx: _Scatter(idx, g)),))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -320,6 +325,13 @@ def backward(loss: Tensor) -> None:
     ``.grad`` array. ``loss`` must be a scalar. Gradients accumulate across
     calls; callers that want fresh gradients must clear them first (the
     training loop zeroes parameter grads every step).
+
+    Within the pass, each node's incoming contributions are summed in one
+    accumulator the pass owns (``+=``). A gradient function's array is
+    adopted as-is while it is a node's only contribution and copied once
+    before the first in-place add. A slice's contribution is a scatter of
+    its gradient into the parent's accumulator, which is allocated once
+    per parent instead of once per slice.
     """
     if loss.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -344,8 +356,11 @@ def backward(loss: Tensor) -> None:
 
     # Gradients flow through pass-local scratch storage and are committed
     # into a leaf's .grad once, so repeated backward calls accumulate
-    # ∂loss/∂leaf exactly once per call.
+    # ∂loss/∂leaf exactly once per call. Only buffers in ``owned`` (ids
+    # whose buffer this pass allocated) are added into in place: a gradient
+    # function may return its input, or one array for two operands.
     flow: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    owned: set[int] = set()
     for node in reversed(topo):
         g = flow.pop(id(node), None)
         if g is None:
@@ -355,7 +370,22 @@ def backward(loss: Tensor) -> None:
         for parent, fn in node.parents:
             contrib = fn(g)
             pid = id(parent)
-            flow[pid] = contrib if pid not in flow else flow[pid] + contrib
+            acc = flow.get(pid)
+            if isinstance(contrib, _Scatter):
+                if acc is None:
+                    acc = np.zeros(parent.shape)
+                elif pid not in owned:
+                    acc = acc.copy()
+                acc[contrib.idx] += contrib.grad
+            elif acc is None:
+                flow[pid] = contrib
+                continue
+            elif pid in owned:
+                acc += contrib
+            else:
+                acc = acc + contrib
+            flow[pid] = acc
+            owned.add(pid)
 
 
 # ---------------------------------------------------------------------------

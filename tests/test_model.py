@@ -390,6 +390,18 @@ def test_forward_rejects_non_finite_sample(tiny_model):
         forward_batch(m.cfg, m.params, m.ginputs, m.node_emb, xs, [0, 0])
 
 
+def test_degenerate_attention_names_block_and_head(tiny_model):
+    m = tiny_model
+    m.params.decoder.attn.w_q[1].data[:] = np.nan  # only decoder head 1 degenerates
+    xs = np.random.default_rng(23).normal(size=(2, m.cfg.history, 3, 1))
+    with pytest.raises(
+        DegenerateAttentionError, match=r"^decoder head 1: .* at sample 0, query row 0$"
+    ) as info:
+        forward_batch(m.cfg, m.params, m.ginputs, m.node_emb, xs, [0, 0])
+    assert isinstance(info.value.__cause__, DegenerateAttentionError)
+    assert str(info.value.__cause__).startswith("head 1: ")
+
+
 def test_forward_deterministic_across_fresh_builds():
     cfg = tiny_cfg()
     graph = ring_graph(3)

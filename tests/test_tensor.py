@@ -1,6 +1,7 @@
 """Tensor engine: op semantics, gradient correctness, Adam, checkpointing."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,29 @@ def test_sigmoid_at_zero():
     assert T.sigmoid(Tensor([0.0])).data[0] == 0.5
 
 
+def _masked_sigmoid(x):
+    """Sign-split exp form: exp only ever sees non-positive arguments."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_extremes_without_warnings():
+    special = np.array([-np.inf, -800.0, -1e-300, 0.0, 1e-300, 800.0, np.inf, np.nan])
+    x = np.concatenate([special, np.linspace(-800.0, 800.0, 20_001)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = T.sigmoid(Tensor(x)).data
+    assert np.isnan(out[7])
+    assert out[0] == 0.0 and out[3] == 0.5 and out[6] == 1.0
+    rest = np.delete(out, 7)
+    assert np.all((rest >= 0.0) & (rest <= 1.0))
+    assert np.max(np.abs(rest - _masked_sigmoid(np.delete(x, 7)))) <= 4e-16
+
+
 def test_concat_along_axis_1():
     out = T.concat([Tensor([[1.0], [2.0]]), Tensor([[3.0], [4.0]])], axis=1)
     assert out.data.tolist() == [[1.0, 3.0], [2.0, 4.0]]
@@ -165,6 +189,49 @@ def test_slice_gradient_scatters():
     expected = np.zeros((3, 4))
     expected[1] = 1.0
     assert np.array_equal(x.grad, expected)
+
+
+def test_overlapping_slices_accumulate():
+    x = T.param(np.arange(12.0).reshape(3, 4))
+    backward(T.add(T.sum_(x[0:2]), T.sum_(x[1:3])))
+    assert np.array_equal(x.grad, np.array([[1.0] * 4, [2.0] * 4, [1.0] * 4]))
+
+
+def test_per_step_slices_match_one_dense_product():
+    # A GRU sequence reads x[:, t] for every step t.
+    rng = np.random.default_rng(41)
+    xd = rng.normal(size=(1, 12, 5, 3))
+    w = rng.normal(size=(1, 12, 5, 3))
+    x = T.param(xd)
+    backward(T.sum_(T.concat(
+        [T.mul(x[:, t], Tensor(w[:, t])) for t in range(12)], axis=0)))
+    dense = T.param(xd)
+    backward(T.sum_(T.mul(dense, Tensor(w))))
+    assert np.array_equal(x.grad, dense.grad)
+    assert np.array_equal(x.grad, w)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["slice", "dense"])
+@pytest.mark.parametrize("shared_first", [False, True], ids=["other_first", "shared_first"])
+def test_in_place_accumulation_leaves_shared_gradients_alone(dense, shared_first):
+    # add hands one array to both operands. p gets a second contribution,
+    # a dense product or a slice's scatter, which must not be added in
+    # place into the array q holds.
+    rng = np.random.default_rng(43)
+    p = T.param(rng.normal(size=(3, 4)))
+    q = T.param(rng.normal(size=(3, 4)))
+    c = Tensor(rng.normal(size=(3, 4)))
+    d = Tensor(rng.normal(size=(3, 4) if dense else 4))
+    shared = T.sum_(T.mul(T.add(p, q), c))
+    other = T.sum_(T.mul(p if dense else p[1], d))
+    backward(T.add(shared, other) if shared_first else T.add(other, shared))
+    assert np.array_equal(q.grad, c.data)
+    expected = c.data.copy()
+    if dense:
+        expected += d.data
+    else:
+        expected[1] += d.data
+    assert np.array_equal(p.grad, expected)
 
 
 def test_softmax_symmetry():
