@@ -4,7 +4,9 @@
 score matrix. ``linear_attention`` replaces the softmax with a positive
 exponential feature map and exploits matmul associativity: the key-value
 summary (d x d) and key normalizer (d) are accumulated once, so time and
-memory are linear in the token count instead of quadratic.
+memory are linear in the token count instead of quadratic. The model
+flattens its (..., T, N, F) features into tokens with
+:func:`to_joint_tokens` only to attend.
 
 Every function takes optional leading batch axes, ``(..., M, d)``; each
 sample keeps its own summary and normalizer.
@@ -23,9 +25,7 @@ from .tensor import ShapeError, Tensor
 __all__ = [
     "AttentionParams",
     "to_joint_tokens",
-    "from_joint_tokens",
     "softmax_attention",
-    "feature_map_exp",
     "linear_attention",
     "multi_head_attention",
     "DegenerateAttentionError",
@@ -66,15 +66,6 @@ def to_joint_tokens(x: Tensor) -> Tensor:
     return T.reshape(x, (*lead, steps * nodes, width))
 
 
-def from_joint_tokens(tokens: Tensor, steps: int, nodes: int) -> Tensor:
-    """Inverse of :func:`to_joint_tokens`; bit-exact round trip."""
-    if tokens.data.ndim < 2 or tokens.shape[-2] != steps * nodes:
-        raise ShapeError(
-            f"cannot fold {tokens.shape} into ({steps}, {nodes}, features)"
-        )
-    return T.reshape(tokens, (*tokens.shape[:-2], steps, nodes, tokens.shape[-1]))
-
-
 # ---------------------------------------------------------------------------
 # Quadratic reference
 
@@ -98,39 +89,20 @@ def softmax_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # Linear attention
 
-def feature_map_exp(x: Tensor, shift: str = "none") -> Tensor:
-    """Strictly positive exponential feature map.
-
-    ``shift`` subtracts a gradient-detached maximum before exponentiating:
-    "rows" per row, "global" one scalar per matrix (over the last two
-    axes, so each sample of a batch gets its own). Both rescale
-    an attention numerator and denominator identically, so the attention
-    ratio is unchanged while exp stays in range.
-    """
-    if shift == "none":
-        return T.exp(x)
-    if shift == "rows":
-        m = x.data.max(axis=-1, keepdims=True)
-    elif shift == "global":
-        m = x.data.max(axis=(-2, -1), keepdims=True)
-    else:
-        raise ValueError(f"unknown shift mode {shift!r}")
-    return T.exp(T.sub(x, Tensor(m)))
-
-
-def linear_attention(
-    q: Tensor, k: Tensor, v: Tensor, stabilize: bool = True
-) -> Tensor:
+def linear_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Kernelized attention in right-associated order: O(M) in tokens.
 
-    Accumulates S = sum_j phi(k_j)^T v_j (d x d) and z = sum_j phi(k_j)
-    once per sample, then each output row is (phi(q_i) S) / (phi(q_i) . z).
-    The q shift is per row and the k shift global; a per-row k shift would
-    not cancel from the ratio and is therefore never applied.
+    With the feature map phi = exp, accumulates S = sum_j phi(k_j)^T v_j
+    (d x d) and z = sum_j phi(k_j) once per sample, then each output row
+    is (phi(q_i) S) / (phi(q_i) . z). Before exponentiating, each query
+    row loses its own maximum and each sample's keys one shared maximum
+    (over the last two axes), both gradient-detached: either shift scales
+    a row's numerator and denominator alike, so the ratio is unchanged
+    while exp stays in range. A per-row key shift would not cancel.
     """
     _check_qkv(q, k, v)
-    phi_q = feature_map_exp(q, "rows" if stabilize else "none")
-    phi_k = feature_map_exp(k, "global" if stabilize else "none")
+    phi_q = T.exp(T.sub(q, Tensor(q.data.max(axis=-1, keepdims=True))))
+    phi_k = T.exp(T.sub(k, Tensor(k.data.max(axis=(-2, -1), keepdims=True))))
     summary = T.matmul(T.transpose(phi_k), v)  # (..., d, d_v)
     normalizer = T.sum_(phi_k, axis=-2)  # (..., d)
     num = T.matmul(phi_q, summary)  # (..., M, d_v)

@@ -29,13 +29,13 @@ from .data import (
     save_predictions,
     split_boundaries,
     zscore_apply,
-    zscore_invert,
 )
 from .graph import load_adjacency
 from .model import (
     CSV_HEADER as METRICS_HEADER,
     TrainingDiverged,
-    evaluate,
+    forecast,
+    horizon_metrics,
     load_config,
     load_model,
     prepare_dataset,
@@ -184,7 +184,8 @@ def cmd_eval(args) -> int:
         return 1
 
     horizons = [int(h) for h in args.horizons.split(",") if h.strip()]
-    results = evaluate(model, chosen, horizons=horizons, mask_eps=args.mask_eps)
+    preds, truth = forecast(model, chosen, horizons)
+    results = horizon_metrics(preds, truth, horizons, args.mask_eps)
 
     lines = ["horizon,mae,rmse,mape"]
     for key in [str(h) for h in horizons] + ["average"]:
@@ -195,20 +196,13 @@ def cmd_eval(args) -> int:
         Path(args.out).write_text("\n".join(lines) + "\n")
 
     if args.predictions:
-        preds = zscore_invert(
-            model.predict(
-                np.stack([w.x for w in chosen]), [w.t0 for w in chosen]
-            ),
-            model.norm,
-        )
         rows = []
-        for w, pred in zip(chosen, preds):
-            truth = zscore_invert(w.y, model.norm)
+        for w, pred, actual in zip(chosen, preds, truth):
             for t in range(cfg.horizon):
                 for node in range(meta.n_nodes):
                     rows.append(
                         (w.t0 + cfg.history + t, node,
-                         float(pred[t, node, 0]), float(truth[t, node, 0]))
+                         float(pred[t, node, 0]), float(actual[t, node, 0]))
                     )
         save_predictions(args.predictions, rows)
     return 0

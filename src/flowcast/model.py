@@ -6,14 +6,16 @@ feature streams per token (projected input, hop-diffusion spatial
 context, GRU temporal context, node embedding, time-slot one-hot), runs
 multi-head linear attention over all tokens at once, and keeps residual
 paths throughout. A transform stage rolls a GRU forward over the horizon
-and cross-attends against encoder tokens, so all horizon steps are
+and cross-attends against encoder features, so all horizon steps are
 produced in a single pass with no output fed back as input.
 
-Shapes follow numpy's ``@``: every forward function takes optional leading
-batch axes, so features are (..., T, N, F) and joint tokens (..., T*N, F).
-:func:`forward_batch` runs a whole (B, T, N, C) batch as one graph; static
-context (node embeddings (N, F), time one-hots (..., T, F)) joins by
-broadcasting.
+Every forward function takes and returns (..., T, N, F) features, with
+optional leading batch axes as numpy's ``@`` has. :func:`_attend` is the
+one place that flattens them into (..., T*N, F) joint tokens, for
+:func:`multi_head_attention`, and folds its output back. Static context
+(node embeddings (N, F), time one-hots (..., T, F)) joins by
+broadcasting; :func:`forward_batch` runs a whole (B, T, N, C) batch as
+one graph.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from . import tensor as T
 from .attention import (
     AttentionParams,
     DegenerateAttentionError,
-    from_joint_tokens,
     multi_head_attention,
     to_joint_tokens,
 )
@@ -67,6 +68,8 @@ __all__ = [
     "decoder_forward",
     "forward_batch",
     "train",
+    "forecast",
+    "horizon_metrics",
     "evaluate",
     "prepare_dataset",
     "load_config",
@@ -134,25 +137,19 @@ class ModelConfig:
     def time_enc_width(self) -> int:
         return self.slots_per_day + 7
 
-    @classmethod
-    def toy(cls, **overrides) -> "ModelConfig":
-        """Small instance sized for the synthetic ring dataset.
-
-        The defaults (6 epochs of 77 mini-batches with two LR decays)
-        drive the training MAE to the noise floor of the ring data in
-        under 500 Adam steps.
-        """
-        base = dict(
-            width=16, heads=2, head_dim=8, hops=2, gru_layers=1,
-            history=12, horizon=12, channels=1, slots_per_day=96,
-            start_weekday=0, lr=1e-2, lr_decay_epochs=[3, 5],
-            lr_decay_factor=0.2, batch_size=18, epochs=6, seed=7,
-        )
-        base.update(overrides)
-        return cls(**base)
-
 
 _LIST_FIELDS = {"lr_decay_epochs"}
+_FLOAT_FIELDS = {"lr", "lr_decay_factor"}
+
+
+def _field_value(key: str, raw):
+    """A config field's value from its text in a config file (a list field
+    is comma-separated) or from its float64 array in a checkpoint."""
+    items = [v for v in raw.split(",") if v.strip()] if isinstance(raw, str) else raw
+    if key in _LIST_FIELDS:
+        return [int(v) for v in items]
+    (item,) = items  # a scalar field has exactly one item
+    return float(item) if key in _FLOAT_FIELDS else int(item)
 
 
 def save_config(path, cfg: ModelConfig) -> None:
@@ -180,23 +177,15 @@ def load_config(path, overrides: dict | None = None) -> ModelConfig:
         if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown config key '{key}'")
         try:
-            values[key] = _parse_field(key, value)
+            values[key] = _field_value(key, value)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad value {value!r} for '{key}'") from None
     if overrides:
         for key, value in overrides.items():
             if key not in known:
                 raise ConfigError(f"unknown config key '{key}'")
-            values[key] = _parse_field(key, value) if isinstance(value, str) else value
+            values[key] = _field_value(key, value) if isinstance(value, str) else value
     return ModelConfig(**values)
-
-
-def _parse_field(key: str, value: str):
-    if key in _LIST_FIELDS:
-        return [int(v) for v in value.split(",") if v.strip()] if value else []
-    if key in ("lr", "lr_decay_factor"):
-        return float(value)
-    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -395,13 +384,13 @@ def context_block(
     ginputs: GraphInputs,
     h0: list[Tensor],
 ) -> tuple[Tensor, list[Tensor]]:
-    """Fuse the five context streams per token and flatten to joint tokens.
+    """Fuse the five context streams per token.
 
     Per token (t, i): concat[features; hop-diffusion; GRU state; node
     embedding; time one-hot] -> 5F, project to F, plus a residual from the
     feature stream. ``xh`` is (..., T, N, F), ``emb_proj`` (N, F) and
-    ``time_proj`` (..., T, F). Returns (..., T*N, F) tokens plus the GRU's
-    final hidden states.
+    ``time_proj`` (..., T, F). Returns (..., T, N, F) features plus the
+    GRU's final hidden states.
     """
     steps, n = xh.shape[-3:-1]
     if time_proj.shape[-2] != steps:
@@ -417,15 +406,19 @@ def context_block(
     fused = _fuse(
         block.fuse_w, block.fuse_b, [xh, spatial, temporal, emb_proj, _per_step(time_proj)]
     )
-    return to_joint_tokens(T.add(fused, xh)), finals
+    return T.add(fused, xh), finals
 
 
 def _attend(block: str, x: Tensor, cross_kv: Tensor | None, attn: AttentionParams) -> Tensor:
-    """:func:`multi_head_attention`, naming ``block`` in a degenerate-normalizer error."""
+    """:func:`multi_head_attention` over the joint tokens of (..., T, N, F)
+    features, returned in the shape of ``x``; a degenerate-normalizer error
+    names ``block``."""
+    kv = None if cross_kv is None else to_joint_tokens(cross_kv)
     try:
-        return multi_head_attention(x, cross_kv, attn)
+        out = multi_head_attention(to_joint_tokens(x), kv, attn)
     except DegenerateAttentionError as err:
         raise DegenerateAttentionError(f"{block} {err}") from err
+    return T.reshape(out, x.shape)
 
 
 def encoder_forward(
@@ -446,7 +439,7 @@ def encoder_forward(
 def transform_layer(
     cfg: ModelConfig,
     params: ModelParams,
-    enc_tokens: Tensor,
+    enc: Tensor,
     enc_finals: list[Tensor],
     x_last: Tensor,
     emb_proj: Tensor,
@@ -457,11 +450,11 @@ def transform_layer(
 
     A GRU seeded with the encoder's final hidden state rolls ``horizon``
     steps, feeding each step's output back as the next input. The rollout
-    (plus future static context) forms the queries; encoder tokens (plus
+    (plus future static context) forms the queries; encoder features (plus
     historical static context) form keys and values of a cross attention.
+    Returns (..., horizon, N, F) features.
     """
     tp = params.transform
-    n = x_last.shape[-2]
     hidden = list(enc_finals)
     step_in = x_last
     generated: list[Tensor] = []
@@ -472,17 +465,18 @@ def transform_layer(
             layer_in = hidden[i]
         generated.append(hidden[-1])
         step_in = hidden[-1]
-    rollout = from_joint_tokens(T.concat(generated, axis=-2), cfg.horizon, n)
-    q_tok = _fuse(tp.q_fuse_w, tp.q_fuse_b, [rollout, emb_proj, _per_step(time_fut)])
-    enc = from_joint_tokens(enc_tokens, cfg.history, n)
-    kv_tok = _fuse(tp.kv_fuse_w, tp.kv_fuse_b, [enc, emb_proj, _per_step(time_hist)])
-    return _attend("transform", to_joint_tokens(q_tok), to_joint_tokens(kv_tok), tp.attn)
+    rollout = T.reshape(
+        T.concat(generated, axis=-2), x_last.shape[:-2] + (cfg.horizon,) + x_last.shape[-2:]
+    )
+    q = _fuse(tp.q_fuse_w, tp.q_fuse_b, [rollout, emb_proj, _per_step(time_fut)])
+    kv = _fuse(tp.kv_fuse_w, tp.kv_fuse_b, [enc, emb_proj, _per_step(time_hist)])
+    return _attend("transform", q, kv, tp.attn)
 
 
 def decoder_forward(
     cfg: ModelConfig,
     params: ModelParams,
-    dec_tokens: Tensor,
+    xh: Tensor,
     enc_finals: list[Tensor],
     emb_proj: Tensor,
     time_fut: Tensor,
@@ -490,13 +484,10 @@ def decoder_forward(
 ) -> Tensor:
     """Mirror of the encoder over the horizon span; GRU starts from the
     encoder's final hidden state. Returns (..., horizon, N, F) features."""
-    n = emb_proj.shape[-2]
-    xh = from_joint_tokens(dec_tokens, cfg.horizon, n)
     ctx, _ = context_block(
         cfg, params.decoder, xh, emb_proj, time_fut, ginputs, list(enc_finals)
     )
-    dec = T.add(ctx, _attend("decoder", ctx, None, params.decoder.attn))
-    return from_joint_tokens(dec, cfg.horizon, n)
+    return T.add(ctx, _attend("decoder", ctx, None, params.decoder.attn))
 
 
 def _reject_non_finite(xs: np.ndarray) -> None:
@@ -530,11 +521,9 @@ def forward_batch(
     time_hist, time_fut = time_proj[:, : cfg.history], time_proj[:, cfg.history :]
 
     xh = input_projection(params, Tensor(xs))
-    enc_tokens, enc_finals = encoder_forward(
-        cfg, params, xh, emb_proj, time_hist, ginputs
-    )
+    enc, enc_finals = encoder_forward(cfg, params, xh, emb_proj, time_hist, ginputs)
     dec_in = transform_layer(
-        cfg, params, enc_tokens, enc_finals, xh[:, cfg.history - 1],
+        cfg, params, enc, enc_finals, xh[:, cfg.history - 1],
         emb_proj, time_hist, time_fut,
     )
     dec_feats = decoder_forward(
@@ -595,17 +584,12 @@ def prepare_dataset(
     )
 
 
-def evaluate(
-    model: Forecaster,
-    windows: list[SampleWindow],
-    horizons: list[int] | None = None,
-    mask_eps: float = 1.0,
-) -> dict[str, tuple[float, float, float]]:
-    """De-normalized (MAE, RMSE, MAPE%) per horizon prefix plus 'average'.
-
-    A horizon row ``h`` aggregates prediction steps 1..h; 'average' covers
-    the full horizon.
-    """
+def forecast(
+    model: Forecaster, windows: list[SampleWindow], horizons: list[int] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """De-normalized predictions and truth of ``windows``, each (B, T_p, N, C),
+    from one :meth:`Forecaster.predict` call. Rejects ``horizons`` outside
+    1..horizon before predicting."""
     if model.norm is None:
         raise ContractError("model has no normalization stats; train or load first")
     for h in horizons or []:
@@ -613,13 +597,32 @@ def evaluate(
             raise ValueError(f"horizon {h} outside 1..{model.cfg.horizon}")
     xs = np.stack([w.x for w in windows])
     pred = zscore_invert(model.predict(xs, [w.t0 for w in windows]), model.norm)
-    truth = zscore_invert(np.stack([w.y for w in windows]), model.norm)
+    return pred, zscore_invert(np.stack([w.y for w in windows]), model.norm)
 
+
+def horizon_metrics(
+    pred: np.ndarray, truth: np.ndarray, horizons: list[int] | None, mask_eps: float
+) -> dict[str, tuple[float, float, float]]:
+    """(MAE, RMSE, MAPE%) per horizon prefix plus 'average'.
+
+    A horizon row ``h`` aggregates prediction steps 1..h; 'average' covers
+    the full horizon.
+    """
     results: dict[str, tuple[float, float, float]] = {}
     for h in horizons or []:
         results[str(h)] = metrics(pred[:, :h], truth[:, :h], mask_eps)
     results["average"] = metrics(pred, truth, mask_eps)
     return results
+
+
+def evaluate(
+    model: Forecaster,
+    windows: list[SampleWindow],
+    horizons: list[int] | None = None,
+    mask_eps: float = 1.0,
+) -> dict[str, tuple[float, float, float]]:
+    """De-normalized :func:`horizon_metrics` of the model on ``windows``."""
+    return horizon_metrics(*forecast(model, windows, horizons), horizons, mask_eps)
 
 
 @dataclass
@@ -776,16 +779,9 @@ def load_model(path, graph: RoadGraph | None = None) -> tuple[Forecaster, AdamSt
             raise CheckpointError(f"{path}: missing entry {key}")
         return arrays[key]
 
-    cfg_kwargs = {}
-    for f in fields(ModelConfig):
-        raw = entry(f"cfg.{f.name}")
-        if f.name in _LIST_FIELDS:
-            cfg_kwargs[f.name] = [int(v) for v in raw]
-        elif f.name in ("lr", "lr_decay_factor"):
-            cfg_kwargs[f.name] = float(raw[0])
-        else:
-            cfg_kwargs[f.name] = int(raw[0])
-    cfg = ModelConfig(**cfg_kwargs)
+    cfg = ModelConfig(**{
+        f.name: _field_value(f.name, entry(f"cfg.{f.name}")) for f in fields(ModelConfig)
+    })
 
     if graph is None:
         graph = RoadGraph.from_adjacency(entry("graph.adjacency"))

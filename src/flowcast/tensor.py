@@ -121,6 +121,13 @@ class Tensor:
         return scale(self, -1.0)
 
     def __getitem__(self, idx):
+        # A slice's gradient is added at ``idx`` with ``+=``, which counts a
+        # repeated entry of an index array once, so only basic indices pass.
+        for i in idx if isinstance(idx, tuple) else (idx,):
+            if isinstance(i, (list, np.ndarray, bool, np.bool_)):
+                raise IndexError(
+                    f"unsupported index {i!r}: index a Tensor with ints, slices and Ellipsis"
+                )
         return _slice(self, idx)
 
 

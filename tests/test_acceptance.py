@@ -46,6 +46,7 @@ from gradcheck import grad_close, numeric_grad
 from oracles import similarity_attention
 
 REPO = Path(__file__).resolve().parents[1]
+TOY_CFG = REPO / "configs" / "toy.cfg"
 
 
 def _passed(n: int, message: str) -> None:
@@ -305,11 +306,13 @@ def test_criterion_6_stabilization_exactness():
     for _ in range(50):
         m = int(rng.integers(1, 48))
         d = int(rng.integers(1, 12))
-        q = Tensor(rng.uniform(-5, 5, (m, d)))
-        k = Tensor(rng.uniform(-5, 5, (m, d)))
-        v = Tensor(rng.normal(size=(m, d)))
-        shifted = linear_attention(q, k, v, stabilize=True).data
-        plain = linear_attention(q, k, v, stabilize=False).data
+        q = rng.uniform(-5, 5, (m, d))
+        k = rng.uniform(-5, 5, (m, d))
+        v = rng.normal(size=(m, d))
+        shifted = linear_attention(Tensor(q), Tensor(k), Tensor(v)).data
+        plain = similarity_attention(
+            q, k, v, sim=lambda qi, kj: float(np.exp(qi) @ np.exp(kj))
+        )
         worst = max(worst, float(np.max(np.abs(shifted - plain))))
     assert worst < 1e-10, worst
     _passed(6, f"stabilized vs raw exponential kernel, max diff {worst:.2e}")
@@ -337,7 +340,7 @@ def test_criterion_7_convexity():
 
 def test_criterion_8_overfit_convergence():
     started = time.perf_counter()
-    cfg = ModelConfig.toy()
+    cfg = load_config(TOY_CFG)
     dataset, graph = make_ring_dataset(n_nodes=8, steps=2000, noise=0.05, seed=0)
     signal_std = float(dataset.readings.std())
     prepared = prepare_dataset(dataset)
@@ -364,7 +367,7 @@ def test_criterion_8_overfit_convergence():
     assert elapsed < 600.0, elapsed
 
     # bit-reproducibility of the training trajectory (one-epoch prefix)
-    probe_cfg = ModelConfig.toy(epochs=1)
+    probe_cfg = load_config(TOY_CFG, {"epochs": 1})
     run_a, _ = train(probe_cfg, prepared, graph, node_emb, mask_eps=1e-6)
     run_b, _ = train(probe_cfg, prepared, graph, node_emb, mask_eps=1e-6)
     for (name, pa), pb in zip(

@@ -233,6 +233,41 @@ def test_eval_on_trained_checkpoint(toy_files, capsys):
     assert [line.split(",")[0] for line in lines[1:]] == ["2", "4", "average"]
 
 
+def test_eval_predictions_come_from_the_one_predict_call(toy_files, monkeypatch):
+    paths, _, tmp_path = toy_files
+    cfg = ModelConfig(
+        width=8, heads=2, head_dim=4, hops=1, gru_layers=1, history=4,
+        horizon=4, channels=1, slots_per_day=24, seed=0,
+    )
+    model = Forecaster.new(cfg, ring_graph(5), np.zeros((5, 64)))
+    model.norm = (10.0, 2.0)
+    ckpt = tmp_path / "model.ckpt"
+    save_model(ckpt, model)
+    windows_per_call = []
+    predict = Forecaster.predict
+
+    def counting_predict(self, xs, t0s):
+        windows_per_call.append(len(xs))
+        return predict(self, xs, t0s)
+
+    monkeypatch.setattr(Forecaster, "predict", counting_predict)
+    metrics_out, preds_out = tmp_path / "eval.csv", tmp_path / "preds.csv"
+    rc = main([
+        "eval", "--checkpoint", str(ckpt), "--data", str(paths["readings"]),
+        "--horizons", "2", "--mask-eps", "1e-6", "--out", str(metrics_out),
+        "--predictions", str(preds_out),
+    ])
+    assert rc == 0
+    assert len(windows_per_call) == 1
+    lines = preds_out.read_text().splitlines()
+    assert lines[0] == "t_abs,node,pred,truth"
+    assert len(lines) - 1 == windows_per_call[0] * cfg.horizon * 5
+    # the CSV holds the predictions the metrics were computed from
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    average_mae = float(metrics_out.read_text().splitlines()[-1].split(",")[1])
+    assert abs(np.mean(np.abs(rows[:, 2] - rows[:, 3])) - average_mae) <= 5e-7
+
+
 def test_eval_perfect_oracle_gives_zero_metrics(tmp_path, capsys):
     # test span is constant at the train-span mean; a zeroed model predicts
     # exactly that mean after de-normalization

@@ -1,6 +1,8 @@
 """Model assembly: projections, context fusion, transform, full pipeline,
 training loop, and checkpoint round trips."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,8 @@ from flowcast.synth import make_ring_dataset, ring_graph
 from flowcast.tensor import Tensor, backward, l1_loss
 
 from gradcheck import grad_close, numeric_grad
+
+TOY_CFG = Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"
 
 
 def tiny_cfg(**overrides) -> ModelConfig:
@@ -189,7 +193,7 @@ def test_context_block_shape(tiny_model):
     tokens, finals = context_block(
         m.cfg, m.params.encoder, xh, emb_proj, time_hist, m.ginputs, h0
     )
-    assert tokens.shape == (6, 4)
+    assert tokens.shape == (2, 3, 4)
     assert len(finals) == 1 and finals[0].shape == (3, 4)
 
 
@@ -203,7 +207,7 @@ def test_context_block_zeroed_fusion_is_residual(tiny_model):
         m.cfg, m.params.encoder, xh, emb_proj, time_hist, m.ginputs,
         [Tensor(np.zeros((3, 4)))],
     )
-    assert np.array_equal(tokens.data, xh.data.reshape(6, 4))
+    assert np.array_equal(tokens.data, xh.data)
 
 
 def test_context_block_span_mismatch(tiny_model):
@@ -236,9 +240,8 @@ def test_context_block_causality_probe():
     )
     # tokens of earlier steps are untouched: GRU is causal, diffusion is
     # step-local, statics are static
-    n = 3
-    assert np.array_equal(a.data[: 3 * n], b.data[: 3 * n])
-    assert not np.array_equal(a.data[3 * n :], b.data[3 * n :])
+    assert np.array_equal(a.data[:3], b.data[:3])
+    assert not np.array_equal(a.data[3:], b.data[3:])
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +253,7 @@ def test_encoder_shapes_and_determinism(tiny_model):
     xh = Tensor(np.random.default_rng(5).normal(size=(2, 3, 4)))
     enc1, finals1 = encoder_forward(m.cfg, m.params, xh, emb_proj, time_hist, m.ginputs)
     enc2, _ = encoder_forward(m.cfg, m.params, xh, emb_proj, time_hist, m.ginputs)
-    assert enc1.shape == (6, 4)
+    assert enc1.shape == (2, 3, 4)
     assert len(finals1) == 1
     assert np.array_equal(enc1.data, enc2.data)
 
@@ -273,13 +276,13 @@ def test_transform_output_shape(tiny_model):
     m = tiny_model
     rng = np.random.default_rng(7)
     emb_proj, time_hist, time_fut = _projected_statics(m, 2, 2)
-    enc_tokens = Tensor(rng.normal(size=(6, 4)))
+    enc_tokens = Tensor(rng.normal(size=(2, 3, 4)))
     finals = [Tensor(rng.normal(size=(3, 4)))]
     out = transform_layer(
         m.cfg, m.params, enc_tokens, finals, Tensor(rng.normal(size=(3, 4))),
         emb_proj, time_hist, time_fut,
     )
-    assert out.shape == (6, 4)
+    assert out.shape == (2, 3, 4)
 
 
 def test_transform_convexity_collapse():
@@ -295,7 +298,7 @@ def test_transform_convexity_collapse():
     tp.kv_fuse_b.data = rng.normal(size=4)  # all kv rows become this bias
     emb_proj, time_hist, time_fut = _projected_statics(m, 2, 2)
     out = transform_layer(
-        m.cfg, m.params, Tensor(rng.normal(size=(6, 4))),
+        m.cfg, m.params, Tensor(rng.normal(size=(2, 3, 4))),
         [Tensor(rng.normal(size=(3, 4)))], Tensor(rng.normal(size=(3, 4))),
         emb_proj, time_hist, time_fut,
     )
@@ -309,12 +312,12 @@ def test_transform_global_receptive_field(tiny_model):
     emb_proj, time_hist, time_fut = _projected_statics(m, 2, 2)
     finals = [Tensor(rng.normal(size=(3, 4)))]
     x_last = Tensor(rng.normal(size=(3, 4)))
-    enc_tokens = rng.normal(size=(6, 4))
+    enc_tokens = rng.normal(size=(2, 3, 4))
     base = transform_layer(
         m.cfg, m.params, Tensor(enc_tokens), finals, x_last,
         emb_proj, time_hist, time_fut,
     )
-    for position in range(6):
+    for position in np.ndindex(2, 3):
         poked = enc_tokens.copy()
         poked[position] += 0.37
         out = transform_layer(
@@ -332,7 +335,7 @@ def test_decoder_shape(tiny_model):
     rng = np.random.default_rng(10)
     emb_proj, _, time_fut = _projected_statics(m, 2, 2)
     out = decoder_forward(
-        m.cfg, m.params, Tensor(rng.normal(size=(6, 4))),
+        m.cfg, m.params, Tensor(rng.normal(size=(2, 3, 4))),
         [Tensor(np.zeros((3, 4)))], emb_proj, time_fut, m.ginputs,
     )
     assert out.shape == (2, 3, 4)
@@ -343,18 +346,16 @@ def test_decoder_zeroed_attention_reduces_to_context_block(tiny_model):
     rng = np.random.default_rng(11)
     m.params.decoder.attn.w_o.data = np.zeros((4, 4))
     emb_proj, _, time_fut = _projected_statics(m, 2, 2)
-    dec_tokens = Tensor(rng.normal(size=(6, 4)))
+    dec_tokens = Tensor(rng.normal(size=(2, 3, 4)))
     finals = [Tensor(rng.normal(size=(3, 4)))]
     out = decoder_forward(
         m.cfg, m.params, dec_tokens, finals, emb_proj, time_fut, m.ginputs
     )
-    from flowcast.attention import from_joint_tokens
-
     ctx, _ = context_block(
-        m.cfg, m.params.decoder, from_joint_tokens(dec_tokens, 2, 3),
+        m.cfg, m.params.decoder, dec_tokens,
         emb_proj, time_fut, m.ginputs, finals,
     )
-    assert np.array_equal(out.data, ctx.data.reshape(2, 3, 4))
+    assert np.array_equal(out.data, ctx.data)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +502,7 @@ def test_full_model_gradient_check(tiny_model):
 # Training
 
 def _prepared_ring(steps=400, **cfg_overrides):
-    cfg = ModelConfig.toy(**cfg_overrides)
+    cfg = load_config(TOY_CFG, cfg_overrides)
     ds, graph = make_ring_dataset(steps=steps)
     node_emb = np.random.default_rng(0).normal(size=(graph.n_nodes, 64)) * 0.2
     return cfg, prepare_dataset(ds), graph, node_emb
@@ -618,10 +619,10 @@ def test_training_passes_other_step_errors_through(monkeypatch):
 
 def test_overfit_32_noiseless_samples_drives_loss_below_2pct():
     # compact memorization run: no noise, small span, fixed 32 windows
-    cfg = ModelConfig.toy(
+    cfg = load_config(TOY_CFG, dict(
         width=8, heads=2, head_dim=4, hops=1, history=4, horizon=4,
         slots_per_day=24, lr=1e-2, seed=11,
-    )
+    ))
     graph = ring_graph(4)
     rng = np.random.default_rng(cfg.seed)
     t = np.arange(120)[:, None]

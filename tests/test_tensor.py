@@ -197,6 +197,29 @@ def test_overlapping_slices_accumulate():
     assert np.array_equal(x.grad, np.array([[1.0] * 4, [2.0] * 4, [1.0] * 4]))
 
 
+@pytest.mark.parametrize(
+    "idx",
+    [np.array([0, 0, 2]), [1, 1], np.array([True, False, True]), (Ellipsis, [0, 0]), True],
+    ids=["int_array", "list", "bool_array", "list_in_tuple", "bool"],
+)
+def test_advanced_index_is_rejected(idx):
+    # a scatter with += would count the repeated 0 of [0, 0, 2] once
+    x = T.param(np.arange(3.0))
+    named = idx[-1] if isinstance(idx, tuple) else idx
+    with pytest.raises(IndexError, match=re.escape(repr(named))):
+        x[idx]
+
+
+def test_basic_indices_still_accumulate():
+    x = T.param(np.arange(24.0).reshape(2, 3, 4))
+    backward(T.add(T.add(T.sum_(x[0]), T.sum_(x[..., 1:3])), T.sum_(x[:, 2, None, ::2])))
+    expected = np.zeros((2, 3, 4))
+    expected[0] += 1
+    expected[..., 1:3] += 1
+    expected[:, 2, ::2] += 1
+    assert np.array_equal(x.grad, expected)
+
+
 def test_per_step_slices_match_one_dense_product():
     # A GRU sequence reads x[:, t] for every step t.
     rng = np.random.default_rng(41)
