@@ -8,6 +8,9 @@ Dynamic temporal: a stacked GRU over the feature sequence.
 
 from __future__ import annotations
 
+import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,34 +65,43 @@ def node2vec_walks(
     weights = g.undirected_weights()
     n = g.n_nodes
     neighbors = [np.nonzero(weights[i])[0] for i in range(n)]
-    neighbor_sets = [set(nb.tolist()) for nb in neighbors]
+    next_nodes = [nb.tolist() for nb in neighbors]
     rng = np.random.default_rng(seed)
 
-    def step(prev: int | None, cur: int) -> int | None:
+    def transition_cdf(prev: int | None, cur: int) -> array:
+        """cdf over ``neighbors[cur]`` of the step out of ``cur``, as
+        ``Generator.choice(neighbors[cur], p=w)`` builds it."""
         nbrs = neighbors[cur]
-        if nbrs.size == 0:
-            return None
-        w = weights[cur, nbrs].copy()
+        w = weights[cur, nbrs]
         if prev is not None:
-            for idx, nxt in enumerate(nbrs):
-                if nxt == prev:
-                    w[idx] /= p
-                elif nxt not in neighbor_sets[prev]:
-                    w[idx] /= q
+            back = nbrs == prev
+            w[back] /= p
+            w[~back & ~np.isin(nbrs, neighbors[prev])] /= q
         w /= w.sum()
-        return int(rng.choice(nbrs, p=w))
+        cdf = w.cumsum()
+        cdf /= cdf[-1]
+        if not np.all(np.isfinite(cdf)):
+            raise ValueError(f"walk weights out of node {cur} are not finite")
+        return array("d", cdf.tolist())
 
+    # (prev, cur) -> transition_cdf(prev, cur); prev is None on a walk's first
+    # step. A step draws one double and searches the cdf as choice() does.
+    # The cache can hold sum(deg^2) entries, so they are packed 8-byte doubles.
+    cdfs: dict[tuple[int | None, int], array] = {}
     walks: list[list[int]] = []
     for _ in range(walks_per_node):
-        order = rng.permutation(n)
-        for start in order:
-            walk = [int(start)]
-            while len(walk) < walk_len:
-                prev = walk[-2] if len(walk) >= 2 else None
-                nxt = step(prev, walk[-1])
-                if nxt is None:
-                    break
-                walk.append(nxt)
+        for start in rng.permutation(n).tolist():
+            walk = [start]
+            # the weights are symmetric, so only a walk's start can be isolated
+            if next_nodes[start]:
+                prev, cur = None, start
+                while len(walk) < walk_len:
+                    key = (prev, cur)
+                    if key not in cdfs:
+                        cdfs[key] = transition_cdf(prev, cur)
+                    step = bisect_right(cdfs[key], rng.random())
+                    prev, cur = cur, next_nodes[cur][step]
+                    walk.append(cur)
             walks.append(walk)
     return walks
 
@@ -120,32 +132,24 @@ def skipgram_train(
     if n_nodes is None:
         n_nodes = max(max(w) for w in walks) + 1
 
-    centers_list: list[int] = []
-    contexts_list: list[int] = []
-    counts = np.zeros(n_nodes)
-    for walk in walks:
-        length = len(walk)
-        for i, center in enumerate(walk):
-            counts[center] += 1
-            lo, hi = max(0, i - window), min(length, i + window + 1)
-            for j in range(lo, hi):
-                if j != i:
-                    centers_list.append(center)
-                    contexts_list.append(walk[j])
+    flat = np.concatenate([np.asarray(w, dtype=np.int64) for w in walks])
+    counts = np.bincount(flat, minlength=n_nodes).astype(np.float64)
+    centers, contexts = _walk_pairs(walks, flat, window)
 
     rng = np.random.default_rng(seed)
     w_in = rng.uniform(-0.5 / dim, 0.5 / dim, size=(n_nodes, dim))
     w_out = np.zeros((n_nodes, dim))
-    if not centers_list:
+    if not centers.size:
         return w_in
 
-    centers = np.asarray(centers_list, dtype=np.int64)
-    contexts = np.asarray(contexts_list, dtype=np.int64)
     noise = counts**0.75
     noise /= noise.sum()
-
+    # the cdf `Generator.choice(n_nodes, p=noise)` builds, searched the same way
+    noise_cdf = noise.cumsum()
+    noise_cdf /= noise_cdf[-1]
     n_pairs = centers.size
     total_batches = max(1, epochs * ((n_pairs + batch - 1) // batch))
+    bins = np.arange(n_nodes * dim).reshape(n_nodes, dim)
     batch_no = 0
     for _ in range(epochs):
         order = rng.permutation(n_pairs)
@@ -154,7 +158,8 @@ def skipgram_train(
             cur_lr = lr * max(1e-4, 1.0 - batch_no / total_batches)
             batch_no += 1
             c, o = centers[idx], contexts[idx]
-            neg = rng.choice(n_nodes, size=(idx.size, negatives), p=noise)
+            draws = rng.random((idx.size, negatives))
+            neg = noise_cdf.searchsorted(draws, side="right")
 
             u = w_in[c]  # (B, dim)
             v_pos = w_out[o]
@@ -170,26 +175,54 @@ def skipgram_train(
             # (tiny vocabularies) must not receive a proportionally huge
             # step, or the stale-weight updates compound and diverge.
             grad_u = coef_pos * v_pos + np.einsum("bnk,bnd->bd", coef_neg, v_neg)
-            grad_in = np.zeros_like(w_in)
-            cnt_in = np.zeros(n_nodes)
-            np.add.at(grad_in, c, grad_u)
-            np.add.at(cnt_in, c, 1.0)
+            grad_in = _scatter_rows(bins, c, grad_u)
+            cnt_in = np.bincount(c, minlength=n_nodes)
             hit = cnt_in > 0
             w_in[hit] -= cur_lr * grad_in[hit] / cnt_in[hit, None]
 
-            grad_out = np.zeros_like(w_out)
-            cnt_out = np.zeros(n_nodes)
-            np.add.at(grad_out, o, coef_pos * u)
-            np.add.at(cnt_out, o, 1.0)
-            np.add.at(
-                grad_out, neg.ravel(), (coef_neg * u[:, None, :]).reshape(-1, dim)
+            # each target row takes its positive terms first, then its negatives
+            targets = np.concatenate([o, neg.ravel()])
+            grad_rows = np.empty((targets.size, dim))
+            np.multiply(coef_pos, u, out=grad_rows[: idx.size])
+            np.multiply(
+                coef_neg, u[:, None, :], out=grad_rows[idx.size :].reshape(v_neg.shape)
             )
-            np.add.at(cnt_out, neg.ravel(), 1.0)
+            grad_out = _scatter_rows(bins, targets, grad_rows)
+            cnt_out = np.bincount(targets, minlength=n_nodes)
             hit = cnt_out > 0
             w_out[hit] -= cur_lr * grad_out[hit] / cnt_out[hit, None]
     if not np.all(np.isfinite(w_in)):
         raise FloatingPointError("skip-gram training produced non-finite embeddings")
     return w_in
+
+
+def _walk_pairs(
+    walks: list[list[int]], flat: np.ndarray, window: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(center, context) node pairs: every position of each walk is a center,
+    and its contexts are the other positions within ``window`` of it in the
+    same walk. Pairs run center by center, contexts in walk order.
+    ``flat`` is the walks concatenated."""
+    lengths = np.array([len(w) for w in walks])
+    start = np.repeat(np.cumsum(lengths) - lengths, lengths)  # of each position's walk
+    stop = start + np.repeat(lengths, lengths)
+    offsets = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
+    ctx = np.arange(flat.size)[:, None] + offsets  # (positions, 2 * window)
+    keep = (ctx >= start[:, None]) & (ctx < stop[:, None])
+    return np.broadcast_to(flat[:, None], ctx.shape)[keep], flat[ctx[keep]]
+
+
+def _scatter_rows(
+    bins: np.ndarray, targets: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """Sums of ``rows`` grouped by ``targets``, shaped like ``bins``.
+
+    ``bins[t, d]`` is the flat bin of node t's column d. np.bincount adds
+    each bin's entries in row order, as np.add.at does, so the sums are the
+    same to the bit.
+    """
+    sums = np.bincount(bins[targets].ravel(), weights=rows.ravel(), minlength=bins.size)
+    return sums.reshape(bins.shape)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -209,19 +242,35 @@ def save_embeddings(path, embeddings: np.ndarray) -> None:
 
 
 def load_embeddings(path, n_nodes: int, dim: int = EMBED_DIM) -> np.ndarray:
+    """Read an (n_nodes, dim) embedding file written by :func:`save_embeddings`.
+
+    Any departure from that layout, a non-numeric or non-finite value, or
+    text that is not UTF-8 raises :class:`EmbeddingFormatError`.
+    """
     path = Path(path)
     rows = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            values = line.split()
-            if len(values) != dim:
-                raise EmbeddingFormatError(
-                    f"{path}:{lineno}: expected {dim} columns, found {len(values)}"
-                )
-            rows.append([float(v) for v in values])
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                values = raw.split()
+                if not values:
+                    continue
+                if len(values) != dim:
+                    raise EmbeddingFormatError(
+                        f"{path}:{lineno}: expected {dim} columns, found {len(values)}"
+                    )
+                try:
+                    row = [float(v) for v in values]
+                except ValueError as err:
+                    raise EmbeddingFormatError(f"{path}:{lineno}: {err}") from None
+                bad = [v for v, x in zip(values, row) if not math.isfinite(x)]
+                if bad:
+                    raise EmbeddingFormatError(
+                        f"{path}:{lineno}: non-finite value {bad[0]!r}"
+                    )
+                rows.append(row)
+    except UnicodeDecodeError as err:
+        raise EmbeddingFormatError(f"{path}: not UTF-8 text: {err}") from None
     if len(rows) != n_nodes:
         raise EmbeddingFormatError(
             f"{path}: expected {n_nodes} rows, found {len(rows)}"

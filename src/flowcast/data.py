@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import datetime as dt
+import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,7 +38,7 @@ class DataFormatError(ValueError):
 
 
 class DegenerateDataError(ValueError):
-    """Data has no variance (or metrics are fully masked)."""
+    """Data has no variance."""
 
 
 @dataclass
@@ -242,7 +244,8 @@ def metrics(
     """(MAE, RMSE, MAPE%) over de-normalized values.
 
     MAPE averages |error/truth| only where |truth| >= mask_eps; zeros in
-    flow data would otherwise blow the percentage up.
+    flow data would otherwise blow the percentage up. When every entry is
+    masked, MAPE is NaN and a RuntimeWarning says so.
     """
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
@@ -253,7 +256,12 @@ def metrics(
     rmse = float(np.sqrt(np.mean(diff * diff)))
     mask = np.abs(truth) >= mask_eps
     if not mask.any():
-        raise DegenerateDataError("MAPE undefined: every entry is masked")
+        warnings.warn(
+            f"MAPE undefined: every |truth| is below mask_eps={mask_eps:g}; "
+            "reporting it as NaN",
+            RuntimeWarning,
+        )
+        return mae, rmse, math.nan
     mape = float(np.mean(np.abs(diff[mask] / truth[mask]))) * 100.0
     return mae, rmse, mape
 

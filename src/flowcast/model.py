@@ -184,7 +184,10 @@ def load_config(path, overrides: dict | None = None) -> ModelConfig:
         for key, value in overrides.items():
             if key not in known:
                 raise ConfigError(f"unknown config key '{key}'")
-            values[key] = _field_value(key, value) if isinstance(value, str) else value
+            try:
+                values[key] = _field_value(key, value) if isinstance(value, str) else value
+            except ValueError:
+                raise ConfigError(f"--set {key}: bad value {value!r}") from None
     return ModelConfig(**values)
 
 

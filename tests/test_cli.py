@@ -149,6 +149,35 @@ def test_train_set_overrides_config(toy_files):
     assert manifest["seed"] == 9
 
 
+def test_train_bad_set_value_exits_one_with_one_line(toy_files, capsys):
+    paths, cfg_path, tmp_path = toy_files
+    rc = main([
+        "train", "--config", str(cfg_path), "--data", str(paths["readings"]),
+        "--graph", str(paths["adjacency"]), "--out", str(tmp_path / "x"),
+        "--set", "lr=abc",
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --set lr: bad value 'abc'\n"
+
+
+def test_train_all_masked_validation_still_checkpoints(toy_files):
+    # this ring's readings lie within +-0.6, below the default --mask-eps 1.0
+    paths, cfg_path, tmp_path = toy_files
+    out_dir = tmp_path / "run_masked"
+    with pytest.warns(RuntimeWarning, match="MAPE undefined"):
+        rc = main([
+            "train", "--config", str(cfg_path), "--data", str(paths["readings"]),
+            "--graph", str(paths["adjacency"]), "--out", str(out_dir),
+        ])
+    assert rc == 0
+    assert (out_dir / "model.ckpt").exists()
+    val = [line.split(",") for line in (out_dir / "metrics.csv").read_text().splitlines()
+           if ",val," in line]
+    header = (out_dir / "metrics.csv").read_text().splitlines()[0].split(",")
+    assert val and all(math.isfinite(float(row[header.index("mae")])) for row in val)
+    assert all(math.isnan(float(row[header.index("mape")])) for row in val)
+
+
 def test_train_rejects_unknown_config_key(toy_files, capsys):
     paths, _, tmp_path = toy_files
     bad_cfg = tmp_path / "bad.cfg"
@@ -306,6 +335,31 @@ def test_eval_perfect_oracle_gives_zero_metrics(tmp_path, capsys):
     out = capsys.readouterr().out
     for line in out.splitlines():
         assert "MAE 0.0000" in line and "RMSE 0.0000" in line
+
+
+def test_eval_all_masked_ring_reports_mae_and_rmse(toy_files, capsys):
+    # this ring's readings lie within +-0.6, below the default --mask-eps 1.0
+    paths, _, tmp_path = toy_files
+    cfg = ModelConfig(
+        width=8, heads=2, head_dim=4, hops=1, gru_layers=1, history=4,
+        horizon=4, channels=1, slots_per_day=24, seed=0,
+    )
+    model = Forecaster.new(cfg, ring_graph(5), np.zeros((5, 64)))
+    model.norm = (0.0, 1.0)
+    ckpt = tmp_path / "masked.ckpt"
+    save_model(ckpt, model)
+    metrics_out = tmp_path / "masked.csv"
+    with pytest.warns(RuntimeWarning, match="MAPE undefined"):
+        rc = main([
+            "eval", "--checkpoint", str(ckpt), "--data", str(paths["readings"]),
+            "--horizons", "2,4", "--out", str(metrics_out),
+        ])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    rows = [line.split(",") for line in metrics_out.read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["2", "4", "average"]
+    for _, mae, rmse, mape in rows:
+        assert float(mae) > 0 and float(rmse) > 0 and math.isnan(float(mape))
 
 
 @pytest.mark.parametrize(

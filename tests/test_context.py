@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from flowcast import tensor as T
 from flowcast.context import (
@@ -17,6 +21,7 @@ from flowcast.context import (
     temporal_onehot,
 )
 from flowcast.graph import RoadGraph
+from flowcast.synth import ring_graph
 from flowcast.tensor import Tensor
 
 from gradcheck import grad_close, numeric_grad
@@ -60,6 +65,14 @@ def test_walk_rejects_bad_params():
         node2vec_walks(g, p=0.0)
     with pytest.raises(ValueError):
         node2vec_walks(g, walk_len=1)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("weight", [np.inf, np.nan])
+def test_walk_rejects_non_finite_weights(weight):
+    g = RoadGraph(n_nodes=3, edges=[(0, 1, weight), (1, 2, 1.0)])
+    with pytest.raises(ValueError, match="not finite"):
+        node2vec_walks(g, walk_len=4, walks_per_node=1)
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +135,71 @@ def test_skipgram_requires_walks():
 
 
 # ---------------------------------------------------------------------------
+# Same bits as the per-step loops in tests/oracles.py
+
+def weighted_graph_with_isolated_node() -> RoadGraph:
+    rng = np.random.default_rng(5)
+    adj = (rng.random((24, 24)) < 0.15) * rng.uniform(0.1, 3.0, (24, 24))
+    np.fill_diagonal(adj, 0.0)
+    adj[7, :] = adj[:, 7] = 0.0
+    return RoadGraph.from_adjacency(adj)
+
+
+def assert_same_walks_and_embeddings(g, walk_kw, skipgram_kw):
+    walks = node2vec_walks(g, **walk_kw)
+    assert walks == oracles.node2vec_walks(g, **walk_kw)
+    ours = skipgram_train(walks, n_nodes=g.n_nodes, **skipgram_kw)
+    ref = oracles.skipgram_train(walks, n_nodes=g.n_nodes, **skipgram_kw)
+    assert ours.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ring_walks_and_embeddings_match_loop_oracle(seed):
+    # CLI defaults except fewer, shorter walks and one epoch
+    assert_same_walks_and_embeddings(
+        ring_graph(8),
+        dict(walk_len=30, walks_per_node=4, seed=seed),
+        dict(epochs=1, seed=seed),
+    )
+
+
+@pytest.mark.parametrize("p, q", [(0.25, 4.0), (3.0, 0.3)])
+def test_weighted_walks_and_embeddings_match_loop_oracle(p, q):
+    g = weighted_graph_with_isolated_node()
+    walks = node2vec_walks(g, p=p, q=q, walk_len=15, walks_per_node=3, seed=1)
+    assert [7] in walks  # the isolated node's walks stop at once
+    # 97 does not divide the pair count, so each epoch ends on a partial batch
+    assert_same_walks_and_embeddings(
+        g,
+        dict(p=p, q=q, walk_len=15, walks_per_node=3, seed=1),
+        dict(window=5, negatives=3, epochs=2, seed=2, batch=97),
+    )
+
+
+class EighthsGenerator(np.random.Generator):
+    """A Generator whose uniforms are multiples of 1/8, so draws land exactly
+    on the cdf steps of uniform choices among 2, 4 or 8 items."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return np.floor(super().random(size) * 8.0) / 8.0
+
+
+def test_draws_on_a_cdf_step_pick_what_choice_picks(monkeypatch):
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda seed: EighthsGenerator(np.random.PCG64(seed))
+    )
+    # every node appears 12 times, so the noise cdf steps by exactly 1/8
+    walks = [[(s + i) % 8 for i in range(12)] for s in range(8)]
+    kw = dict(dim=8, window=3, negatives=4, epochs=2, seed=3, n_nodes=8, batch=50)
+    ours = skipgram_train(walks, **kw)
+    assert ours.tobytes() == oracles.skipgram_train(walks, **kw).tobytes()
+    # each ring step chooses between two equal weights: cdf [0.5, 1.0]
+    assert node2vec_walks(ring_graph(8), walk_len=12, walks_per_node=2, seed=4) == (
+        oracles.node2vec_walks(ring_graph(8), walk_len=12, walks_per_node=2, seed=4)
+    )
+
+
+# ---------------------------------------------------------------------------
 # Embedding file I/O
 
 def test_embeddings_round_trip_bit_exact(tmp_path):
@@ -151,6 +229,50 @@ def test_load_embeddings_column_count_error(tmp_path):
     path.write_text("1.0 2.0 3.0\n")
     with pytest.raises(EmbeddingFormatError, match="64"):
         load_embeddings(path, n_nodes=1)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0.5 1\nabc 3\n", r"emb\.txt:2: .*'abc'"),
+        ("1 nan\n0 0\n", r"emb\.txt:1: non-finite value 'nan'"),
+        ("0 0\n\n-inf 2\n", r"emb\.txt:3: non-finite value '-inf'"),
+    ],
+)
+def test_load_embeddings_bad_value_names_file_and_line(tmp_path, text, message):
+    path = tmp_path / "emb.txt"
+    path.write_text(text)
+    with pytest.raises(EmbeddingFormatError, match=message):
+        load_embeddings(path, n_nodes=2, dim=2)
+
+
+def test_load_embeddings_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_bytes(b"0 0\n1 \xff\n")
+    with pytest.raises(EmbeddingFormatError, match=r"emb\.txt: not UTF-8"):
+        load_embeddings(path, n_nodes=2, dim=2)
+
+
+_TOKENS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["1", "-0", "1e400", "inf", "NaN", "1_0", "0x1", ",", "#"]),
+    st.text(max_size=4),
+)
+_LINES = st.lists(_TOKENS, max_size=3).map(" ".join)
+
+
+@given(text=st.one_of(st.text(), st.lists(_LINES, max_size=4).map("\n".join)))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_embeddings_fuzz_raises_only_format_errors(tmp_path, text):
+    path = tmp_path / "emb.txt"
+    path.write_text(text, encoding="utf-8")
+    try:
+        emb = load_embeddings(path, n_nodes=2, dim=2)
+    except EmbeddingFormatError as err:
+        assert str(path) in str(err)
+    else:
+        assert emb.shape == (2, 2) and np.all(np.isfinite(emb))
 
 
 # ---------------------------------------------------------------------------

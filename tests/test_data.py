@@ -1,5 +1,7 @@
 """Dataset ingestion, normalization, windowing, splits, and metrics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -277,8 +279,10 @@ def test_metrics_masking():
 
 
 def test_metrics_all_masked_error():
-    with pytest.raises(DegenerateDataError):
-        metrics(np.ones(3), np.zeros(3), mask_eps=1.0)
+    with pytest.warns(RuntimeWarning, match="MAPE undefined") as caught:
+        mae, rmse, mape = metrics(np.ones(3), np.zeros(3), mask_eps=1.0)
+    assert len(caught) == 1
+    assert (mae, rmse) == (1.0, 1.0) and math.isnan(mape)
 
 
 def test_metrics_shape_mismatch():

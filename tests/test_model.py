@@ -129,6 +129,15 @@ def test_config_bad_value_names_file_and_line(tmp_path):
         load_config(path)
 
 
+def test_config_bad_override_value_names_key(tmp_path):
+    path = tmp_path / "run.cfg"
+    save_config(path, ModelConfig())
+    with pytest.raises(ConfigError, match=r"^--set lr: bad value 'abc'$"):
+        load_config(path, overrides={"lr": "abc"})
+    with pytest.raises(ConfigError, match=r"^--set hops: bad value '1,2'$"):
+        load_config(path, overrides={"hops": "1,2"})
+
+
 def test_config_overrides_win(tmp_path):
     path = tmp_path / "run.cfg"
     save_config(path, ModelConfig(epochs=40))
