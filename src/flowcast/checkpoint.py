@@ -82,7 +82,11 @@ def load_arrays(path) -> dict[str, np.ndarray]:
             n = int(np.prod(shape)) if ndim else 1
             data = np.frombuffer(blob, dtype="<f8", count=n, offset=pos)
             pos += 8 * n
+            if name in arrays:
+                raise CheckpointError(f"{path}: duplicate entry {name!r}")
             arrays[name] = data.astype(np.float64).reshape(shape)
+    except CheckpointError:
+        raise
     except (struct.error, ValueError) as err:  # ValueError: array cut short
         raise CheckpointError(f"{path}: truncated checkpoint") from err
     if pos != len(blob):

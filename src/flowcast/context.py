@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -326,23 +326,96 @@ class GruLayerParams:
     b_h: Tensor
 
     def named(self, prefix: str) -> dict[str, Tensor]:
-        return {
-            f"{prefix}.{field}": getattr(self, field)
-            for field in (
-                "w_xr", "w_hr", "w_xu", "w_hu", "w_xh", "w_hh",
-                "b_r", "b_u", "b_h",
-            )
-        }
+        return {f"{prefix}.{f.name}": getattr(self, f.name) for f in fields(self)}
 
 
 def gru_cell(x_t: Tensor, h_prev: Tensor, layer: GruLayerParams) -> Tensor:
-    """One recurrence step on (..., N, F): H = U * H_prev + (1 - U) * tanh-candidate."""
+    """One recurrence step on (..., N, F): H = U * H_prev + (1 - U) * C, with
+    gates R = sigmoid(X W_xr + H_prev W_hr + b_r), U = sigmoid(X W_xu +
+    H_prev W_hu + b_u) and candidate C = tanh(X W_xh + (R * H_prev) W_hh + b_h).
+
+    The cell is one graph node with a hand-written backward, so a training
+    graph keeps X, H_prev, R, U, C and R * H_prev per step instead of the
+    arrays of about 20 elementwise and matmul nodes. The forward runs the
+    numpy ops of the composed cell in the same order, adding in place where
+    the composed cell made a new array, so its output is the same to the bit.
+    """
     if x_t.shape != h_prev.shape:
         raise ShapeError(f"gru_cell: input {x_t.shape} vs hidden {h_prev.shape}")
-    r = T.sigmoid(x_t @ layer.w_xr + h_prev @ layer.w_hr + layer.b_r)
-    u = T.sigmoid(x_t @ layer.w_xu + h_prev @ layer.w_hu + layer.b_u)
-    h_cand = T.tanh(x_t @ layer.w_xh + (r * h_prev) @ layer.w_hh + layer.b_h)
-    return u * h_prev + (1.0 - u) * h_cand
+    params = tuple(getattr(layer, f.name) for f in fields(layer))
+    x, h = x_t.data, h_prev.data
+    w_xr, w_hr, w_xu, w_hu, w_xh, w_hh, b_r, b_u, b_h = (p.data for p in params)
+
+    def affine(w_x, w_h, b, hidden):
+        # (x @ w_x + hidden @ w_h) + b, added in place in one buffer
+        z = x @ w_x
+        z += hidden @ w_h
+        z += b
+        return z
+
+    r = T._sigmoid(affine(w_xr, w_hr, b_r, h))
+    u = T._sigmoid(affine(w_xu, w_hu, b_u, h))
+    rh = r * h
+    cand = np.tanh(affine(w_xh, w_hh, b_h, rh))
+    out = u * h
+    out += (1.0 - u) * cand
+
+    def pre_activation_grads(g):
+        """Gradients at the three gates' pre-activations, plus at R * H_prev."""
+        one_minus_u = 1.0 - u
+        a_c = g * one_minus_u * (1.0 - cand * cand)
+        d_rh = a_c @ w_hh.T
+        a_r = d_rh * h * r * (1.0 - r)
+        a_u = g * (h - cand) * u * one_minus_u
+        return d_rh, a_r, a_u, a_c
+
+    def input_grad(g, d_rh, a_r, a_u, a_c):
+        dx = a_r @ w_xr.T
+        dx += a_u @ w_xu.T
+        dx += a_c @ w_xh.T
+        return dx
+
+    def hidden_grad(g, d_rh, a_r, a_u, a_c):
+        dh = g * u
+        dh += d_rh * r
+        dh += a_r @ w_hr.T
+        dh += a_u @ w_hu.T
+        return dh
+
+    def weight_grad(operand, gate):
+        # as matmul's gradient: operand^T @ gate gradient, summed over batch axes
+        return lambda g, d_rh, *gates: T._unbroadcast(
+            np.swapaxes(operand, -1, -2) @ gates[gate], w_xr.shape
+        )
+
+    def bias_grad(gate):
+        return lambda g, d_rh, *gates: T._unbroadcast(gates[gate], b_r.shape)
+
+    # one per parent, in the order of ``inputs`` below
+    shares = (
+        input_grad, hidden_grad,
+        weight_grad(x, 0), weight_grad(h, 0), weight_grad(x, 1), weight_grad(h, 1),
+        weight_grad(x, 2), weight_grad(rh, 2),
+        bias_grad(0), bias_grad(1), bias_grad(2),
+    )
+    inputs = (x_t, h_prev) + params
+    # backward hands every parent the same output gradient in turn: the first
+    # share computes the pre-activation gradients, the last tracked one drops them
+    last = max((i for i, t in enumerate(inputs) if t.requires_grad), default=-1)
+    pending: list = []  # [g, *pre_activation_grads(g)] while parents take shares
+
+    def share(i):
+        def fn(g):
+            if not pending or pending[0] is not g:
+                pending[:] = [g, *pre_activation_grads(g)]
+            grads = pending[1:]
+            if i == last:
+                pending.clear()
+            return shares[i](g, *grads)
+
+        return fn
+
+    return T._make(out, tuple((t, share(i)) for i, t in enumerate(inputs)))
 
 
 def gru_sequence(

@@ -21,6 +21,7 @@ one graph.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -118,20 +119,24 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.heads, self.head_dim, self.hops) < 1:
-            raise ConfigError("heads, head_dim and hops must be >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _FLOAT_FIELDS:
+                if not (_is_real(value) and math.isfinite(value) and value > 0):
+                    raise ConfigError(f"{f.name} must be finite and positive, got {value!r}")
+            elif f.name in _LIST_FIELDS:
+                if not (isinstance(value, list) and all(map(_is_int, value))):
+                    raise ConfigError(f"{f.name} must be a list of integers, got {value!r}")
+            elif not _is_int(value):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            elif value < 1 and f.name not in ("start_weekday", "seed"):
+                raise ConfigError(f"{f.name} must be >= 1, got {value}")
         if self.width != self.heads * self.head_dim:
             raise ConfigError(
                 f"width {self.width} != heads {self.heads} x head_dim {self.head_dim}"
             )
         if self.width % self.hops:
             raise ConfigError(f"width {self.width} not divisible by hops {self.hops}")
-        if self.history < 1 or self.horizon < 1:
-            raise ConfigError("history and horizon must be >= 1")
-        if self.channels < 1 or self.slots_per_day < 1 or self.batch_size < 1:
-            raise ConfigError("channels, slots_per_day and batch_size must be >= 1")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
 
     @property
     def time_enc_width(self) -> int:
@@ -140,6 +145,14 @@ class ModelConfig:
 
 _LIST_FIELDS = {"lr_decay_epochs"}
 _FLOAT_FIELDS = {"lr", "lr_decay_factor"}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _field_value(key: str, raw):
@@ -166,7 +179,11 @@ def load_config(path, overrides: dict | None = None) -> ModelConfig:
     """Parse a flat `key = value` config file; ``overrides`` win over it."""
     known = {f.name: f for f in fields(ModelConfig)}
     values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -657,6 +674,34 @@ def _diverged(message: str, checkpoint: Path | None) -> TrainingDiverged:
     return TrainingDiverged(f"{message}; {where}", checkpoint=checkpoint)
 
 
+def _train_step(
+    model: Forecaster,
+    params: dict[str, Tensor],
+    state: AdamState,
+    lr: float,
+    batch: list[SampleWindow],
+) -> float:
+    """One Adam step on ``batch``; returns its loss, the summed L1 error per
+    window.
+
+    The step's graph is referenced only from this frame, so it is freed
+    when the step returns, before the next step builds its own.
+    """
+    zero_grads(params)
+    pred = forward_batch(
+        model.cfg, model.params, model.ginputs, model.node_emb,
+        np.stack([w.x for w in batch]), [w.t0 for w in batch],
+    )
+    loss = T.scale(
+        T.l1_loss(pred, Tensor(np.stack([w.y for w in batch]))), 1.0 / len(batch)
+    )
+    if not np.isfinite(loss.data):
+        raise FloatingPointError("training loss became non-finite")
+    T.backward(loss)
+    adam_step(params, state, lr)
+    return float(loss.data)
+
+
 def train(
     cfg: ModelConfig,
     dataset: Dataset,
@@ -703,21 +748,10 @@ def train(
         for lo in range(0, len(order), cfg.batch_size):
             batch = [train_windows[i] for i in order[lo : lo + cfg.batch_size]]
             try:
-                zero_grads(params)
-                pred = forward_batch(
-                    cfg, model.params, model.ginputs, node_emb,
-                    np.stack([w.x for w in batch]), [w.t0 for w in batch],
-                )
-                loss = T.scale(
-                    T.l1_loss(pred, Tensor(np.stack([w.y for w in batch]))), 1.0 / len(batch)
-                )
-                if not np.isfinite(loss.data):
-                    raise _diverged("training loss became non-finite", saved)
-                T.backward(loss)
-                adam_step(params, state, lr)
+                batch_loss = _train_step(model, params, state, lr, batch)
             except (ArithmeticError, GradientError) as err:
                 raise _diverged(f"training step failed: {err}", saved) from err
-            epoch_abs_err += float(loss.data) * len(batch)
+            epoch_abs_err += batch_loss * len(batch)
 
         train_mae = epoch_abs_err / (len(order) * per_entry) * std
         seconds = time.perf_counter() - started

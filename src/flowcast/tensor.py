@@ -231,12 +231,17 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _make(a.data * s, ((a, lambda g: g * s),))
 
 
-def sigmoid(a: Tensor) -> Tensor:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     # sigmoid(x) = (1 + tanh(x/2)) / 2: one pass, no masks, and tanh never
     # overflows, unlike exp(-x) for large negative x.
-    out = np.tanh(0.5 * a.data)
+    out = np.tanh(0.5 * x)
     out += 1.0
     out *= 0.5
+    return out
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = _sigmoid(a.data)
     return _make(out, ((a, lambda g, o=out: g * o * (1.0 - o)),))
 
 

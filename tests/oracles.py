@@ -4,7 +4,8 @@ Each one computes the textbook formula directly, with none of the
 rewriting the library applies, so a test can compare the two. The walk and
 skip-gram oracles are the per-step loops the library's vectorized forms
 replaced (``rng.choice`` with ``p``, nested pair lists, ``np.add.at``);
-the library must reproduce their output bit for bit.
+the library must reproduce their output bit for bit. The GRU oracle is the
+cell composed of autodiff ops that the fused ``context.gru_cell`` replaced.
 """
 
 import math
@@ -12,6 +13,7 @@ import math
 import numpy as np
 
 from flowcast import tensor as T
+from flowcast.context import GruLayerParams
 from flowcast.graph import RoadGraph, degree_normalize
 from flowcast.tensor import ShapeError, Tensor
 
@@ -202,3 +204,13 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     out[~pos] = ex / (1.0 + ex)
     return out
 
+
+
+def gru_cell(x_t: Tensor, h_prev: Tensor, layer: GruLayerParams) -> Tensor:
+    """One recurrence step on (..., N, F): H = U * H_prev + (1 - U) * tanh-candidate."""
+    if x_t.shape != h_prev.shape:
+        raise ShapeError(f"gru_cell: input {x_t.shape} vs hidden {h_prev.shape}")
+    r = T.sigmoid(x_t @ layer.w_xr + h_prev @ layer.w_hr + layer.b_r)
+    u = T.sigmoid(x_t @ layer.w_xu + h_prev @ layer.w_hu + layer.b_u)
+    h_cand = T.tanh(x_t @ layer.w_xh + (r * h_prev) @ layer.w_hh + layer.b_h)
+    return u * h_prev + (1.0 - u) * h_cand

@@ -160,6 +160,23 @@ def test_train_bad_set_value_exits_one_with_one_line(toy_files, capsys):
     assert capsys.readouterr().err == "error: --set lr: bad value 'abc'\n"
 
 
+@pytest.mark.parametrize(
+    "pair, message",
+    [("epochs=0", "epochs must be >= 1, got 0"),
+     ("lr=nan", "lr must be finite and positive, got nan")],
+)
+def test_train_out_of_range_set_value_exits_one_with_one_line(toy_files, capsys, pair, message):
+    paths, cfg_path, tmp_path = toy_files
+    rc = main([
+        "train", "--config", str(cfg_path), "--data", str(paths["readings"]),
+        "--graph", str(paths["adjacency"]), "--out", str(tmp_path / "x"),
+        "--set", pair,
+    ])
+    out = capsys.readouterr()
+    assert rc == 1
+    assert out.err == f"error: {message}\n" and "checkpoint" not in out.out
+
+
 def test_train_all_masked_validation_still_checkpoints(toy_files):
     # this ring's readings lie within +-0.6, below the default --mask-eps 1.0
     paths, cfg_path, tmp_path = toy_files

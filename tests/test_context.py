@@ -1,5 +1,7 @@
 """Context streams: random walks, embeddings, one-hots, and the GRU."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -378,8 +380,87 @@ def test_gru_cell_gradients():
     def forward():
         return (gru_cell(x, h, layer).data * c.data).sum()
 
-    for t in [x, h, layer.w_xr, layer.w_hh, layer.b_u, layer.b_h]:
+    for t in [x, h, *layer.named("gru").values()]:
         assert grad_close(t.grad, numeric_grad(forward, t.data))
+
+
+def _cell_grads(cell, x, h, layer, c):
+    """Output and every input's gradient of sum(cell(x, h) * c)."""
+    inputs = [x, h, *layer.named("gru").values()]
+    for t in inputs:
+        t.grad = None
+    out = cell(x, h, layer)
+    T.backward(T.sum_(T.mul(out, c)))
+    return out.data, [t.grad for t in inputs]
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (2, 3, 5)], ids=["nodes", "batch"])
+def test_fused_gru_cell_matches_composed_cell(shape):
+    rng = np.random.default_rng(40)
+    layer = _gru_layer(rng, shape[-1])
+    x = T.param(rng.normal(size=shape))
+    h = T.param(rng.normal(size=shape))
+    c = Tensor(rng.normal(size=shape))
+    out, grads = _cell_grads(gru_cell, x, h, layer, c)
+    want_out, want_grads = _cell_grads(oracles.gru_cell, x, h, layer, c)
+    assert np.array_equal(out, want_out)
+    for got, want in zip(grads, want_grads):
+        assert got.shape == want.shape and np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_fused_gru_cell_with_input_as_hidden_state_matches_composed_cell():
+    # a one-layer rollout feeds the hidden state back as the next input
+    rng = np.random.default_rng(41)
+    layer = _gru_layer(rng, 4)
+    h = T.param(rng.normal(size=(3, 4)))
+    c = Tensor(rng.normal(size=(3, 4)))
+    out, grads = _cell_grads(gru_cell, h, h, layer, c)
+    want_out, want_grads = _cell_grads(oracles.gru_cell, h, h, layer, c)
+    assert np.array_equal(out, want_out)
+    for got, want in zip(grads, want_grads):
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_gru_cell_second_backward_doubles_gradients():
+    rng = np.random.default_rng(42)
+    layer = _gru_layer(rng, 3)
+    x = T.param(rng.normal(size=(2, 3)))
+    h = Tensor(rng.normal(size=(2, 3)))  # untracked, so backward skips its share
+    loss = T.sum_(gru_cell(gru_cell(x, h, layer), h, layer))
+    T.backward(loss)
+    first = [t.grad.copy() for t in (x, *layer.named("gru").values())]
+    T.backward(loss)
+    for t, g in zip((x, *layer.named("gru").values()), first):
+        assert np.array_equal(t.grad, 2.0 * g)
+
+
+def test_gru_cell_backward_frees_its_pre_activation_grads():
+    rng = np.random.default_rng(43)
+    f = 16
+    layer = _gru_layer(rng, f)
+    h = x = T.param(rng.normal(size=(64, f)))
+    for _ in range(5):
+        h = gru_cell(x, h, layer)
+    loss = T.sum_(h)
+    leaves = [x, *layer.named("gru").values()]
+    tracemalloc.start()
+    try:
+        T.backward(loss)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # what backward leaves allocated is the leaves' gradients; a kept
+    # (64, 16) pre-activation gradient per cell would add 8 KB each
+    assert held <= sum(t.grad.nbytes for t in leaves) + 4096
+
+
+def test_gru_cell_under_no_grad_builds_no_node():
+    rng = np.random.default_rng(44)
+    layer = _gru_layer(rng, 3)
+    x = T.param(rng.normal(size=(2, 3)))
+    with T.no_grad():
+        out = gru_cell(x, x, layer)
+    assert out.parents == () and not out.requires_grad
 
 
 def test_gru_sequence_t1_reduces_to_cell():

@@ -1,10 +1,15 @@
 """Model assembly: projections, context fusion, transform, full pipeline,
 training loop, and checkpoint round trips."""
 
+import math
+import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from flowcast import model as model_module
 from flowcast import tensor as T
@@ -92,6 +97,77 @@ def test_config_rejects_inconsistent_width():
 def test_config_rejects_nonpositive_counts(sizes):
     with pytest.raises(ConfigError, match=">= 1"):
         ModelConfig(**sizes)
+
+
+@pytest.mark.parametrize(
+    "values, key",
+    [
+        ({"epochs": 0}, "epochs"),
+        ({"gru_layers": 0}, "gru_layers"),
+        ({"lr": math.nan}, "lr"),
+        ({"lr": math.inf}, "lr"),
+        ({"lr_decay_factor": math.nan}, "lr_decay_factor"),
+        ({"epochs": 2.5}, "epochs"),
+        ({"batch_size": True}, "batch_size"),
+        ({"lr_decay_epochs": [1.5]}, "lr_decay_epochs"),
+    ],
+)
+def test_config_rejects_bad_values_naming_the_key(values, key):
+    with pytest.raises(ConfigError, match=f"^{key} must"):
+        ModelConfig(**values)
+
+
+def test_config_overrides_are_checked_like_file_values():
+    with pytest.raises(ConfigError, match="^epochs must be an integer, got 2.5$"):
+        load_config(TOY_CFG, {"epochs": 2.5})
+    assert load_config(TOY_CFG, {"epochs": 2, "lr": 1}).epochs == 2
+
+
+@pytest.mark.parametrize("line", ["lr = nan", "lr = 1e400", "lr_decay_factor = nan", "epochs = 0"])
+def test_config_file_rejects_non_finite_and_zero_values(tmp_path, line):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"seed = 1\n{line}\n")
+    with pytest.raises(ConfigError, match=f"^{line.split()[0]} must"):
+        load_config(path)
+
+
+def test_config_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"epochs = 2\n# caf\xe9\n")
+    with pytest.raises(ConfigError, match=r"run\.cfg: not UTF-8 text$"):
+        load_config(path)
+
+
+_CONFIG_LINES = st.tuples(
+    st.sampled_from([f.name for f in fields(ModelConfig)] + ["", "x"]),
+    st.sampled_from([" = ", "=", " "]),
+    st.one_of(
+        st.sampled_from(["0", "1", "-1", "2.5", "1e400", "nan", "inf", "1,2", "", ","]),
+        st.integers(-3, 300).map(str),
+        st.text(max_size=5),
+    ),
+).map("".join)
+
+
+@given(content=st.one_of(
+    st.text(),
+    st.binary(),
+    st.lists(_CONFIG_LINES, max_size=6).map("\n".join),
+))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_config_fuzz_raises_only_config_errors(tmp_path, content):
+    path = tmp_path / "run.cfg"
+    if isinstance(content, str):
+        path.write_text(content, encoding="utf-8")
+    else:
+        path.write_bytes(content)
+    try:
+        cfg = load_config(path)
+    except ConfigError:
+        pass
+    else:
+        assert isinstance(cfg, ModelConfig) and cfg.epochs >= 1
 
 
 def test_config_rejects_bad_hop_split():
@@ -555,6 +631,24 @@ def test_training_applies_lr_schedule():
     assert lrs[0] == pytest.approx(1e-2)
     assert lrs[1] == pytest.approx(1e-3)
     assert lrs[2] == pytest.approx(1e-4)
+
+
+def _train_peak_bytes(epochs: int) -> int:
+    """tracemalloc peak of ``train`` taking one step per epoch."""
+    cfg, prepared, graph, node_emb = _prepared_ring(steps=120, epochs=epochs, batch_size=64)
+    tracemalloc.start()
+    try:
+        train(cfg, prepared, graph, node_emb, mask_eps=1e-6)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_holds_one_step_graph_at_a_time():
+    # a step's graph must be freed before the next step builds its own, or
+    # the peak holds two graphs from the second step on
+    one, three = _train_peak_bytes(1), _train_peak_bytes(3)
+    assert three <= 1.25 * one, (one, three)
 
 
 def test_training_deterministic_same_seed():

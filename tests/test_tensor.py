@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flowcast import tensor as T
@@ -489,6 +489,49 @@ def test_checkpoint_failed_save_keeps_old_file(tmp_path):
         save_arrays(path, {"w": np.zeros(1000), "bad": np.array(["x"])})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def test_checkpoint_duplicate_entry_names_it(tmp_path):
+    path = tmp_path / "dup.ckpt"
+    save_arrays(path, {"a": np.zeros(3), "b": np.zeros(2)})
+    blob = path.read_bytes()
+    path.write_bytes(blob.replace(b"\x01\x00b", b"\x01\x00a"))  # rename entry b to a
+    with pytest.raises(CheckpointError, match=r"dup\.ckpt: duplicate entry 'a'$"):
+        load_arrays(path)
+
+
+_MUTATION = st.one_of(
+    st.tuples(st.just("cut"), st.integers(0, 10**4)),
+    st.tuples(st.just("insert"), st.integers(0, 10**4), st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("overwrite"), st.integers(0, 10**4), st.binary(min_size=1, max_size=8)),
+)
+
+
+@given(mutations=st.lists(_MUTATION, min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_arrays_fuzz_raises_only_checkpoint_errors(tmp_path, mutations):
+    path = tmp_path / "fuzz.ckpt"
+    save_arrays(path, {
+        "param.w": np.arange(6.0).reshape(2, 3), "cfg.lr": np.array([1e-3]),
+        "adam.step": np.array(4.0),
+    })
+    blob = bytearray(path.read_bytes())
+    for kind, pos, *data in mutations:
+        pos %= len(blob) + 1
+        if kind == "cut":
+            del blob[pos:]
+        elif kind == "insert":
+            blob[pos:pos] = data[0]
+        else:
+            blob[pos : pos + len(data[0])] = data[0]
+    path.write_bytes(bytes(blob))
+    try:
+        arrays = load_arrays(path)
+    except CheckpointError as err:
+        assert str(path) in str(err)
+    else:
+        assert all(a.dtype == np.float64 for a in arrays.values())
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
