@@ -89,6 +89,54 @@ def softmax_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # Linear attention
 
+def _swap(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
+def _head_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, out=None):
+    """One head of linear attention on arrays, written into ``out`` when
+    given. Returns the output and what :func:`_head_backward` needs:
+    phi(q), phi(k), v, the summary S, the normalizer z and the
+    denominators phi(q) . z."""
+    phi_q = q - q.max(axis=-1, keepdims=True)
+    np.exp(phi_q, out=phi_q)
+    phi_k = k - k.max(axis=(-2, -1), keepdims=True)
+    np.exp(phi_k, out=phi_k)
+    summary = _swap(phi_k).copy() @ v  # (..., d, d_v)
+    normalizer = phi_k.sum(axis=-2)  # (..., d)
+    num = phi_q @ summary  # (..., M, d_v)
+    den = phi_q @ normalizer.reshape(normalizer.shape + (1,))
+    bad = ~(den >= 1e-30)  # catches underflow and NaN alike
+    if bad.any():
+        *sample, row, _ = (int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        where = f"sample {', '.join(map(str, sample))}, " if sample else ""
+        raise DegenerateAttentionError(
+            f"attention normalizer degenerate at {where}query row {row}"
+        )
+    return np.divide(num, den, out=out), (phi_q, phi_k, v, summary, normalizer, den)
+
+
+def _head_backward(g: np.ndarray, saved) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients at one head's q, k and v from its output gradient ``g``,
+    by the chain rule through :func:`_head_forward`'s steps (the shifts
+    are constants)."""
+    phi_q, phi_k, v, summary, normalizer, den = saved
+    nr = normalizer.reshape(normalizer.shape + (1,))
+    num = phi_q @ summary
+    g_num = g / den
+    g_den = T._unbroadcast(-g * num / (den * den), den.shape)
+    g_phi_q = T._unbroadcast(g_num @ _swap(summary), phi_q.shape)
+    g_phi_q += T._unbroadcast(g_den @ _swap(nr), phi_q.shape)
+    g_summary = T._unbroadcast(_swap(phi_q) @ g_num, summary.shape)
+    g_nr = T._unbroadcast(_swap(phi_q) @ g_den, nr.shape)
+    g_phi_k = _swap(T._unbroadcast(g_summary @ _swap(v), _swap(phi_k).shape))
+    g_phi_k = g_phi_k + np.expand_dims(g_nr.reshape(normalizer.shape), -2)
+    g_v = T._unbroadcast(phi_k @ g_summary, v.shape)
+    g_phi_q *= phi_q
+    g_phi_k *= phi_k
+    return g_phi_q, g_phi_k, g_v
+
+
 def linear_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Kernelized attention in right-associated order: O(M) in tokens.
 
@@ -99,22 +147,12 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     (over the last two axes), both gradient-detached: either shift scales
     a row's numerator and denominator alike, so the ratio is unchanged
     while exp stays in range. A per-row key shift would not cancel.
+
+    One graph node; it keeps phi(q), phi(k), v, S, z and the denominators.
     """
     _check_qkv(q, k, v)
-    phi_q = T.exp(T.sub(q, Tensor(q.data.max(axis=-1, keepdims=True))))
-    phi_k = T.exp(T.sub(k, Tensor(k.data.max(axis=(-2, -1), keepdims=True))))
-    summary = T.matmul(T.transpose(phi_k), v)  # (..., d, d_v)
-    normalizer = T.sum_(phi_k, axis=-2)  # (..., d)
-    num = T.matmul(phi_q, summary)  # (..., M, d_v)
-    den = T.matmul(phi_q, T.reshape(normalizer, normalizer.shape + (1,)))
-    bad = ~(den.data >= 1e-30)  # catches underflow and NaN alike
-    if bad.any():
-        *sample, row, _ = (int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
-        where = f"sample {', '.join(map(str, sample))}, " if sample else ""
-        raise DegenerateAttentionError(
-            f"attention normalizer degenerate at {where}query row {row}"
-        )
-    return T.div(num, den)
+    out, saved = _head_forward(q.data, k.data, v.data)
+    return T._fused(out, (q, k, v), lambda g, need: _head_backward(g, saved))
 
 
 def multi_head_attention(
@@ -126,6 +164,12 @@ def multi_head_attention(
     (cross-attention) and from ``x`` otherwise. The head count is
     ``len(params.w_q)`` and the model width is that of ``params.w_o``.
     A degenerate normalizer is re-raised naming the head.
+
+    The whole call is one graph node with a hand-written backward. Each
+    head runs the numpy ops of ``linear_attention`` on its projections,
+    so the output is the same to the bit as composing them. The node keeps
+    each head's :func:`_head_forward` arrays and the concatenated heads;
+    when no graph is built, it keeps none of them.
     """
     width = params.w_o.shape[0]
     if x.shape[-1] != width:
@@ -133,13 +177,50 @@ def multi_head_attention(
     source = x if cross_kv is None else cross_kv
     if source.shape[-1] != width:
         raise ShapeError(f"key/value width {source.shape[-1]} != model dim {width}")
-    heads = []
+    if min(x.data.ndim, source.data.ndim) < 2:
+        raise ShapeError(f"attention tokens need rank >= 2, got {x.shape} and {source.shape}")
+    projections = [w for p in zip(params.w_q, params.w_k, params.w_v) for w in p]
+    sources = (x,) if cross_kv is None else (x, cross_kv)
+    first = len(sources) + 1  # of the projections in the inputs
+    inputs = sources + (params.w_o, *projections)
+    keep = T._tracks(inputs)
+
+    cols = np.cumsum([0] + [wv.shape[1] for wv in params.w_v])
+    lead = np.broadcast_shapes(x.shape[:-2], source.shape[:-2])
+    cat = np.empty(lead + (x.shape[-2], int(cols[-1])))
+    saved = []
     for i, (wq, wk, wv) in enumerate(zip(params.w_q, params.w_k, params.w_v)):
-        qh = T.matmul(x, wq)
-        kh = T.matmul(source, wk)
-        vh = T.matmul(source, wv)
         try:
-            heads.append(linear_attention(qh, kh, vh))
+            _, head = _head_forward(
+                x.data @ wq.data, source.data @ wk.data, source.data @ wv.data,
+                out=cat[..., cols[i] : cols[i + 1]],
+            )
         except DegenerateAttentionError as err:
             raise DegenerateAttentionError(f"head {i}: {err}") from err
-    return T.matmul(T.concat(heads, axis=-1), params.w_o)
+        if keep:
+            saved.append(head)
+    out = cat @ params.w_o.data
+
+    def vjp(g, need):
+        grads = [None] * len(inputs)
+        if need[first - 1]:
+            grads[first - 1] = T._unbroadcast(_swap(cat) @ g, params.w_o.shape)
+        g_cat = g @ params.w_o.data.T
+        # q comes from x, k and v from the last of ``sources``: cross_kv, or x again
+        slots = (0, first - 2, first - 2)
+        for i, head in enumerate(saved):
+            g_qkv = _head_backward(g_cat[..., cols[i] : cols[i + 1]], head)
+            for w_at, slot, g_p in zip(range(first + 3 * i, first + 3 * i + 3), slots, g_qkv):
+                w, operand = inputs[w_at], inputs[slot]
+                # as matmul's gradients: operand^T @ g_p and g_p @ w^T
+                if need[w_at]:
+                    grads[w_at] = T._unbroadcast(_swap(operand.data) @ g_p, w.shape)
+                if need[slot]:
+                    g_in = T._unbroadcast(g_p @ w.data.T, operand.shape)
+                    if grads[slot] is None:
+                        grads[slot] = g_in
+                    else:
+                        grads[slot] += g_in
+        return grads
+
+    return T._fused(out, inputs, vjp)

@@ -73,7 +73,12 @@ def load_arrays(path) -> dict[str, np.ndarray]:
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", blob, pos)
             pos += 2
-            name = blob[pos : pos + name_len].decode("utf-8")
+            if pos + name_len > len(blob):
+                raise ValueError("name cut short")
+            try:
+                name = blob[pos : pos + name_len].decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"{path}: entry name at byte {pos} is not UTF-8") from None
             pos += name_len
             (ndim,) = struct.unpack_from("<B", blob, pos)
             pos += 1

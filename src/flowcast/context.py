@@ -360,62 +360,47 @@ def gru_cell(x_t: Tensor, h_prev: Tensor, layer: GruLayerParams) -> Tensor:
     out = u * h
     out += (1.0 - u) * cand
 
-    def pre_activation_grads(g):
-        """Gradients at the three gates' pre-activations, plus at R * H_prev."""
+    def vjp(g, need):
+        # gradients at the three gates' pre-activations, plus at R * H_prev
         one_minus_u = 1.0 - u
         a_c = g * one_minus_u * (1.0 - cand * cand)
         d_rh = a_c @ w_hh.T
         a_r = d_rh * h * r * (1.0 - r)
         a_u = g * (h - cand) * u * one_minus_u
-        return d_rh, a_r, a_u, a_c
+        gates = (a_r, a_u, a_c)
 
-    def input_grad(g, d_rh, a_r, a_u, a_c):
-        dx = a_r @ w_xr.T
-        dx += a_u @ w_xu.T
-        dx += a_c @ w_xh.T
-        return dx
+        def input_grad():
+            dx = a_r @ w_xr.T
+            dx += a_u @ w_xu.T
+            dx += a_c @ w_xh.T
+            return dx
 
-    def hidden_grad(g, d_rh, a_r, a_u, a_c):
-        dh = g * u
-        dh += d_rh * r
-        dh += a_r @ w_hr.T
-        dh += a_u @ w_hu.T
-        return dh
+        def hidden_grad():
+            dh = g * u
+            dh += d_rh * r
+            dh += a_r @ w_hr.T
+            dh += a_u @ w_hu.T
+            return dh
 
-    def weight_grad(operand, gate):
-        # as matmul's gradient: operand^T @ gate gradient, summed over batch axes
-        return lambda g, d_rh, *gates: T._unbroadcast(
-            np.swapaxes(operand, -1, -2) @ gates[gate], w_xr.shape
+        def weight_grad(operand, gate):
+            # as matmul's gradient: operand^T @ gate gradient, summed over batch axes
+            return lambda: T._unbroadcast(
+                np.swapaxes(operand, -1, -2) @ gates[gate], w_xr.shape
+            )
+
+        def bias_grad(gate):
+            return lambda: T._unbroadcast(gates[gate], b_r.shape)
+
+        # one per input, in the order of the inputs below
+        shares = (
+            input_grad, hidden_grad,
+            weight_grad(x, 0), weight_grad(h, 0), weight_grad(x, 1), weight_grad(h, 1),
+            weight_grad(x, 2), weight_grad(rh, 2),
+            bias_grad(0), bias_grad(1), bias_grad(2),
         )
+        return [share() if n else None for share, n in zip(shares, need)]
 
-    def bias_grad(gate):
-        return lambda g, d_rh, *gates: T._unbroadcast(gates[gate], b_r.shape)
-
-    # one per parent, in the order of ``inputs`` below
-    shares = (
-        input_grad, hidden_grad,
-        weight_grad(x, 0), weight_grad(h, 0), weight_grad(x, 1), weight_grad(h, 1),
-        weight_grad(x, 2), weight_grad(rh, 2),
-        bias_grad(0), bias_grad(1), bias_grad(2),
-    )
-    inputs = (x_t, h_prev) + params
-    # backward hands every parent the same output gradient in turn: the first
-    # share computes the pre-activation gradients, the last tracked one drops them
-    last = max((i for i, t in enumerate(inputs) if t.requires_grad), default=-1)
-    pending: list = []  # [g, *pre_activation_grads(g)] while parents take shares
-
-    def share(i):
-        def fn(g):
-            if not pending or pending[0] is not g:
-                pending[:] = [g, *pre_activation_grads(g)]
-            grads = pending[1:]
-            if i == last:
-                pending.clear()
-            return shares[i](g, *grads)
-
-        return fn
-
-    return T._make(out, tuple((t, share(i)) for i, t in enumerate(inputs)))
+    return T._fused(out, (x_t, h_prev) + params, vjp)
 
 
 def gru_sequence(

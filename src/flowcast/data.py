@@ -92,7 +92,11 @@ def load_meta(path) -> DatasetMeta:
     start_time)."""
     path = Path(path)
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise DataFormatError(f"{path}: not UTF-8 text") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -115,26 +119,32 @@ def load_meta(path) -> DatasetMeta:
 
 def load_readings(path, n_nodes: int, channels: int = 1) -> np.ndarray:
     """Parse a headerless readings file: one time step per line,
-    ``n_nodes * channels`` comma-separated values (channel blocks)."""
+    ``n_nodes * channels`` comma-separated values (channel blocks).
+
+    A malformed line raises :class:`DataFormatError` naming ``path:line``,
+    and text that is not UTF-8 one naming ``path``."""
     path = Path(path)
     expected = n_nodes * channels
     rows = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != expected:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {expected} values, found {len(cells)}"
-                )
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}:{lineno}: non-numeric cell in {line[:40]!r}..."
-                ) from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                cells = line.split(",")
+                if len(cells) != expected:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: expected {expected} values, found {len(cells)}"
+                    )
+                try:
+                    rows.append([float(c) for c in cells])
+                except ValueError:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: non-numeric cell in {line[:40]!r}..."
+                    ) from None
+    except UnicodeDecodeError:
+        raise DataFormatError(f"{path}: not UTF-8 text") from None
     if not rows:
         raise DataFormatError(f"{path}: empty readings file")
     flat = np.asarray(rows, dtype=np.float64)

@@ -9,6 +9,7 @@ output projection.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -77,47 +78,68 @@ def load_adjacency(path) -> RoadGraph:
 
     An optional ``N=<int>`` line declares the node count; otherwise it is
     inferred as max index + 1. A single header line of column names is
-    tolerated.
+    tolerated. A malformed line, a node index outside 0..N-1, or a weight
+    that is negative or not finite raises :class:`GraphFormatError` naming
+    ``path:line``; text that is not UTF-8 one naming ``path``.
     """
     path = Path(path)
     declared_n = None
     edges: list[tuple[int, int, float]] = []
+    linenos: list[int] = []  # of each edge
     saw_content = False
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.upper().startswith("N="):
-                try:
-                    declared_n = int(line[2:])
-                except ValueError:
-                    raise GraphFormatError(
-                        f"{path}:{lineno}: non-integer node count {line!r}"
-                    ) from None
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 3:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: expected 'src,dst,weight', got {line!r}"
-                )
-            try:
-                src, dst, w = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError:
-                if not saw_content:  # a single leading header row is fine
-                    saw_content = True
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
                     continue
-                raise GraphFormatError(
-                    f"{path}:{lineno}: non-numeric edge {line!r}"
-                ) from None
-            saw_content = True
-            edges.append((src, dst, w))
+                if line.upper().startswith("N="):
+                    try:
+                        declared_n = int(line[2:])
+                        if declared_n < 1:
+                            raise ValueError
+                    except ValueError:
+                        raise GraphFormatError(
+                            f"{path}:{lineno}: node count must be a positive integer, got {line!r}"
+                        ) from None
+                    continue
+                parts = [p.strip() for p in line.split(",")]
+                if len(parts) != 3:
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: expected 'src,dst,weight', got {line!r}"
+                    )
+                try:
+                    src, dst, w = int(parts[0]), int(parts[1]), float(parts[2])
+                except ValueError:
+                    if not saw_content:  # a single leading header row is fine
+                        saw_content = True
+                        continue
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: non-numeric edge {line!r}"
+                    ) from None
+                saw_content = True
+                if not (math.isfinite(w) and w >= 0):
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: edge weight must be finite and >= 0, got {parts[2]!r}"
+                    )
+                edges.append((src, dst, w))
+                linenos.append(lineno)
+    except UnicodeDecodeError:
+        raise GraphFormatError(f"{path}: not UTF-8 text") from None
     if not edges and declared_n is None:
         raise GraphFormatError(f"{path}: no edges and no N= declaration")
     n = declared_n if declared_n is not None else (
         max(max(s, d) for s, d, _ in edges) + 1
     )
-    return RoadGraph(n_nodes=n, edges=edges)
+    for (src, dst, _), lineno in zip(edges, linenos):
+        if not (0 <= src < n and 0 <= dst < n):
+            raise GraphFormatError(
+                f"{path}:{lineno}: edge ({src},{dst}) out of range for N={n}"
+            )
+    try:
+        return RoadGraph(n_nodes=n, edges=edges)
+    except (ValueError, MemoryError):  # numpy cannot hold the dense N x N adjacency
+        raise GraphFormatError(f"{path}: N={n} is too large for a dense adjacency") from None
 
 
 # ---------------------------------------------------------------------------

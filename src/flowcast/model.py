@@ -122,13 +122,15 @@ class ModelConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name in _FLOAT_FIELDS:
-                if not (_is_real(value) and math.isfinite(value) and value > 0):
+                if not (_is_finite_real(value) and value > 0):
                     raise ConfigError(f"{f.name} must be finite and positive, got {value!r}")
             elif f.name in _LIST_FIELDS:
                 if not (isinstance(value, list) and all(map(_is_int, value))):
                     raise ConfigError(f"{f.name} must be a list of integers, got {value!r}")
             elif not _is_int(value):
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            elif f.name == "seed" and value < 0:
+                raise ConfigError(f"seed must be >= 0, got {value}")
             elif value < 1 and f.name not in ("start_weekday", "seed"):
                 raise ConfigError(f"{f.name} must be >= 1, got {value}")
         if self.width != self.heads * self.head_dim:
@@ -151,8 +153,13 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _is_finite_real(value) -> bool:
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _field_value(key: str, raw):
@@ -381,13 +388,41 @@ def _fuse(w: Tensor, b: Tensor, streams: list[Tensor]) -> Tensor:
 
     Stream i meets its own F-row block of ``w``, and the products add up
     by broadcasting, so static context of shape (N, F) or (..., T, 1, F)
-    joins (..., T, N, F) features without being tiled.
+    joins (..., T, N, F) features without being tiled. Stream 0 has the
+    output's full shape.
+
+    One graph node with a hand-written backward that keeps nothing beyond
+    its inputs. The forward adds ``b + s_0 @ W_0``, then each ``s_i @ W_i``
+    in place in stream order, the values and order of a chain of ``add``
+    nodes, so its output is the same to the bit.
     """
     f = w.shape[1]
-    out = b
-    for i, stream in enumerate(streams):
-        out = T.add(out, T.matmul(stream, w[i * f : (i + 1) * f]))
-    return out
+    blocks = [w.data[i * f : (i + 1) * f] for i in range(len(streams))]
+    try:
+        if w.shape[0] != len(streams) * f or min(s.data.ndim for s in streams) < 2:
+            raise ValueError
+        out = b.data + streams[0].data @ blocks[0]
+        for s, block in zip(streams[1:], blocks[1:]):
+            out += s.data @ block
+    except ValueError:
+        raise ShapeError(
+            f"fuse: streams {[s.shape for s in streams]} do not fit weight {w.shape}"
+        ) from None
+
+    def vjp(g, need):
+        w_grad = np.empty(w.shape) if need[0] else None
+        grads = [w_grad, T._unbroadcast(g, b.shape) if need[1] else None]
+        for i, (s, block) in enumerate(zip(streams, blocks)):
+            # as matmul under add: the product's share of g, then its two factors
+            g_s = T._unbroadcast(g, s.shape[:-1] + (f,))
+            if w_grad is not None:
+                w_grad[i * f : (i + 1) * f] = T._unbroadcast(
+                    np.swapaxes(s.data, -1, -2) @ g_s, (f, f)
+                )
+            grads.append(T._unbroadcast(g_s @ block.T, s.shape) if need[i + 2] else None)
+        return grads
+
+    return T._fused(out, (w, b, *streams), vjp)
 
 
 def _per_step(time_proj: Tensor) -> Tensor:

@@ -10,6 +10,10 @@ A backward pass sums each node's gradient in place in a buffer the pass
 owns, and a slice scatters its gradient into its parent's buffer instead
 of building a full-size array, so T slices of a (..., T, N, F) tensor
 cost O(T·N·F), not T full arrays (see :func:`backward`).
+
+A fixed formula of several inputs, such as the GRU cell, can be one node
+with a hand-written backward (see :func:`_fused`), so the graph keeps only
+what that backward reads instead of every intermediate array.
 """
 
 from __future__ import annotations
@@ -147,6 +151,45 @@ def _make(data: np.ndarray, parents) -> Tensor:
         if tracked:
             return Tensor(data, requires_grad=True, parents=tracked)
     return Tensor(data)
+
+
+def _tracks(inputs) -> bool:
+    """Whether an op on ``inputs`` builds a graph node."""
+    return _grad_enabled and any(t.requires_grad for t in inputs)
+
+
+def _fused(data: np.ndarray, inputs, vjp) -> Tensor:
+    """One graph node for a fixed formula of several ``inputs``.
+
+    ``vjp(g, need)`` maps the output gradient to one gradient per input;
+    ``need[i]`` says whether input i is tracked, and the entries of the
+    others are never read, so they may be None. :func:`backward` hands the
+    same ``g`` to every parent in turn: the first tracked input's call runs
+    ``vjp`` once, each input takes its own entry, and the last tracked one
+    drops the rest. Under :func:`no_grad`, or with no tracked input, the
+    node keeps nothing.
+    """
+    if not _tracks(inputs):
+        return Tensor(data)
+    need = tuple(t.requires_grad for t in inputs)
+    last = max(i for i, n in enumerate(need) if n)
+    pending: list = []  # [g, vjp(g, need)] while the inputs take their shares
+
+    def share(i):
+        def fn(g):
+            if not pending or pending[0] is not g:
+                pending[:] = [g, list(vjp(g, need))]
+            grads = pending[1]
+            grad, grads[i] = grads[i], None
+            if i == last:
+                pending.clear()
+            return grad
+
+        return fn
+
+    return Tensor(data, requires_grad=True, parents=tuple(
+        (t, share(i)) for i, t in enumerate(inputs) if need[i]
+    ))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -4,8 +4,10 @@ Each one computes the textbook formula directly, with none of the
 rewriting the library applies, so a test can compare the two. The walk and
 skip-gram oracles are the per-step loops the library's vectorized forms
 replaced (``rng.choice`` with ``p``, nested pair lists, ``np.add.at``);
-the library must reproduce their output bit for bit. The GRU oracle is the
-cell composed of autodiff ops that the fused ``context.gru_cell`` replaced.
+the library must reproduce their output bit for bit. The GRU, fusion and
+attention oracles are the forms composed of autodiff ops that the fused
+single-node ``context.gru_cell``, ``model._fuse`` and
+``attention.multi_head_attention`` / ``linear_attention`` replaced.
 """
 
 import math
@@ -13,6 +15,7 @@ import math
 import numpy as np
 
 from flowcast import tensor as T
+from flowcast.attention import AttentionParams, DegenerateAttentionError, _check_qkv
 from flowcast.context import GruLayerParams
 from flowcast.graph import RoadGraph, degree_normalize
 from flowcast.tensor import ShapeError, Tensor
@@ -205,7 +208,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-
 def gru_cell(x_t: Tensor, h_prev: Tensor, layer: GruLayerParams) -> Tensor:
     """One recurrence step on (..., N, F): H = U * H_prev + (1 - U) * tanh-candidate."""
     if x_t.shape != h_prev.shape:
@@ -214,3 +216,73 @@ def gru_cell(x_t: Tensor, h_prev: Tensor, layer: GruLayerParams) -> Tensor:
     u = T.sigmoid(x_t @ layer.w_xu + h_prev @ layer.w_hu + layer.b_u)
     h_cand = T.tanh(x_t @ layer.w_xh + (r * h_prev) @ layer.w_hh + layer.b_h)
     return u * h_prev + (1.0 - u) * h_cand
+
+
+def fuse(w: Tensor, b: Tensor, streams: list[Tensor]) -> Tensor:
+    """``concat(streams, axis=-1) @ w + b`` without the concat.
+
+    Stream i meets its own F-row block of ``w``, and the products add up
+    by broadcasting, so static context of shape (N, F) or (..., T, 1, F)
+    joins (..., T, N, F) features without being tiled.
+    """
+    f = w.shape[1]
+    out = b
+    for i, stream in enumerate(streams):
+        out = T.add(out, T.matmul(stream, w[i * f : (i + 1) * f]))
+    return out
+
+
+def linear_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """Kernelized attention in right-associated order: O(M) in tokens.
+
+    With the feature map phi = exp, accumulates S = sum_j phi(k_j)^T v_j
+    (d x d) and z = sum_j phi(k_j) once per sample, then each output row
+    is (phi(q_i) S) / (phi(q_i) . z). Before exponentiating, each query
+    row loses its own maximum and each sample's keys one shared maximum
+    (over the last two axes), both gradient-detached: either shift scales
+    a row's numerator and denominator alike, so the ratio is unchanged
+    while exp stays in range. A per-row key shift would not cancel.
+    """
+    _check_qkv(q, k, v)
+    phi_q = T.exp(T.sub(q, Tensor(q.data.max(axis=-1, keepdims=True))))
+    phi_k = T.exp(T.sub(k, Tensor(k.data.max(axis=(-2, -1), keepdims=True))))
+    summary = T.matmul(T.transpose(phi_k), v)  # (..., d, d_v)
+    normalizer = T.sum_(phi_k, axis=-2)  # (..., d)
+    num = T.matmul(phi_q, summary)  # (..., M, d_v)
+    den = T.matmul(phi_q, T.reshape(normalizer, normalizer.shape + (1,)))
+    bad = ~(den.data >= 1e-30)  # catches underflow and NaN alike
+    if bad.any():
+        *sample, row, _ = (int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        where = f"sample {', '.join(map(str, sample))}, " if sample else ""
+        raise DegenerateAttentionError(
+            f"attention normalizer degenerate at {where}query row {row}"
+        )
+    return T.div(num, den)
+
+
+def multi_head_attention(
+    x: Tensor, cross_kv: Tensor | None, params: AttentionParams
+) -> Tensor:
+    """Heads of linear attention, concatenated and output-projected.
+
+    Queries come from ``x``; keys/values from ``cross_kv`` when given
+    (cross-attention) and from ``x`` otherwise. The head count is
+    ``len(params.w_q)`` and the model width is that of ``params.w_o``.
+    A degenerate normalizer is re-raised naming the head.
+    """
+    width = params.w_o.shape[0]
+    if x.shape[-1] != width:
+        raise ShapeError(f"token width {x.shape[-1]} != model dim {width}")
+    source = x if cross_kv is None else cross_kv
+    if source.shape[-1] != width:
+        raise ShapeError(f"key/value width {source.shape[-1]} != model dim {width}")
+    heads = []
+    for i, (wq, wk, wv) in enumerate(zip(params.w_q, params.w_k, params.w_v)):
+        qh = T.matmul(x, wq)
+        kh = T.matmul(source, wk)
+        vh = T.matmul(source, wv)
+        try:
+            heads.append(linear_attention(qh, kh, vh))
+        except DegenerateAttentionError as err:
+            raise DegenerateAttentionError(f"head {i}: {err}") from err
+    return T.matmul(T.concat(heads, axis=-1), params.w_o)

@@ -1,6 +1,8 @@
 """Attention kernels: layout, oracle equivalences, stabilization, gradients."""
 
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from flowcast.attention import (
 )
 from flowcast.tensor import ShapeError, Tensor
 
+import oracles
 from gradcheck import grad_close, numeric_grad
 from oracles import similarity_attention
 
@@ -282,6 +285,8 @@ def test_mha_rejects_wrong_query_width():
     params = _mha_params(rng, heads=2, head_dim=3)
     with pytest.raises(ShapeError, match="token width 7"):
         multi_head_attention(Tensor(rng.normal(size=(5, 7))), None, params)
+    with pytest.raises(ShapeError, match="rank >= 2"):
+        multi_head_attention(Tensor(rng.normal(size=6)), None, params)
 
 
 def test_mha_gradients():
@@ -297,3 +302,101 @@ def test_mha_gradients():
 
     for t in [x, params.w_o, params.w_q[0], params.w_k[1], params.w_v[0]]:
         assert grad_close(t.grad, numeric_grad(forward, t.data))
+
+
+# ---------------------------------------------------------------------------
+# The fused single-node attention against the composed autodiff form it
+# replaced (tests/oracles.py)
+
+def _out_and_grads(fn, inputs, c):
+    """Output and every input's gradient of sum(fn() * c)."""
+    for t in inputs:
+        t.grad = None
+    out = fn()
+    T.backward(T.sum_(T.mul(out, c)))
+    return out.data, [t.grad for t in inputs]
+
+
+def _mha_case(rng, cross, batch):
+    # model shapes: (B, T*N, F) joint tokens, 3 steps of 4 nodes; cross
+    # attention reads 2 steps of keys and values
+    params = _mha_params(rng, heads=2, head_dim=3)
+    x = T.param(rng.normal(size=(batch, 12, 6)))
+    kv = T.param(rng.normal(size=(batch, 8, 6))) if cross else None
+    inputs = [x, *([kv] if cross else []), *params.named("attn").values()]
+    return x, kv, params, inputs
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("cross", [False, True], ids=["self", "cross"])
+def test_fused_mha_matches_composed_heads(cross, batch):
+    rng = np.random.default_rng(70)
+    x, kv, params, inputs = _mha_case(rng, cross, batch)
+    c = Tensor(rng.normal(size=x.shape))
+    out, grads = _out_and_grads(lambda: multi_head_attention(x, kv, params), inputs, c)
+    want, want_grads = _out_and_grads(
+        lambda: oracles.multi_head_attention(x, kv, params), inputs, c
+    )
+    assert out.tobytes() == want.tobytes()
+    for got, ref in zip(grads, want_grads):
+        assert got.shape == ref.shape and np.max(np.abs(got - ref)) <= 1e-12
+
+    def forward():
+        return (multi_head_attention(x, kv, params).data * c.data).sum()
+
+    for t, g in zip(inputs, grads):
+        assert grad_close(g, numeric_grad(forward, t.data))
+
+
+@pytest.mark.parametrize("shapes", [
+    ((5, 3), (4, 3), (4, 2)),
+    ((2, 5, 3), (2, 4, 3), (2, 4, 2)),
+    ((2, 5, 3), (4, 3), (4, 2)),  # shared keys and values broadcast over the batch
+], ids=["plain", "batch", "broadcast"])
+def test_fused_linear_attention_matches_composed_form(shapes):
+    rng = np.random.default_rng(71)
+    q, k, v = (T.param(rng.uniform(-1, 1, s)) for s in shapes)
+    c = Tensor(rng.normal(size=shapes[0][:-1] + (2,)))
+    out, grads = _out_and_grads(lambda: linear_attention(q, k, v), [q, k, v], c)
+    want, want_grads = _out_and_grads(lambda: oracles.linear_attention(q, k, v), [q, k, v], c)
+    assert out.tobytes() == want.tobytes()
+    for got, ref in zip(grads, want_grads):
+        assert got.shape == ref.shape and np.max(np.abs(got - ref)) <= 1e-12
+
+
+def test_fused_mha_second_backward_doubles_gradients():
+    rng = np.random.default_rng(72)
+    x, kv, params, inputs = _mha_case(rng, True, 2)
+    params.w_k[1] = Tensor(params.w_k[1].data)  # untracked, so backward skips its share
+    tracked = [x, kv, *(t for t in params.named("attn").values() if t.requires_grad)]
+    loss = T.sum_(multi_head_attention(multi_head_attention(x, kv, params), None, params))
+    T.backward(loss)
+    first = [t.grad.copy() for t in tracked]
+    T.backward(loss)
+    for t, g in zip(tracked, first):
+        assert np.array_equal(t.grad, 2.0 * g)
+
+
+@pytest.mark.parametrize("cross", [False, True], ids=["self", "cross"])
+def test_fused_mha_under_no_grad_builds_no_node(cross):
+    x, kv, params, _ = _mha_case(np.random.default_rng(73), cross, 1)
+    with T.no_grad():
+        out = multi_head_attention(x, kv, params)
+    assert out.parents == () and not out.requires_grad
+
+
+def test_fused_mha_backward_keeps_only_leaf_gradients():
+    rng = np.random.default_rng(74)
+    x, kv, params, inputs = _mha_case(rng, True, 3)
+    h = x
+    for _ in range(4):
+        h = multi_head_attention(h, kv, params)
+    loss = T.sum_(h)
+    tracemalloc.start()
+    try:
+        T.backward(loss)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a kept head gradient, or g_cat, would add at least (3, 12, 3) floats
+    assert held <= sum(t.grad.nbytes for t in inputs) + 4096

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from flowcast.data import (
     DataFormatError,
@@ -83,6 +85,47 @@ def test_non_numeric_cell_reports_line(tmp_path):
     path.write_text("1,2\n3,oops\n")
     with pytest.raises(DataFormatError, match=":2"):
         load_readings(path, 2, 1)
+
+
+def test_readings_and_meta_that_are_not_utf8_name_the_file(tmp_path):
+    path = tmp_path / "readings.csv"
+    path.write_bytes(b"1,2\n3,\xff\n")
+    with pytest.raises(DataFormatError, match=r"readings\.csv: not UTF-8 text$"):
+        load_readings(path, 2, 1)
+    meta = tmp_path / "meta"
+    meta.write_bytes(b"n_nodes = 2\n# caf\xe9\n")
+    with pytest.raises(DataFormatError, match=r"meta: not UTF-8 text$"):
+        load_meta(meta)
+
+
+_READING_LINES = st.lists(
+    st.one_of(
+        st.sampled_from(["1", "-2.5", "nan", "inf", "1e400", "", " ", "x", "1_0", "\xff"]),
+        st.floats(allow_nan=True).map(repr),
+    ),
+    max_size=4,
+).map(",".join)
+
+
+@given(content=st.one_of(
+    st.text(),
+    st.binary(),
+    st.lists(_READING_LINES, max_size=5).map("\n".join),
+))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_readings_fuzz_raises_only_data_format_errors(tmp_path, content):
+    path = tmp_path / "readings.csv"
+    if isinstance(content, str):
+        path.write_text(content, encoding="utf-8")
+    else:
+        path.write_bytes(content)
+    try:
+        readings = load_readings(path, 2, 1)
+    except DataFormatError as err:
+        assert str(path) in str(err)
+    else:
+        assert readings.shape[1:] == (2, 1) and readings.dtype == np.float64
 
 
 def test_meta_round_trip(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from flowcast import tensor as T
 from flowcast.graph import (
@@ -331,3 +333,53 @@ def test_load_adjacency_bad_node_count_names_file_and_line(tmp_path):
     path.write_text("0,1,1.0\nN=abc\n")
     with pytest.raises(GraphFormatError, match=r"edges\.csv:2:"):
         load_adjacency(path)
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"0,1,1.0\n1,\xff,1.0\n", r"edges\.csv: not UTF-8 text$"),
+    (b"N=2\n-1,0,1.0\n", r"edges\.csv:2: edge \(-1,0\) out of range for N=2$"),
+    (b"0,1,1.0\n1,2,1.0\nN=2\n", r"edges\.csv:2: edge \(1,2\) out of range for N=2$"),
+    (b"0,1,nan\n", r"edges\.csv:1: edge weight must be finite and >= 0, got 'nan'$"),
+    (b"0,1,-0.5\n", r"edges\.csv:1: edge weight must be finite and >= 0"),
+    (b"N=0\n", r"edges\.csv:1: node count must be a positive integer"),
+    # numpy refuses this size before allocating anything
+    (b"N=1000000000000\n0,1,1.0\n", r"edges\.csv: N=1000000000000 is too large"),
+], ids=["not-utf8", "negative-index", "index-past-declared-n", "nan-weight",
+        "negative-weight", "zero-nodes", "too-many-nodes"])
+def test_load_adjacency_bad_values_name_file_and_line(tmp_path, content, message):
+    path = tmp_path / "edges.csv"
+    path.write_bytes(content)
+    with pytest.raises(GraphFormatError, match=message):
+        load_adjacency(path)
+
+
+_EDGE_LINES = st.one_of(
+    st.tuples(
+        st.integers(-2, 6).map(str), st.integers(-2, 6).map(str),
+        st.sampled_from(["1", "0", "-1", "0.5", "nan", "inf", "x", ""]),
+    ).map(",".join),
+    st.integers(-2, 6).map(lambda n: f"N={n}"),
+    st.sampled_from(["src,dst,weight", "# note", "N=x", "1,2", "\xff"]),
+)
+
+
+@given(content=st.one_of(
+    st.text(),
+    st.binary(),
+    st.lists(_EDGE_LINES, max_size=6).map("\n".join),
+))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_adjacency_fuzz_raises_only_graph_format_errors(tmp_path, content):
+    path = tmp_path / "edges.csv"
+    if isinstance(content, str):
+        path.write_text(content, encoding="utf-8")
+    else:
+        path.write_bytes(content)
+    try:
+        graph = load_adjacency(path)
+    except GraphFormatError as err:
+        assert str(path) in str(err)
+    else:
+        adj = graph.adjacency
+        assert adj.shape == (graph.n_nodes,) * 2 and np.all(np.isfinite(adj) & (adj >= 0))

@@ -43,8 +43,9 @@ from flowcast.model import (
 )
 from flowcast.optim import AdamState, GradientError, adam_step, zero_grads
 from flowcast.synth import make_ring_dataset, ring_graph
-from flowcast.tensor import Tensor, backward, l1_loss
+from flowcast.tensor import ShapeError, Tensor, backward, l1_loss
 
+import oracles
 from gradcheck import grad_close, numeric_grad
 
 TOY_CFG = Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"
@@ -110,6 +111,8 @@ def test_config_rejects_nonpositive_counts(sizes):
         ({"epochs": 2.5}, "epochs"),
         ({"batch_size": True}, "batch_size"),
         ({"lr_decay_epochs": [1.5]}, "lr_decay_epochs"),
+        ({"seed": -1, "width": 8, "heads": 2, "head_dim": 4, "hops": 1}, "seed"),
+        ({"lr": 10**400}, "lr"),
     ],
 )
 def test_config_rejects_bad_values_naming_the_key(values, key):
@@ -331,6 +334,117 @@ def test_context_block_causality_probe():
 
 # ---------------------------------------------------------------------------
 # Encoder
+
+# The fused context fusion node against the composed chain of add and
+# matmul nodes it replaced (tests/oracles.py)
+
+_FUSE_STREAMS = {
+    # a context block: features, hop conv and GRU streams, node embeddings, time one-hots
+    "block": lambda b, t, n, f: [(b, t, n, f)] * 3 + [(n, f), (b, t, 1, f)],
+    # the transform's query and key/value maps
+    "transform": lambda b, t, n, f: [(b, t, n, f), (n, f), (b, t, 1, f)],
+}
+
+
+def _fuse_inputs(rng, kind, batch):
+    shapes = _FUSE_STREAMS[kind](batch, 3, 5, 4)
+    streams = [T.param(rng.normal(size=s)) for s in shapes]
+    w = T.param(rng.uniform(-0.5, 0.5, (4 * len(streams), 4)))
+    b = T.param(rng.normal(size=4))
+    return w, b, streams
+
+
+def _out_and_grads(fn, inputs, c):
+    """Output and every input's gradient of sum(fn() * c)."""
+    for t in inputs:
+        t.grad = None
+    out = fn()
+    T.backward(T.sum_(T.mul(out, c)))
+    return out.data, [t.grad for t in inputs]
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("kind", sorted(_FUSE_STREAMS))
+def test_fused_fuse_matches_composed_chain(kind, batch):
+    rng = np.random.default_rng(60)
+    w, b, streams = _fuse_inputs(rng, kind, batch)
+    inputs = [w, b, *streams]
+    c = Tensor(rng.normal(size=streams[0].shape))
+    out, grads = _out_and_grads(lambda: model_module._fuse(w, b, streams), inputs, c)
+    want, want_grads = _out_and_grads(lambda: oracles.fuse(w, b, streams), inputs, c)
+    assert out.tobytes() == want.tobytes()
+    for got, ref in zip(grads, want_grads):
+        assert got.shape == ref.shape and np.max(np.abs(got - ref)) <= 1e-12
+
+    def forward():
+        return (model_module._fuse(w, b, streams).data * c.data).sum()
+
+    for t, g in zip(inputs, grads):
+        assert grad_close(g, numeric_grad(forward, t.data))
+
+
+def test_fused_fuse_second_backward_doubles_gradients():
+    rng = np.random.default_rng(61)
+    w, b, streams = _fuse_inputs(rng, "block", 2)
+    streams[3] = Tensor(streams[3].data)  # untracked, so backward skips its share
+    loss = T.sum_(model_module._fuse(w, b, streams))
+    tracked = [w, b, *streams[:3], streams[4]]
+    T.backward(loss)
+    first = [t.grad.copy() for t in tracked]
+    T.backward(loss)
+    for t, g in zip(tracked, first):
+        assert np.array_equal(t.grad, 2.0 * g)
+
+
+def test_fused_fuse_under_no_grad_builds_no_node():
+    w, b, streams = _fuse_inputs(np.random.default_rng(62), "transform", 1)
+    with T.no_grad():
+        out = model_module._fuse(w, b, streams)
+    assert out.parents == () and not out.requires_grad
+
+
+def test_fused_fuse_backward_keeps_only_leaf_gradients():
+    rng = np.random.default_rng(63)
+    w, b, streams = _fuse_inputs(rng, "transform", 3)
+    h = streams[0]
+    for _ in range(4):
+        h = model_module._fuse(w, b, [h, *streams[1:]])
+    loss = T.sum_(h)
+    tracemalloc.start()
+    try:
+        T.backward(loss)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= sum(t.grad.nbytes for t in (w, b, *streams)) + 4096
+
+
+def test_fused_fuse_rejects_streams_that_do_not_fit():
+    w, b, streams = _fuse_inputs(np.random.default_rng(64), "transform", 1)
+    with pytest.raises(ShapeError, match="do not fit"):
+        model_module._fuse(w, b, streams[:2])
+    with pytest.raises(ShapeError, match="do not fit"):
+        model_module._fuse(w, b, [streams[0], Tensor(np.ones((5, 3))), streams[2]])
+
+
+def test_toy_loss_graph_nodes_per_sample():
+    # one graph node per fused GRU cell, context fusion and attention call;
+    # the composed forms built 17.6 nodes per sample here
+    cfg = load_config(TOY_CFG)
+    rng = np.random.default_rng(65)
+    model = Forecaster.new(cfg, ring_graph(8), rng.normal(size=(8, 64)))
+    batch = cfg.batch_size
+    xs = rng.normal(size=(batch, cfg.history, 8, cfg.channels))
+    pred = forward_batch(cfg, model.params, model.ginputs, model.node_emb, xs, range(batch))
+    loss = T.scale(l1_loss(pred, Tensor(np.zeros(pred.shape))), 1.0 / batch)
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(parent for parent, _ in node.parents)
+    assert len(seen) / batch <= 10.3
+
 
 def test_encoder_shapes_and_determinism(tiny_model):
     m = tiny_model

@@ -353,6 +353,28 @@ def test_no_grad_skips_graph():
     assert out.parents == () and not out.requires_grad
 
 
+def test_fused_node_runs_its_vjp_once_per_backward_for_tracked_inputs():
+    # out = a * b + c as one node; b is a constant, and a is passed twice
+    a, c = T.param(np.array([2.0, 3.0])), T.param(np.array([1.0, 1.0]))
+    b = Tensor(np.array([5.0, 7.0]))
+    calls = []
+
+    def vjp(g, need):
+        calls.append(need)
+        return [g * b.data, g * a.data if need[1] else None, g, g * b.data]
+
+    out = T._fused(a.data * b.data + c.data, (a, b, c, a), vjp)
+    assert [p is a for p, _ in out.parents] == [True, False, True]
+    loss = T.sum_(out)
+    backward(loss)
+    backward(loss)
+    assert calls == [(True, False, True, True)] * 2
+    assert a.grad.tolist() == [20.0, 28.0] and c.grad.tolist() == [2.0, 2.0]
+    with T.no_grad():
+        assert T._fused(a.data, (a,), vjp).parents == ()
+    assert T._fused(b.data, (b,), vjp).parents == ()
+
+
 def test_deep_graph_does_not_recurse():
     x = T.param(np.array([1.0]))
     y = x
@@ -497,6 +519,16 @@ def test_checkpoint_duplicate_entry_names_it(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob.replace(b"\x01\x00b", b"\x01\x00a"))  # rename entry b to a
     with pytest.raises(CheckpointError, match=r"dup\.ckpt: duplicate entry 'a'$"):
+        load_arrays(path)
+
+
+def test_checkpoint_entry_name_that_is_not_utf8_names_its_offset(tmp_path):
+    path = tmp_path / "name.ckpt"
+    save_arrays(path, {"a": np.zeros(3)})
+    blob = path.read_bytes()
+    # magic (8) + count (4) + name length (2): the one-byte name is at byte 14
+    path.write_bytes(blob.replace(b"\x01\x00a", b"\x01\x00\xff"))
+    with pytest.raises(CheckpointError, match=r"name\.ckpt: entry name at byte 14 is not UTF-8$"):
         load_arrays(path)
 
 
