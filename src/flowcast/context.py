@@ -8,7 +8,6 @@ Dynamic temporal: a stacked GRU over the feature sequence.
 
 from __future__ import annotations
 
-import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, fields
@@ -17,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .data import _check_finite_cells
 from .graph import RoadGraph
 from .tensor import ShapeError, Tensor
 
@@ -260,22 +260,18 @@ def load_embeddings(path, n_nodes: int, dim: int = EMBED_DIM) -> np.ndarray:
                         f"{path}:{lineno}: expected {dim} columns, found {len(values)}"
                     )
                 try:
-                    row = [float(v) for v in values]
+                    rows.append([float(v) for v in values])
                 except ValueError as err:
                     raise EmbeddingFormatError(f"{path}:{lineno}: {err}") from None
-                bad = [v for v, x in zip(values, row) if not math.isfinite(x)]
-                if bad:
-                    raise EmbeddingFormatError(
-                        f"{path}:{lineno}: non-finite value {bad[0]!r}"
-                    )
-                rows.append(row)
     except UnicodeDecodeError as err:
         raise EmbeddingFormatError(f"{path}: not UTF-8 text: {err}") from None
+    emb = np.asarray(rows, dtype=np.float64)
+    _check_finite_cells(path, emb, None, EmbeddingFormatError)
     if len(rows) != n_nodes:
         raise EmbeddingFormatError(
             f"{path}: expected {n_nodes} rows, found {len(rows)}"
         )
-    return np.asarray(rows, dtype=np.float64)
+    return emb
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -87,42 +87,80 @@ class SampleWindow:
 # ---------------------------------------------------------------------------
 # File formats
 
-def load_meta(path) -> DatasetMeta:
-    """Parse a `key = value` meta file (n_nodes, channels, window_minutes,
-    start_time)."""
-    path = Path(path)
-    values: dict[str, str] = {}
+def _key_value_lines(path, error):
+    """Yield ``(lineno, key, value)`` for each ``key = value`` line of a
+    text file, skipping blank and ``#`` lines. Text that is not UTF-8
+    raises ``error`` naming ``path``, a line without ``=`` one naming
+    ``path:line``."""
     try:
-        text = path.read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
-        raise DataFormatError(f"{path}: not UTF-8 text") from None
+        raise error(f"{path}: not UTF-8 text") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise DataFormatError(f"{path}:{lineno}: expected 'key = value'")
+            raise error(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        yield lineno, key.strip(), value.strip()
+
+
+def _check_finite_cells(path, table: np.ndarray, sep, error) -> None:
+    """Raise ``error`` naming ``path:line`` and the text of the first
+    non-finite cell of ``table``, whose rows were parsed from the non-blank
+    lines of ``path`` split on ``sep``. The file is read again only then."""
+    bad = ~np.isfinite(table)
+    if not bad.any():
+        return
+    row, col = np.unravel_index(np.argmax(bad), bad.shape)
+    with open(path, encoding="utf-8") as fh:
+        lines = [(lineno, raw) for lineno, raw in enumerate(fh, start=1) if raw.strip()]
+    lineno, raw = lines[row]
+    raise error(f"{path}:{lineno}: non-finite value {raw.strip().split(sep)[col].strip()!r}")
+
+
+def _meta_value(key: str, value: str):
+    """A meta field from its text; a ValueError says what it must be."""
+    if key == "start_time":
+        try:
+            dt.date.fromisoformat(value)
+        except ValueError:
+            raise ValueError("start_time must be an ISO date (YYYY-MM-DD)") from None
+        return value
     try:
-        return DatasetMeta(
-            n_nodes=int(values["n_nodes"]),
-            channels=int(values.get("channels", "1")),
-            window_minutes=int(values.get("window_minutes", "5")),
-            start_time=values.get("start_time", "2012-05-01"),
-        )
-    except KeyError as err:
-        raise DataFormatError(f"{path}: missing required key {err}") from None
-    except ValueError as err:
-        raise DataFormatError(f"{path}: {err}") from None
+        if int(value) >= 1:
+            return int(value)
+    except ValueError:
+        pass
+    raise ValueError(f"{key} must be a positive integer")
+
+
+def load_meta(path) -> DatasetMeta:
+    """Parse a `key = value` meta file (n_nodes, channels, window_minutes,
+    start_time). An unknown key, a count below 1 or a start time that is
+    not an ISO date raises :class:`DataFormatError` naming ``path:line``."""
+    path = Path(path)
+    known = {f.name for f in fields(DatasetMeta)}
+    values: dict = {}
+    for lineno, key, value in _key_value_lines(path, DataFormatError):
+        if key not in known:
+            raise DataFormatError(f"{path}:{lineno}: unknown meta key '{key}'")
+        try:
+            values[key] = _meta_value(key, value)
+        except ValueError as err:
+            raise DataFormatError(f"{path}:{lineno}: {err}, got {value!r}") from None
+    if "n_nodes" not in values:
+        raise DataFormatError(f"{path}: missing required key 'n_nodes'")
+    return DatasetMeta(**values)
 
 
 def load_readings(path, n_nodes: int, channels: int = 1) -> np.ndarray:
     """Parse a headerless readings file: one time step per line,
     ``n_nodes * channels`` comma-separated values (channel blocks).
 
-    A malformed line raises :class:`DataFormatError` naming ``path:line``,
-    and text that is not UTF-8 one naming ``path``."""
+    A malformed line or a non-finite value raises :class:`DataFormatError`
+    naming ``path:line``, and text that is not UTF-8 one naming ``path``."""
     path = Path(path)
     expected = n_nodes * channels
     rows = []
@@ -148,6 +186,7 @@ def load_readings(path, n_nodes: int, channels: int = 1) -> np.ndarray:
     if not rows:
         raise DataFormatError(f"{path}: empty readings file")
     flat = np.asarray(rows, dtype=np.float64)
+    _check_finite_cells(path, flat, ",", DataFormatError)
     # channel blocks: first n_nodes columns are channel 0, and so on
     return flat.reshape(-1, channels, n_nodes).transpose(0, 2, 1)
 

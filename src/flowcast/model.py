@@ -40,6 +40,7 @@ from .context import GruLayerParams, gru_cell, gru_sequence, temporal_encoding
 from .data import (
     Dataset,
     SampleWindow,
+    _key_value_lines,
     assign_windows,
     make_windows,
     metrics,
@@ -186,18 +187,7 @@ def load_config(path, overrides: dict | None = None) -> ModelConfig:
     """Parse a flat `key = value` config file; ``overrides`` win over it."""
     known = {f.name: f for f in fields(ModelConfig)}
     values: dict = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise ConfigError(f"{path}: not UTF-8 text") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
+    for lineno, key, value in _key_value_lines(path, ConfigError):
         if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown config key '{key}'")
         try:
@@ -431,7 +421,6 @@ def _per_step(time_proj: Tensor) -> Tensor:
 
 
 def context_block(
-    cfg: ModelConfig,
     block: BlockParams,
     xh: Tensor,
     emb_proj: Tensor,
@@ -486,7 +475,7 @@ def encoder_forward(
 ) -> tuple[Tensor, list[Tensor]]:
     """Context block, then self attention with a residual connection."""
     h0 = [Tensor(np.zeros(xh.shape[:-3] + xh.shape[-2:])) for _ in range(cfg.gru_layers)]
-    ctx, finals = context_block(cfg, params.encoder, xh, emb_proj, time_hist, ginputs, h0)
+    ctx, finals = context_block(params.encoder, xh, emb_proj, time_hist, ginputs, h0)
     enc = T.add(ctx, _attend("encoder", ctx, None, params.encoder.attn))
     return enc, finals
 
@@ -529,7 +518,6 @@ def transform_layer(
 
 
 def decoder_forward(
-    cfg: ModelConfig,
     params: ModelParams,
     xh: Tensor,
     enc_finals: list[Tensor],
@@ -539,9 +527,7 @@ def decoder_forward(
 ) -> Tensor:
     """Mirror of the encoder over the horizon span; GRU starts from the
     encoder's final hidden state. Returns (..., horizon, N, F) features."""
-    ctx, _ = context_block(
-        cfg, params.decoder, xh, emb_proj, time_fut, ginputs, list(enc_finals)
-    )
+    ctx, _ = context_block(params.decoder, xh, emb_proj, time_fut, ginputs, list(enc_finals))
     return T.add(ctx, _attend("decoder", ctx, None, params.decoder.attn))
 
 
@@ -581,9 +567,7 @@ def forward_batch(
         cfg, params, enc, enc_finals, xh[:, cfg.history - 1],
         emb_proj, time_hist, time_fut,
     )
-    dec_feats = decoder_forward(
-        cfg, params, dec_in, enc_finals, emb_proj, time_fut, ginputs
-    )
+    dec_feats = decoder_forward(params, dec_in, enc_finals, emb_proj, time_fut, ginputs)
     return output_projection(params, dec_feats)
 
 

@@ -31,15 +31,7 @@ __all__ = [
     "matmul",
     "transpose",
     "add",
-    "sub",
-    "mul",
-    "div",
     "scale",
-    "sigmoid",
-    "tanh",
-    "exp",
-    "absolute",
-    "sum_",
     "concat",
     "reshape",
     "softmax",
@@ -96,34 +88,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Operator sugar; scalars are promoted to constant tensors.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def __getitem__(self, idx):
         # A slice's gradient is added at ``idx`` with ``+=``, which counts a
         # repeated entry of an index array once, so only basic indices pass.
@@ -138,10 +102,6 @@ class Tensor:
 def param(data) -> Tensor:
     """Learnable tensor: participates in gradient computation."""
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _make(data: np.ndarray, parents) -> Tensor:
@@ -247,28 +207,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     ))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _make(_broadcast("sub", np.subtract, a, b), (
-        (a, lambda g, s=a.shape: _unbroadcast(g, s)),
-        (b, lambda g, s=b.shape: -_unbroadcast(g, s)),
-    ))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _make(_broadcast("mul", np.multiply, a, b), (
-        (a, lambda g, bd=b.data, s=a.shape: _unbroadcast(g * bd, s)),
-        (b, lambda g, ad=a.data, s=b.shape: _unbroadcast(g * ad, s)),
-    ))
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    return _make(_broadcast("div", np.divide, a, b), (
-        (a, lambda g, bd=b.data, s=a.shape: _unbroadcast(g / bd, s)),
-        (b, lambda g, ad=a.data, bd=b.data, s=b.shape:
-            _unbroadcast(-g * ad / (bd * bd), s)),
-    ))
-
-
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
     return _make(a.data * s, ((a, lambda g: g * s),))
@@ -283,40 +221,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    out = _sigmoid(a.data)
-    return _make(out, ((a, lambda g, o=out: g * o * (1.0 - o)),))
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-    return _make(out, ((a, lambda g, o=out: g * (1.0 - o * o)),))
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return _make(out, ((a, lambda g, o=out: g * o),))
-
-
-def absolute(a: Tensor) -> Tensor:
-    """|x| with subgradient 0 at x == 0 (np.sign's convention)."""
-    return _make(np.abs(a.data), ((a, lambda g, s=np.sign(a.data): g * s),))
-
-
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def grad_fn(g, shape=a.shape, axis=axis, keepdims=keepdims):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, shape).copy()
-
-    return _make(np.asarray(out), ((a, grad_fn),))
-
-
 def concat(tensors, axis: int = 0) -> Tensor:
     """Concatenate along ``axis``; all other dimensions must agree."""
-    tensors = [_as_tensor(t) for t in tensors]
     try:
         out = np.concatenate([t.data for t in tensors], axis=axis)
     except ValueError:
@@ -447,7 +353,15 @@ def backward(loss: Tensor) -> None:
 # Objective
 
 def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Sum of absolute errors over all entries (a sum, not a mean)."""
+    """Sum of absolute errors over all entries (a sum, not a mean), as one
+    node. An entry where pred equals target gets subgradient 0 (np.sign's
+    convention)."""
     if pred.shape != target.shape:
         raise ShapeError(f"l1_loss: shapes differ, {pred.shape} vs {target.shape}")
-    return sum_(absolute(sub(pred, target)))
+    diff = pred.data - target.data
+
+    def vjp(g, need):
+        grad = g * np.sign(diff)
+        return grad, -grad if need[1] else None
+
+    return _fused(np.abs(diff).sum(), (pred, target), vjp)

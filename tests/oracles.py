@@ -20,6 +20,8 @@ from flowcast.context import GruLayerParams
 from flowcast.graph import RoadGraph, degree_normalize
 from flowcast.tensor import ShapeError, Tensor
 
+import ops
+
 
 def similarity_attention(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, sim=None
@@ -212,10 +214,14 @@ def gru_cell(x_t: Tensor, h_prev: Tensor, layer: GruLayerParams) -> Tensor:
     """One recurrence step on (..., N, F): H = U * H_prev + (1 - U) * tanh-candidate."""
     if x_t.shape != h_prev.shape:
         raise ShapeError(f"gru_cell: input {x_t.shape} vs hidden {h_prev.shape}")
-    r = T.sigmoid(x_t @ layer.w_xr + h_prev @ layer.w_hr + layer.b_r)
-    u = T.sigmoid(x_t @ layer.w_xu + h_prev @ layer.w_hu + layer.b_u)
-    h_cand = T.tanh(x_t @ layer.w_xh + (r * h_prev) @ layer.w_hh + layer.b_h)
-    return u * h_prev + (1.0 - u) * h_cand
+    r = ops.sigmoid(T.add(T.add(T.matmul(x_t, layer.w_xr), T.matmul(h_prev, layer.w_hr)),
+                          layer.b_r))
+    u = ops.sigmoid(T.add(T.add(T.matmul(x_t, layer.w_xu), T.matmul(h_prev, layer.w_hu)),
+                          layer.b_u))
+    h_cand = ops.tanh(T.add(
+        T.add(T.matmul(x_t, layer.w_xh), T.matmul(ops.mul(r, h_prev), layer.w_hh)), layer.b_h
+    ))
+    return T.add(ops.mul(u, h_prev), ops.mul(ops.sub(Tensor(1.0), u), h_cand))
 
 
 def fuse(w: Tensor, b: Tensor, streams: list[Tensor]) -> Tensor:
@@ -244,10 +250,10 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     while exp stays in range. A per-row key shift would not cancel.
     """
     _check_qkv(q, k, v)
-    phi_q = T.exp(T.sub(q, Tensor(q.data.max(axis=-1, keepdims=True))))
-    phi_k = T.exp(T.sub(k, Tensor(k.data.max(axis=(-2, -1), keepdims=True))))
+    phi_q = ops.exp(ops.sub(q, Tensor(q.data.max(axis=-1, keepdims=True))))
+    phi_k = ops.exp(ops.sub(k, Tensor(k.data.max(axis=(-2, -1), keepdims=True))))
     summary = T.matmul(T.transpose(phi_k), v)  # (..., d, d_v)
-    normalizer = T.sum_(phi_k, axis=-2)  # (..., d)
+    normalizer = ops.sum_(phi_k, axis=-2)  # (..., d)
     num = T.matmul(phi_q, summary)  # (..., M, d_v)
     den = T.matmul(phi_q, T.reshape(normalizer, normalizer.shape + (1,)))
     bad = ~(den.data >= 1e-30)  # catches underflow and NaN alike
@@ -257,7 +263,7 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         raise DegenerateAttentionError(
             f"attention normalizer degenerate at {where}query row {row}"
         )
-    return T.div(num, den)
+    return ops.div(num, den)
 
 
 def multi_head_attention(

@@ -18,6 +18,7 @@ from flowcast.attention import (
 from flowcast.tensor import ShapeError, Tensor
 
 import oracles
+import ops
 from gradcheck import grad_close, numeric_grad
 from oracles import similarity_attention
 
@@ -215,7 +216,7 @@ def test_linear_attention_gradients():
     v = T.param(rng.uniform(-1, 1, (5, 3)))
     c = Tensor(rng.normal(size=(5, 3)))
 
-    T.backward(T.sum_(T.mul(linear_attention(q, k, v), c)))
+    T.backward(ops.sum_(ops.mul(linear_attention(q, k, v), c)))
 
     def forward():
         return (linear_attention(q, k, v).data * c.data).sum()
@@ -295,7 +296,7 @@ def test_mha_gradients():
     x = T.param(rng.uniform(-1, 1, (4, 4)))
     c = Tensor(rng.normal(size=(4, 4)))
 
-    T.backward(T.sum_(T.mul(multi_head_attention(x, None, params), c)))
+    T.backward(ops.sum_(ops.mul(multi_head_attention(x, None, params), c)))
 
     def forward():
         return (multi_head_attention(x, None, params).data * c.data).sum()
@@ -313,7 +314,7 @@ def _out_and_grads(fn, inputs, c):
     for t in inputs:
         t.grad = None
     out = fn()
-    T.backward(T.sum_(T.mul(out, c)))
+    T.backward(ops.sum_(ops.mul(out, c)))
     return out.data, [t.grad for t in inputs]
 
 
@@ -369,7 +370,7 @@ def test_fused_mha_second_backward_doubles_gradients():
     x, kv, params, inputs = _mha_case(rng, True, 2)
     params.w_k[1] = Tensor(params.w_k[1].data)  # untracked, so backward skips its share
     tracked = [x, kv, *(t for t in params.named("attn").values() if t.requires_grad)]
-    loss = T.sum_(multi_head_attention(multi_head_attention(x, kv, params), None, params))
+    loss = ops.sum_(multi_head_attention(multi_head_attention(x, kv, params), None, params))
     T.backward(loss)
     first = [t.grad.copy() for t in tracked]
     T.backward(loss)
@@ -391,7 +392,7 @@ def test_fused_mha_backward_keeps_only_leaf_gradients():
     h = x
     for _ in range(4):
         h = multi_head_attention(h, kv, params)
-    loss = T.sum_(h)
+    loss = ops.sum_(h)
     tracemalloc.start()
     try:
         T.backward(loss)

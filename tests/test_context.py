@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import ops
 
 from flowcast import tensor as T
 from flowcast.context import (
@@ -375,7 +376,7 @@ def test_gru_cell_gradients():
     h = T.param(rng.normal(size=(2, f)))
     c = Tensor(rng.normal(size=(2, f)))
 
-    T.backward(T.sum_(T.mul(gru_cell(x, h, layer), c)))
+    T.backward(ops.sum_(ops.mul(gru_cell(x, h, layer), c)))
 
     def forward():
         return (gru_cell(x, h, layer).data * c.data).sum()
@@ -390,7 +391,7 @@ def _cell_grads(cell, x, h, layer, c):
     for t in inputs:
         t.grad = None
     out = cell(x, h, layer)
-    T.backward(T.sum_(T.mul(out, c)))
+    T.backward(ops.sum_(ops.mul(out, c)))
     return out.data, [t.grad for t in inputs]
 
 
@@ -426,7 +427,7 @@ def test_gru_cell_second_backward_doubles_gradients():
     layer = _gru_layer(rng, 3)
     x = T.param(rng.normal(size=(2, 3)))
     h = Tensor(rng.normal(size=(2, 3)))  # untracked, so backward skips its share
-    loss = T.sum_(gru_cell(gru_cell(x, h, layer), h, layer))
+    loss = ops.sum_(gru_cell(gru_cell(x, h, layer), h, layer))
     T.backward(loss)
     first = [t.grad.copy() for t in (x, *layer.named("gru").values())]
     T.backward(loss)
@@ -441,7 +442,7 @@ def test_gru_cell_backward_frees_its_pre_activation_grads():
     h = x = T.param(rng.normal(size=(64, f)))
     for _ in range(5):
         h = gru_cell(x, h, layer)
-    loss = T.sum_(h)
+    loss = ops.sum_(h)
     leaves = [x, *layer.named("gru").values()]
     tracemalloc.start()
     try:

@@ -128,6 +128,14 @@ def test_load_readings_fuzz_raises_only_data_format_errors(tmp_path, content):
         assert readings.shape[1:] == (2, 1) and readings.dtype == np.float64
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+def test_load_readings_rejects_non_finite_cells_naming_the_line(tmp_path, cell):
+    path = tmp_path / "readings.csv"
+    path.write_text(f"1,2\n\n3, {cell}\n5,6\n")
+    with pytest.raises(DataFormatError, match=rf"readings\.csv:3: non-finite value '{cell}'$"):
+        load_readings(path, 2, 1)
+
+
 def test_meta_round_trip(tmp_path):
     path = tmp_path / "meta"
     path.write_text(
@@ -142,6 +150,59 @@ def test_meta_missing_key(tmp_path):
     path.write_text("channels = 1\n")
     with pytest.raises(DataFormatError, match="n_nodes"):
         load_meta(path)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("chanel = 2", r"meta:3: unknown meta key 'chanel'$"),
+        ("n_nodes = 0", r"meta:3: n_nodes must be a positive integer, got '0'$"),
+        ("channels = -1", r"meta:3: channels must be a positive integer, got '-1'$"),
+        ("window_minutes = 0", r"meta:3: window_minutes must be a positive integer, got '0'$"),
+        ("window_minutes = 2.5", r"meta:3: window_minutes must be a positive integer, got '2.5'$"),
+        ("start_time = someday", r"meta:3: start_time must be an ISO date .*, got 'someday'$"),
+    ],
+    ids=["unknown_key", "zero_nodes", "negative_channels", "zero_window", "float_window",
+         "start_time"],
+)
+def test_meta_rejects_bad_keys_and_values_naming_the_line(tmp_path, line, message):
+    path = tmp_path / "meta"
+    path.write_text(f"n_nodes = 4\n\n{line}\n")
+    with pytest.raises(DataFormatError, match=message):
+        load_meta(path)
+
+
+_META_LINES = st.tuples(
+    st.sampled_from(["n_nodes", "channels", "window_minutes", "start_time", "chanel", ""]),
+    st.sampled_from([" = ", "=", " "]),
+    st.one_of(
+        st.sampled_from(["0", "1", "-1", "2.5", "288", "2012-05-01", "someday", "", "1e400"]),
+        st.integers(-3, 300).map(str),
+        st.text(max_size=5),
+    ),
+).map("".join)
+
+
+@given(content=st.one_of(
+    st.text(),
+    st.binary(),
+    st.lists(_META_LINES, max_size=5).map("\n".join),
+))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_meta_fuzz_raises_only_data_format_errors(tmp_path, content):
+    path = tmp_path / "meta"
+    if isinstance(content, str):
+        path.write_text(content, encoding="utf-8")
+    else:
+        path.write_bytes(content)
+    try:
+        meta = load_meta(path)
+    except DataFormatError as err:
+        assert str(path) in str(err)
+    else:
+        assert min(meta.n_nodes, meta.channels, meta.window_minutes) >= 1
+        assert 0 <= meta.start_weekday <= 6
 
 
 def test_load_dataset_checks_node_count(tmp_path):

@@ -1,7 +1,9 @@
 """Tensor engine: op semantics, gradient correctness, Adam, checkpointing."""
 
+import ast
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from flowcast.checkpoint import CheckpointError, load_arrays, save_arrays
 from flowcast.optim import AdamState, GradientError, adam_step, lr_at_epoch, zero_grads
 from flowcast.tensor import ShapeError, Tensor, backward, l1_loss
 
+import ops
 from gradcheck import grad_close, numeric_grad
 
 
@@ -47,7 +50,7 @@ def test_matmul_gradient_matches_finite_differences():
         c = Tensor(rng.uniform(-1, 1, np.broadcast_shapes(left[:-2], right[:-2])
                                + (left[-2], right[-1])))
 
-        backward(T.sum_(T.mul(T.matmul(a, b), c)))
+        backward(ops.sum_(ops.mul(T.matmul(a, b), c)))
 
         def forward():
             return (T.matmul(a, b).data * c.data).sum()
@@ -63,7 +66,7 @@ def test_transpose_swaps_last_two_axes():
     c = Tensor(rng.uniform(-1, 1, (2, 4, 3)))
     out = T.transpose(x)
     assert np.array_equal(out.data, x.data.transpose(0, 2, 1))
-    backward(T.sum_(T.mul(out, c)))
+    backward(ops.sum_(ops.mul(out, c)))
     numeric = numeric_grad(lambda: (T.transpose(x).data * c.data).sum(), x.data)
     assert grad_close(x.grad, numeric, rtol=1e-6)
     with pytest.raises(ShapeError, match=r"\(3,\)"):
@@ -72,7 +75,7 @@ def test_transpose_swaps_last_two_axes():
 
 @pytest.mark.parametrize(
     "op",
-    [T.sigmoid, T.tanh, T.exp, T.absolute],
+    [ops.sigmoid, ops.tanh, ops.exp, ops.absolute],
     ids=["sigmoid", "tanh", "exp", "abs"],
 )
 def test_unary_gradients(op):
@@ -81,7 +84,7 @@ def test_unary_gradients(op):
     x = T.param(rng.uniform(0.2, 1.0, (4, 3)) * rng.choice([-1.0, 1.0], (4, 3)))
     weights = Tensor(rng.uniform(-1, 1, (4, 3)))
 
-    loss = T.sum_(T.mul(op(x), weights))
+    loss = ops.sum_(ops.mul(op(x), weights))
     backward(loss)
     numeric = numeric_grad(lambda: (op(x).data * weights.data).sum(), x.data)
     assert grad_close(x.grad, numeric, rtol=1e-6)
@@ -93,7 +96,7 @@ def test_binary_broadcast_gradients():
     bias = T.param(rng.uniform(-1, 1, (4,)))
     c = Tensor(rng.uniform(-1, 1, (5, 4)))
 
-    loss = T.sum_(T.mul(T.add(x, bias), c))
+    loss = ops.sum_(ops.mul(T.add(x, bias), c))
     backward(loss)
     num_x = numeric_grad(lambda: ((x.data + bias.data) * c.data).sum(), x.data)
     num_b = numeric_grad(lambda: ((x.data + bias.data) * c.data).sum(), bias.data)
@@ -105,7 +108,7 @@ def test_div_gradient():
     rng = np.random.default_rng(17)
     a = T.param(rng.uniform(0.5, 1.5, (3, 3)))
     b = T.param(rng.uniform(0.5, 1.5, (3, 1)))
-    loss = T.sum_(T.div(a, b))
+    loss = ops.sum_(ops.div(a, b))
     backward(loss)
     num_a = numeric_grad(lambda: (a.data / b.data).sum(), a.data)
     num_b = numeric_grad(lambda: (a.data / b.data).sum(), b.data)
@@ -114,7 +117,7 @@ def test_div_gradient():
 
 
 def test_sigmoid_at_zero():
-    assert T.sigmoid(Tensor([0.0])).data[0] == 0.5
+    assert ops.sigmoid(Tensor([0.0])).data[0] == 0.5
 
 
 def _masked_sigmoid(x):
@@ -132,7 +135,7 @@ def test_sigmoid_extremes_without_warnings():
     x = np.concatenate([special, np.linspace(-800.0, 800.0, 20_001)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = T.sigmoid(Tensor(x)).data
+        out = ops.sigmoid(Tensor(x)).data
     assert np.isnan(out[7])
     assert out[0] == 0.0 and out[3] == 0.5 and out[6] == 1.0
     rest = np.delete(out, 7)
@@ -152,7 +155,7 @@ def test_concat_shape_mismatch():
         T.concat([Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2, 1)))], axis=0)
 
 
-@pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div])
+@pytest.mark.parametrize("op", [T.add, ops.sub, ops.mul, ops.div])
 def test_elementwise_shape_error_names_op_and_both_shapes(op):
     with pytest.raises(ShapeError, match=rf"{op.__name__}: .*\(2, 3\).*\(4,\)"):
         op(Tensor(np.ones((2, 3))), Tensor(np.ones(4)))
@@ -162,7 +165,7 @@ def test_concat_gradient_splits():
     a = T.param(np.ones((2, 2)))
     b = T.param(np.ones((2, 3)))
     c = Tensor(np.arange(10.0).reshape(2, 5))
-    backward(T.sum_(T.mul(T.concat([a, b], axis=1), c)))
+    backward(ops.sum_(ops.mul(T.concat([a, b], axis=1), c)))
     assert np.array_equal(a.grad, c.data[:, :2])
     assert np.array_equal(b.grad, c.data[:, 2:])
 
@@ -176,8 +179,8 @@ def test_backward_sets_grad_on_leaves_only():
     rng = np.random.default_rng(3)
     w = T.param(rng.normal(size=(3, 2)))
     b = T.param(rng.normal(size=2))
-    hidden = T.tanh(T.matmul(Tensor(rng.normal(size=(4, 3))), w))
-    loss = T.sum_(T.add(hidden, b))
+    hidden = ops.tanh(T.matmul(Tensor(rng.normal(size=(4, 3))), w))
+    loss = ops.sum_(T.add(hidden, b))
     backward(loss)
     assert w.grad is not None and b.grad is not None
     assert hidden.grad is None and loss.grad is None
@@ -185,7 +188,7 @@ def test_backward_sets_grad_on_leaves_only():
 
 def test_slice_gradient_scatters():
     x = T.param(np.arange(12.0).reshape(3, 4))
-    backward(T.sum_(x[1]))
+    backward(ops.sum_(x[1]))
     expected = np.zeros((3, 4))
     expected[1] = 1.0
     assert np.array_equal(x.grad, expected)
@@ -193,7 +196,7 @@ def test_slice_gradient_scatters():
 
 def test_overlapping_slices_accumulate():
     x = T.param(np.arange(12.0).reshape(3, 4))
-    backward(T.add(T.sum_(x[0:2]), T.sum_(x[1:3])))
+    backward(T.add(ops.sum_(x[0:2]), ops.sum_(x[1:3])))
     assert np.array_equal(x.grad, np.array([[1.0] * 4, [2.0] * 4, [1.0] * 4]))
 
 
@@ -212,7 +215,7 @@ def test_advanced_index_is_rejected(idx):
 
 def test_basic_indices_still_accumulate():
     x = T.param(np.arange(24.0).reshape(2, 3, 4))
-    backward(T.add(T.add(T.sum_(x[0]), T.sum_(x[..., 1:3])), T.sum_(x[:, 2, None, ::2])))
+    backward(T.add(T.add(ops.sum_(x[0]), ops.sum_(x[..., 1:3])), ops.sum_(x[:, 2, None, ::2])))
     expected = np.zeros((2, 3, 4))
     expected[0] += 1
     expected[..., 1:3] += 1
@@ -226,10 +229,10 @@ def test_per_step_slices_match_one_dense_product():
     xd = rng.normal(size=(1, 12, 5, 3))
     w = rng.normal(size=(1, 12, 5, 3))
     x = T.param(xd)
-    backward(T.sum_(T.concat(
-        [T.mul(x[:, t], Tensor(w[:, t])) for t in range(12)], axis=0)))
+    backward(ops.sum_(T.concat(
+        [ops.mul(x[:, t], Tensor(w[:, t])) for t in range(12)], axis=0)))
     dense = T.param(xd)
-    backward(T.sum_(T.mul(dense, Tensor(w))))
+    backward(ops.sum_(ops.mul(dense, Tensor(w))))
     assert np.array_equal(x.grad, dense.grad)
     assert np.array_equal(x.grad, w)
 
@@ -245,8 +248,8 @@ def test_in_place_accumulation_leaves_shared_gradients_alone(dense, shared_first
     q = T.param(rng.normal(size=(3, 4)))
     c = Tensor(rng.normal(size=(3, 4)))
     d = Tensor(rng.normal(size=(3, 4) if dense else 4))
-    shared = T.sum_(T.mul(T.add(p, q), c))
-    other = T.sum_(T.mul(p if dense else p[1], d))
+    shared = ops.sum_(ops.mul(T.add(p, q), c))
+    other = ops.sum_(ops.mul(p if dense else p[1], d))
     backward(T.add(shared, other) if shared_first else T.add(other, shared))
     assert np.array_equal(q.grad, c.data)
     expected = c.data.copy()
@@ -289,7 +292,7 @@ def test_softmax_gradient():
     rng = np.random.default_rng(23)
     x = T.param(rng.uniform(-1, 1, (3, 4)))
     c = Tensor(rng.uniform(-1, 1, (3, 4)))
-    backward(T.sum_(T.mul(T.softmax(x, axis=1), c)))
+    backward(ops.sum_(ops.mul(T.softmax(x, axis=1), c)))
     numeric = numeric_grad(
         lambda: (T.softmax(x, axis=1).data * c.data).sum(), x.data
     )
@@ -298,25 +301,25 @@ def test_softmax_gradient():
 
 def test_backward_sum_gives_ones():
     w = T.param(np.array([[2.0, -1.0], [0.5, 3.0]]))
-    backward(T.sum_(w))
+    backward(ops.sum_(w))
     assert np.array_equal(w.grad, np.ones((2, 2)))
 
 
 def test_backward_square_gives_two_w():
     w = T.param(np.array([2.0, 3.0]))
-    backward(T.sum_(T.mul(w, w)))
+    backward(ops.sum_(ops.mul(w, w)))
     assert np.array_equal(w.grad, [4.0, 6.0])
 
 
 def test_backward_rejects_non_scalar():
     w = T.param(np.ones((2, 2)))
     with pytest.raises(ValueError, match="scalar"):
-        backward(T.mul(w, w))
+        backward(ops.mul(w, w))
 
 
 def test_backward_accumulates_across_calls():
     w = T.param(np.array([1.0, 2.0]))
-    loss = T.sum_(T.mul(w, w))
+    loss = ops.sum_(ops.mul(w, w))
     backward(loss)
     first = w.grad.copy()
     backward(loss)
@@ -326,7 +329,7 @@ def test_backward_accumulates_across_calls():
 def test_shared_subexpression_gradient():
     # y = (w * w) + w  =>  dy/dw = 2w + 1
     w = T.param(np.array([3.0]))
-    backward(T.sum_(T.add(T.mul(w, w), w)))
+    backward(ops.sum_(T.add(ops.mul(w, w), w)))
     assert np.allclose(w.grad, [7.0], atol=0)
 
 
@@ -337,9 +340,9 @@ def test_operations_do_not_mutate_inputs():
     a_before, b_before = a.data.copy(), b.data.copy()
     T.matmul(a, b)
     T.add(a, b)
-    T.mul(a, b)
+    ops.mul(a, b)
     T.softmax(a, axis=0)
-    T.tanh(a)
+    ops.tanh(a)
     T.reshape(a, (9,))
     T.concat([a, b], axis=0)
     assert np.array_equal(a.data, a_before)
@@ -349,7 +352,7 @@ def test_operations_do_not_mutate_inputs():
 def test_no_grad_skips_graph():
     w = T.param(np.ones(3))
     with T.no_grad():
-        out = T.mul(w, w)
+        out = ops.mul(w, w)
     assert out.parents == () and not out.requires_grad
 
 
@@ -365,7 +368,7 @@ def test_fused_node_runs_its_vjp_once_per_backward_for_tracked_inputs():
 
     out = T._fused(a.data * b.data + c.data, (a, b, c, a), vjp)
     assert [p is a for p, _ in out.parents] == [True, False, True]
-    loss = T.sum_(out)
+    loss = ops.sum_(out)
     backward(loss)
     backward(loss)
     assert calls == [(True, False, True, True)] * 2
@@ -375,12 +378,36 @@ def test_fused_node_runs_its_vjp_once_per_backward_for_tracked_inputs():
     assert T._fused(b.data, (b,), vjp).parents == ()
 
 
+def test_every_public_name_is_used_by_the_forecaster():
+    # flowcast.tensor carries only the ops some other module runs; the
+    # package's re-exports in __init__ do not count as a use
+    package = Path(T.__file__).parent
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name in ("__init__.py", "tensor.py"):
+            continue
+        tree = ast.parse(path.read_text())
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module == "tensor":
+                    used.update(alias.name for alias in node.names)
+                elif node.module is None:
+                    aliases.update(a.asname or a.name for a in node.names if a.name == "tensor")
+        used.update(
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        )
+    assert set(T.__all__) <= used, sorted(set(T.__all__) - used)
+
+
 def test_deep_graph_does_not_recurse():
     x = T.param(np.array([1.0]))
     y = x
     for _ in range(5000):
         y = T.add(y, x)
-    backward(T.sum_(y))
+    backward(ops.sum_(y))
     assert x.grad[0] == 5001.0
 
 
@@ -412,6 +439,24 @@ def test_l1_subgradient_zero_at_ties():
     p = T.param(np.array([1.0, 2.0]))
     backward(l1_loss(p, Tensor([1.0, 0.0])))
     assert p.grad.tolist() == [0.0, 1.0]
+
+
+def test_l1_loss_is_one_node_with_the_composed_bits():
+    rng = np.random.default_rng(47)
+    pred, target = rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 4, 2))
+    target[0, 1] = pred[0, 1]  # ties take subgradient 0 on both sides
+    p, t = T.param(pred), T.param(target)
+    cp, ct = T.param(pred), T.param(target)
+    loss = T.scale(l1_loss(p, t), 1.0 / 3)
+    composed = T.scale(ops.sum_(ops.absolute(ops.sub(cp, ct))), 1.0 / 3)
+    backward(loss)
+    backward(composed)
+    assert loss.data.tobytes() == composed.data.tobytes()
+    assert p.grad.tobytes() == cp.grad.tobytes()
+    assert t.grad.tobytes() == ct.grad.tobytes()
+    assert [q for q, _ in l1_loss(p, t).parents] == [p, t]
+    with T.no_grad():
+        assert l1_loss(p, t).parents == ()
 
 
 # ---------------------------------------------------------------------------
