@@ -152,7 +152,7 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """
     _check_qkv(q, k, v)
     out, saved = _head_forward(q.data, k.data, v.data)
-    return T._fused(out, (q, k, v), lambda g, need: _head_backward(g, saved))
+    return T._node(out, (q, k, v), lambda g, need: _head_backward(g, saved))
 
 
 def multi_head_attention(
@@ -223,4 +223,4 @@ def multi_head_attention(
                         grads[slot] += g_in
         return grads
 
-    return T._fused(out, inputs, vjp)
+    return T._node(out, inputs, vjp)

@@ -33,6 +33,7 @@ from .data import (
 from .graph import load_adjacency
 from .model import (
     CSV_HEADER as METRICS_HEADER,
+    ConfigError,
     TrainingDiverged,
     forecast,
     horizon_metrics,
@@ -78,7 +79,7 @@ def cmd_embed(args) -> int:
     )
     lengths = [len(w) for w in walks]
     embeddings = skipgram_train(
-        walks, dim=args.dim, window=args.window, negatives=args.negatives,
+        walks, window=args.window, negatives=args.negatives,
         epochs=args.epochs, seed=args.seed, n_nodes=graph.n_nodes,
     )
     save_embeddings(args.out, embeddings)
@@ -105,7 +106,18 @@ def _config_overrides(pairs: list[str]) -> dict:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, _config_overrides(args.set))
-    meta = load_meta(args.meta if args.meta else f"{args.data}.meta")
+    meta_path = args.meta if args.meta else f"{args.data}.meta"
+    meta = load_meta(meta_path)
+    # the time one-hots follow the config, so the data must share its calendar
+    try:
+        layout = (meta.slots_per_day, meta.start_weekday)
+    except ValueError as err:  # a window that does not tile a day
+        raise ConfigError(f"{meta_path}: {err}") from None
+    if layout != (cfg.slots_per_day, cfg.start_weekday):
+        raise ConfigError(
+            f"{meta_path}: {layout[0]} slots a day from weekday {layout[1]}, but the "
+            f"config has {cfg.slots_per_day} slots a day from weekday {cfg.start_weekday}"
+        )
     dataset, graph = load_dataset(args.data, args.graph, meta)
 
     if args.embeddings:
@@ -254,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=1.0)
     p.add_argument("--walks", type=int, default=10)
     p.add_argument("--length", type=int, default=80)
-    p.add_argument("--dim", type=int, default=64)
     p.add_argument("--window", type=int, default=10)
     p.add_argument("--negatives", type=int, default=5)
     p.add_argument("--epochs", type=int, default=5)

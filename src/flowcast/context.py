@@ -396,7 +396,7 @@ def gru_cell(x_t: Tensor, h_prev: Tensor, layer: GruLayerParams) -> Tensor:
         )
         return [share() if n else None for share, n in zip(shares, need)]
 
-    return T._fused(out, (x_t, h_prev) + params, vjp)
+    return T._node(out, (x_t, h_prev) + params, vjp)
 
 
 def gru_sequence(

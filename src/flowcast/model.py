@@ -24,6 +24,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -163,14 +164,22 @@ def _is_finite_real(value) -> bool:
         return False
 
 
+def _as_int(item) -> int:
+    """An integer from its text, or from a float64 that holds one exactly
+    (finite, integral and within 2**53, past which floats skip integers)."""
+    if not isinstance(item, str) and not (float(item).is_integer() and abs(item) <= 2**53):
+        raise ValueError(f"{float(item)!r} is not an integer")
+    return int(item)
+
+
 def _field_value(key: str, raw):
     """A config field's value from its text in a config file (a list field
     is comma-separated) or from its float64 array in a checkpoint."""
     items = [v for v in raw.split(",") if v.strip()] if isinstance(raw, str) else raw
     if key in _LIST_FIELDS:
-        return [int(v) for v in items]
+        return [_as_int(v) for v in items]
     (item,) = items  # a scalar field has exactly one item
-    return float(item) if key in _FLOAT_FIELDS else int(item)
+    return float(item) if key in _FLOAT_FIELDS else _as_int(item)
 
 
 def save_config(path, cfg: ModelConfig) -> None:
@@ -412,7 +421,7 @@ def _fuse(w: Tensor, b: Tensor, streams: list[Tensor]) -> Tensor:
             grads.append(T._unbroadcast(g_s @ block.T, s.shape) if need[i + 2] else None)
         return grads
 
-    return T._fused(out, (w, b, *streams), vjp)
+    return T._node(out, (w, b, *streams), vjp)
 
 
 def _per_step(time_proj: Tensor) -> Tensor:
@@ -835,9 +844,20 @@ def load_model(path, graph: RoadGraph | None = None) -> tuple[Forecaster, AdamSt
             raise CheckpointError(f"{path}: missing entry {key}")
         return arrays[key]
 
-    cfg = ModelConfig(**{
-        f.name: _field_value(f.name, entry(f"cfg.{f.name}")) for f in fields(ModelConfig)
-    })
+    def checked(key: str, parse=_as_int):
+        raw = entry(key)
+        try:
+            return parse(raw)
+        except (TypeError, ValueError) as err:
+            raise CheckpointError(f"{path}: bad {key} {raw.tolist()}: {err}") from None
+
+    try:
+        cfg = ModelConfig(**{
+            f.name: checked(f"cfg.{f.name}", partial(_field_value, f.name))
+            for f in fields(ModelConfig)
+        })
+    except ConfigError as err:
+        raise CheckpointError(f"{path}: bad cfg entries: {err}") from None
 
     if graph is None:
         graph = RoadGraph.from_adjacency(entry("graph.adjacency"))
@@ -856,7 +876,7 @@ def load_model(path, graph: RoadGraph | None = None) -> tuple[Forecaster, AdamSt
     state = None
     if "adam.step" in arrays:
         state = AdamState(
-            step=int(arrays["adam.step"]),
+            step=checked("adam.step"),
             beta1=float(entry("adam.beta1")),
             beta2=float(entry("adam.beta2")),
             eps=float(entry("adam.eps")),

@@ -11,9 +11,11 @@ owns, and a slice scatters its gradient into its parent's buffer instead
 of building a full-size array, so T slices of a (..., T, N, F) tensor
 cost O(T·N·F), not T full arrays (see :func:`backward`).
 
-A fixed formula of several inputs, such as the GRU cell, can be one node
-with a hand-written backward (see :func:`_fused`), so the graph keeps only
-what that backward reads instead of every intermediate array.
+Every op, plain or fused, records one node through :func:`_node` with a
+single vector-Jacobian product that maps the node's output gradient to one
+gradient per input. A fixed formula of several inputs, such as the GRU
+cell, is one node with a hand-written vjp, so the graph keeps only what
+that vjp reads instead of every intermediate array.
 """
 
 from __future__ import annotations
@@ -64,18 +66,20 @@ class Tensor:
 
     ``data`` is never mutated by operations; on leaves, ``grad`` is
     populated (and accumulated into) by :func:`backward`. ``parents`` holds
-    ``(input tensor, grad_fn)`` pairs, where ``grad_fn`` maps the output
-    gradient to that input's gradient contribution: an array of the
-    input's shape, or a :class:`_Scatter` for a slice.
+    ``(input tensor, i)`` pairs for the op's tracked inputs, and ``vjp``
+    maps the output gradient to a sequence whose entry ``i`` is input i's
+    gradient contribution: an array of its shape, or a :class:`_Scatter`
+    for a slice.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "parents")
+    __slots__ = ("data", "grad", "requires_grad", "parents", "vjp")
 
-    def __init__(self, data, requires_grad: bool = False, parents=()):
+    def __init__(self, data, requires_grad: bool = False, parents=(), vjp=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.parents = parents
+        self.vjp = vjp
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -104,52 +108,28 @@ def param(data) -> Tensor:
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
-def _make(data: np.ndarray, parents) -> Tensor:
-    """Wrap an op result, recording parents only when gradients can flow."""
-    if _grad_enabled:
-        tracked = tuple((p, fn) for p, fn in parents if p.requires_grad)
-        if tracked:
-            return Tensor(data, requires_grad=True, parents=tracked)
-    return Tensor(data)
-
-
 def _tracks(inputs) -> bool:
     """Whether an op on ``inputs`` builds a graph node."""
     return _grad_enabled and any(t.requires_grad for t in inputs)
 
 
-def _fused(data: np.ndarray, inputs, vjp) -> Tensor:
-    """One graph node for a fixed formula of several ``inputs``.
+def _node(data: np.ndarray, inputs, vjp) -> Tensor:
+    """Wrap an op result as one graph node over ``inputs``.
 
     ``vjp(g, need)`` maps the output gradient to one gradient per input;
-    ``need[i]`` says whether input i is tracked, and the entries of the
-    others are never read, so they may be None. :func:`backward` hands the
-    same ``g`` to every parent in turn: the first tracked input's call runs
-    ``vjp`` once, each input takes its own entry, and the last tracked one
-    drops the rest. Under :func:`no_grad`, or with no tracked input, the
-    node keeps nothing.
+    ``need[i]`` says whether input i is tracked. The entries of the others
+    are never read: a vjp leaves them None and skips work only they need.
+    :func:`backward` calls it once per pass. Under :func:`no_grad`, or with
+    no tracked input, the node keeps nothing.
     """
     if not _tracks(inputs):
         return Tensor(data)
     need = tuple(t.requires_grad for t in inputs)
-    last = max(i for i, n in enumerate(need) if n)
-    pending: list = []  # [g, vjp(g, need)] while the inputs take their shares
-
-    def share(i):
-        def fn(g):
-            if not pending or pending[0] is not g:
-                pending[:] = [g, list(vjp(g, need))]
-            grads = pending[1]
-            grad, grads[i] = grads[i], None
-            if i == last:
-                pending.clear()
-            return grad
-
-        return fn
-
-    return Tensor(data, requires_grad=True, parents=tuple(
-        (t, share(i)) for i, t in enumerate(inputs) if need[i]
-    ))
+    return Tensor(
+        data, requires_grad=True,
+        parents=tuple((t, i) for i, t in enumerate(inputs) if need[i]),
+        vjp=lambda g: vjp(g, need),
+    )
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -184,9 +164,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul needs operands of rank >= 2, got {a.shape} and {b.shape}")
-    return _make(_broadcast("matmul", np.matmul, a, b), (
-        (a, lambda g, bd=b.data, s=a.shape: _unbroadcast(g @ np.swapaxes(bd, -1, -2), s)),
-        (b, lambda g, ad=a.data, s=b.shape: _unbroadcast(np.swapaxes(ad, -1, -2) @ g, s)),
+    ad, bd = a.data, b.data
+    return _node(_broadcast("matmul", np.matmul, a, b), (a, b), lambda g, need: (
+        _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape) if need[0] else None,
+        _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape) if need[1] else None,
     ))
 
 
@@ -194,22 +175,22 @@ def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes."""
     if a.data.ndim < 2:
         raise ShapeError(f"transpose needs a tensor of rank >= 2, got {a.shape}")
-    return _make(np.swapaxes(a.data, -1, -2).copy(), ((a, lambda g: np.swapaxes(g, -1, -2)),))
+    return _node(np.swapaxes(a.data, -1, -2).copy(), (a,), lambda g, need: (g.swapaxes(-1, -2),))
 
 
 # ---------------------------------------------------------------------------
 # Elementwise
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return _make(_broadcast("add", np.add, a, b), (
-        (a, lambda g, s=a.shape: _unbroadcast(g, s)),
-        (b, lambda g, s=b.shape: _unbroadcast(g, s)),
+    sa, sb = a.shape, b.shape
+    return _node(_broadcast("add", np.add, a, b), (a, b), lambda g, need: (
+        _unbroadcast(g, sa) if need[0] else None, _unbroadcast(g, sb) if need[1] else None,
     ))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
-    return _make(a.data * s, ((a, lambda g: g * s),))
+    return _node(a.data * s, (a,), lambda g, need: (g * s,))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -229,27 +210,16 @@ def concat(tensors, axis: int = 0) -> Tensor:
         raise ShapeError(
             f"concat axis={axis}: incompatible shapes {[t.shape for t in tensors]}"
         ) from None
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def make_fn(i):
-        lo, hi = offsets[i], offsets[i + 1]
-
-        def fn(g):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            return g[tuple(sl)]
-
-        return fn
-
-    return _make(out, tuple((t, make_fn(i)) for i, t in enumerate(tensors)))
+    offsets = np.cumsum([t.shape[axis] for t in tensors[:-1]])
+    # views of g, so an untracked input's entry costs nothing
+    return _node(out, tensors, lambda g, need: np.split(g, offsets, axis=axis))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     if int(np.prod(shape)) != a.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
-    return _make(a.data.reshape(shape), ((a, lambda g, s=a.shape: g.reshape(s)),))
+    return _node(a.data.reshape(shape), (a,), lambda g, need: (g.reshape(a.shape),))
 
 
 class _Scatter(NamedTuple):
@@ -260,7 +230,7 @@ class _Scatter(NamedTuple):
 
 
 def _slice(a: Tensor, idx) -> Tensor:
-    return _make(np.array(a.data[idx]), ((a, lambda g, idx=idx: _Scatter(idx, g)),))
+    return _node(np.array(a.data[idx]), (a,), lambda g, need: (_Scatter(idx, g),))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -268,11 +238,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=axis, keepdims=True)
-
-    def grad_fn(g, o=out, axis=axis):
-        return o * (g - (g * o).sum(axis=axis, keepdims=True))
-
-    return _make(out, ((a, grad_fn),))
+    return _node(out, (a,), lambda g, need: (out * (g - (g * out).sum(axis, keepdims=True)),))
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +253,10 @@ def backward(loss: Tensor) -> None:
     calls; callers that want fresh gradients must clear them first (the
     training loop zeroes parameter grads every step).
 
-    Within the pass, each node's incoming contributions are summed in one
-    accumulator the pass owns (``+=``). A gradient function's array is
-    adopted as-is while it is a node's only contribution and copied once
-    before the first in-place add. A slice's contribution is a scatter of
+    Each node's ``vjp`` runs once, and its entry for each parent is summed
+    into that parent's one accumulator, which the pass owns (``+=``). A
+    vjp's array is adopted as-is while it is a node's only contribution
+    and copied once before the first in-place add. A slice's contribution is a scatter of
     its gradient into the parent's accumulator, which is allocated once
     per parent instead of once per slice.
     """
@@ -318,8 +284,8 @@ def backward(loss: Tensor) -> None:
     # Gradients flow through pass-local scratch storage and are committed
     # into a leaf's .grad once, so repeated backward calls accumulate
     # ∂loss/∂leaf exactly once per call. Only buffers in ``owned`` (ids
-    # whose buffer this pass allocated) are added into in place: a gradient
-    # function may return its input, or one array for two operands.
+    # whose buffer this pass allocated) are added into in place: a vjp may
+    # return its g, or one array for two inputs.
     flow: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     owned: set[int] = set()
     for node in reversed(topo):
@@ -328,9 +294,10 @@ def backward(loss: Tensor) -> None:
             continue
         if not node.parents:
             node.grad = g if node.grad is None else node.grad + g
-        for parent, fn in node.parents:
-            contrib = fn(g)
-            pid = id(parent)
+            continue
+        grads = node.vjp(g)
+        for parent, i in node.parents:
+            contrib, pid = grads[i], id(parent)
             acc = flow.get(pid)
             if isinstance(contrib, _Scatter):
                 if acc is None:
@@ -364,4 +331,4 @@ def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
         grad = g * np.sign(diff)
         return grad, -grad if need[1] else None
 
-    return _fused(np.abs(diff).sum(), (pred, target), vjp)
+    return _node(np.abs(diff).sum(), (pred, target), vjp)

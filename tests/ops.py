@@ -3,63 +3,66 @@
 The forecaster runs its fixed formulas (GRU cell, context fusion,
 attention, L1 loss) as single fused nodes, so :mod:`flowcast.tensor`
 carries none of these generic ops. They record their nodes through the
-library's own ``_make`` and broadcasting helpers, so :func:`backward`
+library's own ``_node`` and broadcasting helpers, so :func:`backward`
 differentiates a composed oracle the same way as the model.
 """
 
 import numpy as np
 
-from flowcast.tensor import Tensor, _broadcast, _make, _sigmoid, _unbroadcast
+from flowcast.tensor import Tensor, _broadcast, _node, _sigmoid, _unbroadcast
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _make(_broadcast("sub", np.subtract, a, b), (
-        (a, lambda g, s=a.shape: _unbroadcast(g, s)),
-        (b, lambda g, s=b.shape: -_unbroadcast(g, s)),
+    sa, sb = a.shape, b.shape
+    return _node(_broadcast("sub", np.subtract, a, b), (a, b), lambda g, need: (
+        _unbroadcast(g, sa) if need[0] else None,
+        -_unbroadcast(g, sb) if need[1] else None,
     ))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _make(_broadcast("mul", np.multiply, a, b), (
-        (a, lambda g, bd=b.data, s=a.shape: _unbroadcast(g * bd, s)),
-        (b, lambda g, ad=a.data, s=b.shape: _unbroadcast(g * ad, s)),
+    ad, bd = a.data, b.data
+    return _node(_broadcast("mul", np.multiply, a, b), (a, b), lambda g, need: (
+        _unbroadcast(g * bd, ad.shape) if need[0] else None,
+        _unbroadcast(g * ad, bd.shape) if need[1] else None,
     ))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    return _make(_broadcast("div", np.divide, a, b), (
-        (a, lambda g, bd=b.data, s=a.shape: _unbroadcast(g / bd, s)),
-        (b, lambda g, ad=a.data, bd=b.data, s=b.shape:
-            _unbroadcast(-g * ad / (bd * bd), s)),
+    ad, bd = a.data, b.data
+    return _node(_broadcast("div", np.divide, a, b), (a, b), lambda g, need: (
+        _unbroadcast(g / bd, ad.shape) if need[0] else None,
+        _unbroadcast(-g * ad / (bd * bd), bd.shape) if need[1] else None,
     ))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     out = _sigmoid(a.data)
-    return _make(out, ((a, lambda g, o=out: g * o * (1.0 - o)),))
+    return _node(out, (a,), lambda g, need: (g * out * (1.0 - out),))
 
 
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
-    return _make(out, ((a, lambda g, o=out: g * (1.0 - o * o)),))
+    return _node(out, (a,), lambda g, need: (g * (1.0 - out * out),))
 
 
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
-    return _make(out, ((a, lambda g, o=out: g * o),))
+    return _node(out, (a,), lambda g, need: (g * out,))
 
 
 def absolute(a: Tensor) -> Tensor:
     """|x| with subgradient 0 at x == 0 (np.sign's convention)."""
-    return _make(np.abs(a.data), ((a, lambda g, s=np.sign(a.data): g * s),))
+    sign = np.sign(a.data)
+    return _node(np.abs(a.data), (a,), lambda g, need: (g * sign,))
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def grad_fn(g, shape=a.shape, axis=axis, keepdims=keepdims):
+    def vjp(g, need):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, shape).copy()
+        return (np.broadcast_to(g, a.shape).copy(),)
 
-    return _make(np.asarray(out), ((a, grad_fn),))
+    return _node(np.asarray(out), (a,), vjp)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from flowcast.model import (
 )
 from flowcast.optim import AdamState, GradientError
 from flowcast.synth import make_ring_dataset, ring_graph, write_dataset_files
+
+TOY_CFG = Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"
 
 
 @pytest.fixture
@@ -71,6 +74,16 @@ def test_embed_same_seed_identical_files(tmp_path):
         assert rc == 0
         outs.append(out.read_text())
     assert outs[0] == outs[1]
+
+
+def test_embed_has_no_dim_flag(tmp_path):
+    # train --embeddings accepts only the 64 columns embed writes
+    graph_path = tmp_path / "edges.csv"
+    graph_path.write_text("0,1,1.0\n1,0,1.0\n")
+    with pytest.raises(SystemExit) as err:
+        main(["embed", "--graph", str(graph_path), "--out", str(tmp_path / "e.txt"),
+              "--dim", "32"])
+    assert err.value.code == 2
 
 
 def test_embed_missing_graph_file(tmp_path, capsys):
@@ -175,6 +188,26 @@ def test_train_out_of_range_set_value_exits_one_with_one_line(toy_files, capsys,
     out = capsys.readouterr()
     assert rc == 1
     assert out.err == f"error: {message}\n" and "checkpoint" not in out.out
+
+
+@pytest.mark.parametrize(
+    "period, message",
+    [(24, "24 slots a day from weekday 0, but the config has 96 slots a day from weekday 0"),
+     (100, "window of 14 min does not tile a day")],
+    ids=["other-calendar", "window-does-not-tile"],
+)
+def test_train_refuses_a_meta_whose_time_layout_disagrees(tmp_path, capsys, period, message):
+    data = tmp_path / "ring"
+    assert main(["synth", "--out", str(data), "--steps", "60", "--period", str(period)]) == 0
+    capsys.readouterr()
+    rc = main([
+        "train", "--config", str(TOY_CFG), "--data", str(data / "readings.csv"),
+        "--graph", str(data / "adjacency.csv"), "--out", str(tmp_path / "run"),
+        "--set", "epochs=1",
+    ])
+    out = capsys.readouterr()
+    assert rc == 1 and not (tmp_path / "run").exists()
+    assert out.err == f"error: {data / 'readings.csv.meta'}: {message}\n"
 
 
 def test_train_all_masked_validation_still_checkpoints(toy_files):

@@ -2,6 +2,7 @@
 training loop, and checkpoint round trips."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -941,6 +942,36 @@ def test_load_model_missing_entry_names_it(tmp_path, tiny_model, entry):
     del arrays[entry]
     save_arrays(path, arrays)
     with pytest.raises(CheckpointError, match=f"missing entry {entry}"):
+        load_model(path, tiny_model.ginputs.graph)
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [
+        ("cfg.width", [np.nan]),
+        ("cfg.seed", [1.5]),
+        ("cfg.lr_decay_epochs", [2.7]),
+        ("cfg.epochs", [1e300]),
+        ("adam.step", np.nan),
+    ],
+)
+def test_load_model_rejects_a_bad_integer_entry_naming_it(tmp_path, tiny_model, entry, value):
+    path = tmp_path / "model.ckpt"
+    save_model(path, tiny_model, AdamState.for_params(tiny_model.params.named()))
+    arrays = load_arrays(path)
+    arrays[entry] = np.asarray(value, dtype=np.float64)
+    save_arrays(path, arrays)
+    with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: bad {entry} "):
+        load_model(path, tiny_model.ginputs.graph)
+
+
+def test_load_model_wraps_a_config_error(tmp_path, tiny_model):
+    path = tmp_path / "model.ckpt"
+    save_model(path, tiny_model, None)
+    arrays = load_arrays(path)
+    arrays["cfg.heads"] = np.asarray([3.0])  # width is no longer heads x head_dim
+    save_arrays(path, arrays)
+    with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: bad cfg entries: width"):
         load_model(path, tiny_model.ginputs.graph)
 
 

@@ -3,6 +3,7 @@
 import ast
 import re
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from flowcast import tensor as T
 from flowcast.checkpoint import CheckpointError, load_arrays, save_arrays
+from flowcast.context import GruLayerParams, gru_cell
 from flowcast.optim import AdamState, GradientError, adam_step, lr_at_epoch, zero_grads
 from flowcast.tensor import ShapeError, Tensor, backward, l1_loss
 
@@ -366,16 +368,71 @@ def test_fused_node_runs_its_vjp_once_per_backward_for_tracked_inputs():
         calls.append(need)
         return [g * b.data, g * a.data if need[1] else None, g, g * b.data]
 
-    out = T._fused(a.data * b.data + c.data, (a, b, c, a), vjp)
-    assert [p is a for p, _ in out.parents] == [True, False, True]
+    out = T._node(a.data * b.data + c.data, (a, b, c, a), vjp)
+    assert out.parents == ((a, 0), (c, 2), (a, 3))
     loss = ops.sum_(out)
     backward(loss)
     backward(loss)
     assert calls == [(True, False, True, True)] * 2
     assert a.grad.tolist() == [20.0, 28.0] and c.grad.tolist() == [2.0, 2.0]
     with T.no_grad():
-        assert T._fused(a.data, (a,), vjp).parents == ()
-    assert T._fused(b.data, (b,), vjp).parents == ()
+        assert T._node(a.data, (a,), vjp).parents == ()
+    assert T._node(b.data, (b,), vjp).parents == ()
+
+
+def _assert_parents_index_inputs(out, inputs):
+    # each parent is (input, i) with inputs[i] that very input, in input order
+    assert out.parents == tuple((t, i) for i, t in enumerate(inputs) if t.requires_grad)
+    assert all(inputs[i] is t for t, i in out.parents)
+
+
+def test_parents_name_each_tracked_input_by_its_position():
+    rng = np.random.default_rng(5)
+    const, w = Tensor(rng.normal(size=(2, 3))), T.param(rng.normal(size=(3, 3)))
+    _assert_parents_index_inputs(T.matmul(const, w), (const, w))
+    parts = [T.param(np.ones((2, 1))), Tensor(np.ones((2, 2))), T.param(np.ones((2, 3)))]
+    _assert_parents_index_inputs(T.concat(parts, axis=1), parts)
+    f = 3
+    weights = {
+        fl.name: T.param(rng.normal(size=(f,) if fl.name.startswith("b_") else (f, f)))
+        for fl in fields(GruLayerParams)
+    }
+    x_t, h_prev = T.param(rng.normal(size=(4, f))), Tensor(rng.normal(size=(4, f)))
+    inputs = (x_t, h_prev) + tuple(weights.values())
+    layer = GruLayerParams(**weights)
+    _assert_parents_index_inputs(gru_cell(x_t, h_prev, layer), inputs)
+
+
+def test_matmul_vjp_skips_an_untracked_operand():
+    rng = np.random.default_rng(6)
+    a, b = rng.normal(size=(2, 3)), rng.normal(size=(3, 4))
+    g = rng.normal(size=(2, 4))
+    left = T.matmul(Tensor(a), T.param(b)).vjp(g)
+    right = T.matmul(T.param(a), Tensor(b)).vjp(g)
+    assert left[0] is None and np.array_equal(left[1], a.T @ g)
+    assert right[1] is None and np.array_equal(right[0], g @ b.T)
+
+
+def test_only_node_builds_graph_nodes():
+    # one node protocol: under src/flowcast, only _node builds a Tensor with
+    # parents or a vjp, and only Tensor.__init__ assigns either
+    found = []
+    for path in sorted(Path(T.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {}  # innermost enclosing function: ast.walk visits outer ones first
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                inside.update(dict.fromkeys(ast.walk(fn), fn.name))
+        for n in ast.walk(tree):
+            callee = getattr(n, "func", None)
+            builds = isinstance(n, ast.Call) and "Tensor" in (
+                getattr(callee, "id", None), getattr(callee, "attr", None)
+            ) and (len(n.args) > 2 or any(k.arg in ("parents", "vjp") for k in n.keywords))
+            stores = isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store) \
+                and n.attr in ("parents", "vjp")
+            if builds or stores:
+                found.append((path.name, inside.get(n)))
+    assert sorted(found) == [("tensor.py", "__init__")] * 2 + [("tensor.py", "_node")]
 
 
 def test_every_public_name_is_used_by_the_forecaster():
