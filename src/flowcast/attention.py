@@ -162,14 +162,18 @@ def multi_head_attention(
 
     Queries come from ``x``; keys/values from ``cross_kv`` when given
     (cross-attention) and from ``x`` otherwise. The head count is
-    ``len(params.w_q)`` and the model width is that of ``params.w_o``.
-    A degenerate normalizer is re-raised naming the head.
+    ``len(params.w_q)``, every q, k and v projection has one width, and the
+    model width is that of ``params.w_o``. A degenerate normalizer is
+    re-raised naming the head.
 
     The whole call is one graph node with a hand-written backward. Each
     head runs the numpy ops of ``linear_attention`` on its projections,
     so the output is the same to the bit as composing them. The node keeps
     each head's :func:`_head_forward` arrays and the concatenated heads;
-    when no graph is built, it keeps none of them.
+    when no graph is built, it keeps none of them. The backward stacks the
+    heads' q gradients, and their k and v gradients, as column blocks, so
+    x meets ``[W_q]`` and the key/value source ``[W_k | W_v]`` in one
+    product for its own gradient and one for theirs.
     """
     width = params.w_o.shape[0]
     if x.shape[-1] != width:
@@ -179,21 +183,26 @@ def multi_head_attention(
         raise ShapeError(f"key/value width {source.shape[-1]} != model dim {width}")
     if min(x.data.ndim, source.data.ndim) < 2:
         raise ShapeError(f"attention tokens need rank >= 2, got {x.shape} and {source.shape}")
-    projections = [w for p in zip(params.w_q, params.w_k, params.w_v) for w in p]
+    heads, w_qkv = len(params.w_q), (*params.w_q, *params.w_k, *params.w_v)
+    widths = sorted({w.shape[-1] for w in w_qkv})
+    if len(params.w_k) != heads or len(params.w_v) != heads or len(widths) != 1:
+        raise ShapeError(
+            f"{heads} query, {len(params.w_k)} key and {len(params.w_v)} value heads "
+            f"of widths {widths}: need as many of each, all of one width"
+        )
+    d = widths[0]
     sources = (x,) if cross_kv is None else (x, cross_kv)
-    first = len(sources) + 1  # of the projections in the inputs
-    inputs = sources + (params.w_o, *projections)
+    inputs = sources + (params.w_o, *w_qkv)
     keep = T._tracks(inputs)
 
-    cols = np.cumsum([0] + [wv.shape[1] for wv in params.w_v])
     lead = np.broadcast_shapes(x.shape[:-2], source.shape[:-2])
-    cat = np.empty(lead + (x.shape[-2], int(cols[-1])))
+    cat = np.empty(lead + (x.shape[-2], heads * d))
     saved = []
     for i, (wq, wk, wv) in enumerate(zip(params.w_q, params.w_k, params.w_v)):
         try:
             _, head = _head_forward(
                 x.data @ wq.data, source.data @ wk.data, source.data @ wv.data,
-                out=cat[..., cols[i] : cols[i + 1]],
+                out=cat[..., i * d : (i + 1) * d],
             )
         except DegenerateAttentionError as err:
             raise DegenerateAttentionError(f"head {i}: {err}") from err
@@ -203,24 +212,31 @@ def multi_head_attention(
 
     def vjp(g, need):
         grads = [None] * len(inputs)
-        if need[first - 1]:
-            grads[first - 1] = T._unbroadcast(_swap(cat) @ g, params.w_o.shape)
+        n = len(sources)  # w_o's place in the inputs; the w_q, w_k and w_v follow
+        if need[n]:
+            grads[n] = T._rows(cat).T @ T._rows(g)
         g_cat = g @ params.w_o.data.T
-        # q comes from x, k and v from the last of ``sources``: cross_kv, or x again
-        slots = (0, first - 2, first - 2)
+        # head i's gradients at q, k and v are the column blocks i, i and heads + i
+        g_q = np.empty(x.shape[:-1] + (heads * d,))
+        g_kv = np.empty(source.shape[:-1] + (2 * heads * d,))
         for i, head in enumerate(saved):
-            g_qkv = _head_backward(g_cat[..., cols[i] : cols[i + 1]], head)
-            for w_at, slot, g_p in zip(range(first + 3 * i, first + 3 * i + 3), slots, g_qkv):
-                w, operand = inputs[w_at], inputs[slot]
-                # as matmul's gradients: operand^T @ g_p and g_p @ w^T
-                if need[w_at]:
-                    grads[w_at] = T._unbroadcast(_swap(operand.data) @ g_p, w.shape)
-                if need[slot]:
-                    g_in = T._unbroadcast(g_p @ w.data.T, operand.shape)
-                    if grads[slot] is None:
-                        grads[slot] = g_in
-                    else:
-                        grads[slot] += g_in
+            at, at_v = slice(i * d, (i + 1) * d), slice((heads + i) * d, (heads + i + 1) * d)
+            g_q[..., at], g_kv[..., at], g_kv[..., at_v] = _head_backward(g_cat[..., at], head)
+        # as matmul's gradients: operand^T @ g_p, split per weight, and g_p @ w^T;
+        # popped, so each gradient buffer is freed once its products are taken
+        stacks = [
+            (0, g_q, slice(n + 1, n + 1 + heads), params.w_q),
+            (n - 1, g_kv, slice(n + 1 + heads, None), params.w_k + params.w_v),
+        ]
+        del g_cat, g_q, g_kv
+        while stacks:
+            at, g_p, w_at, ws = stacks.pop(0)
+            if any(need[w_at]):
+                g_w = T._rows(sources[at].data).T @ T._rows(g_p)
+                grads[w_at] = [g_w[:, j : j + d] for j in range(0, g_p.shape[-1], d)]
+            if need[at]:  # in self-attention, x's two shares add up in place
+                g_in = g_p @ np.concatenate([w.data for w in ws], axis=1).T
+                grads[at] = g_in if grads[at] is None else np.add(g_in, grads[at], out=g_in)
         return grads
 
     return T._node(out, inputs, vjp)

@@ -335,6 +335,9 @@ def gru_cell(x_t: Tensor, h_prev: Tensor, layer: GruLayerParams) -> Tensor:
     arrays of about 20 elementwise and matmul nodes. The forward runs the
     numpy ops of the composed cell in the same order, adding in place where
     the composed cell made a new array, so its output is the same to the bit.
+    The backward holds the gate gradients as the column blocks [r | u | c]
+    of one array, so X meets [W_xr | W_xu | W_xh] and H_prev meets
+    [W_hr | W_hu] in one product for its own gradient and one for theirs.
     """
     if x_t.shape != h_prev.shape:
         raise ShapeError(f"gru_cell: input {x_t.shape} vs hidden {h_prev.shape}")
@@ -357,44 +360,39 @@ def gru_cell(x_t: Tensor, h_prev: Tensor, layer: GruLayerParams) -> Tensor:
     out += (1.0 - u) * cand
 
     def vjp(g, need):
-        # gradients at the three gates' pre-activations, plus at R * H_prev
+        # gradients at the pre-activations of the gates, as the column blocks
+        # [r | u | c] of one array, plus the gradient at R * H_prev
+        f = out.shape[-1]
+
+        def blocks(a):  # the f-wide column blocks of a
+            return [a[..., i : i + f] for i in range(0, a.shape[-1], f)]
+
+        gates = np.empty(out.shape[:-1] + (3 * f,))
+        a_r, a_u, a_c = blocks(gates)
         one_minus_u = 1.0 - u
-        a_c = g * one_minus_u * (1.0 - cand * cand)
+        np.multiply(g * one_minus_u, 1.0 - cand * cand, out=a_c)
         d_rh = a_c @ w_hh.T
-        a_r = d_rh * h * r * (1.0 - r)
-        a_u = g * (h - cand) * u * one_minus_u
-        gates = (a_r, a_u, a_c)
-
-        def input_grad():
-            dx = a_r @ w_xr.T
-            dx += a_u @ w_xu.T
-            dx += a_c @ w_xh.T
-            return dx
-
-        def hidden_grad():
-            dh = g * u
+        np.multiply(d_rh * h * r, 1.0 - r, out=a_r)
+        np.multiply(g * (h - cand) * u, one_minus_u, out=a_u)
+        a_ru = gates[..., : 2 * f]
+        grads = [None] * (2 + len(params))  # one per input, in the order of the inputs below
+        if need[0]:
+            grads[0] = gates @ np.concatenate([w_xr, w_xu, w_xh], axis=1).T
+        if need[1]:
+            grads[1] = dh = g * u
             dh += d_rh * r
-            dh += a_r @ w_hr.T
-            dh += a_u @ w_hu.T
-            return dh
-
-        def weight_grad(operand, gate):
-            # as matmul's gradient: operand^T @ gate gradient, summed over batch axes
-            return lambda: T._unbroadcast(
-                np.swapaxes(operand, -1, -2) @ gates[gate], w_xr.shape
-            )
-
-        def bias_grad(gate):
-            return lambda: T._unbroadcast(gates[gate], b_r.shape)
-
-        # one per input, in the order of the inputs below
-        shares = (
-            input_grad, hidden_grad,
-            weight_grad(x, 0), weight_grad(h, 0), weight_grad(x, 1), weight_grad(h, 1),
-            weight_grad(x, 2), weight_grad(rh, 2),
-            bias_grad(0), bias_grad(1), bias_grad(2),
-        )
-        return [share() if n else None for share, n in zip(shares, need)]
+            dh += a_ru @ np.concatenate([w_hr, w_hu], axis=1).T
+        # as matmul's gradients: operand^T @ gate gradients, with the rows of
+        # every batch axis in one product
+        if need[2] or need[4] or need[6]:
+            grads[2], grads[4], grads[6] = blocks(T._rows(x).T @ T._rows(gates))
+        if need[3] or need[5]:
+            grads[3], grads[5] = blocks(T._rows(h).T @ T._rows(a_ru))
+        if need[7]:
+            grads[7] = T._rows(rh).T @ T._rows(a_c)
+        if need[8] or need[9] or need[10]:
+            grads[8:] = blocks(T._rows(gates).sum(axis=0))
+        return grads
 
     return T._node(out, (x_t, h_prev) + params, vjp)
 

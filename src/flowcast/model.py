@@ -837,6 +837,8 @@ def save_model(path, model: Forecaster, state: AdamState | None = None) -> None:
 
 
 def load_model(path, graph: RoadGraph | None = None) -> tuple[Forecaster, AdamState | None]:
+    """The model, and its Adam state if saved, from a checkpoint. A missing entry, a
+    wrong shape, a non-finite value or an out-of-range scalar is a CheckpointError."""
     arrays = load_arrays(path)
 
     def entry(key: str) -> np.ndarray:
@@ -844,12 +846,26 @@ def load_model(path, graph: RoadGraph | None = None) -> tuple[Forecaster, AdamSt
             raise CheckpointError(f"{path}: missing entry {key}")
         return arrays[key]
 
-    def checked(key: str, parse=_as_int):
+    def checked(key: str, parse=_as_int, low=None, high=math.inf):
+        # the parsed value, strictly between low and high when low is given
         raw = entry(key)
         try:
-            return parse(raw)
+            value = parse(raw)
+            if low is not None and not low < value < high:
+                raise ValueError(f"not in ({low}, {high})")
+            return value
         except (TypeError, ValueError) as err:
             raise CheckpointError(f"{path}: bad {key} {raw.tolist()}: {err}") from None
+
+    def array(key: str, shape: tuple[int, ...], low=-math.inf) -> np.ndarray:
+        found = entry(key)
+        if found.shape != shape:
+            raise CheckpointError(
+                f"{path}: bad {key} shape: expected {shape}, found {found.shape}"
+            )
+        if not (np.isfinite(found).all() and (found >= low).all()):
+            raise CheckpointError(f"{path}: bad {key} values: not all finite and >= {low}")
+        return found
 
     try:
         cfg = ModelConfig(**{
@@ -860,28 +876,25 @@ def load_model(path, graph: RoadGraph | None = None) -> tuple[Forecaster, AdamSt
         raise CheckpointError(f"{path}: bad cfg entries: {err}") from None
 
     if graph is None:
-        graph = RoadGraph.from_adjacency(entry("graph.adjacency"))
+        n = max((entry("graph.adjacency").shape or (0,))[0], 1)  # a graph has a node
+        graph = RoadGraph.from_adjacency(array("graph.adjacency", (n, n), low=0.0))
     model = Forecaster.new(cfg, graph, entry("node.embeddings"))
-    for name, p in model.params.named().items():
-        key = f"param.{name}"
-        loaded = entry(key)
-        if loaded.shape != p.data.shape:
-            raise CheckpointError(
-                f"{path}: {key} expected shape {p.data.shape}, found {loaded.shape}"
-            )
-        p.data = loaded
+    array("node.embeddings", (graph.n_nodes, model.params.emb_w.shape[0]))
+    named = model.params.named()
+    for name, p in named.items():
+        p.data = array(f"param.{name}", p.data.shape)
     if "norm.mean" in arrays:
-        model.norm = (float(arrays["norm.mean"]), float(entry("norm.std")))
+        model.norm = (checked("norm.mean", float, -math.inf), checked("norm.std", float, 0.0))
 
     state = None
     if "adam.step" in arrays:
         state = AdamState(
-            step=checked("adam.step"),
-            beta1=float(entry("adam.beta1")),
-            beta2=float(entry("adam.beta2")),
-            eps=float(entry("adam.eps")),
+            step=checked("adam.step", low=-1),
+            beta1=checked("adam.beta1", float, 0.0, 1.0),
+            beta2=checked("adam.beta2", float, 0.0, 1.0),
+            eps=checked("adam.eps", float, 0.0),
         )
-        for name in model.params.named():
-            state.m[name] = entry(f"adam.m.{name}")
-            state.v[name] = entry(f"adam.v.{name}")
+        for name, p in named.items():
+            state.m[name] = array(f"adam.m.{name}", p.data.shape)
+            state.v[name] = array(f"adam.v.{name}", p.data.shape, low=0.0)
     return model, state

@@ -145,6 +145,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """``a`` as a matrix, its leading axes merged into one row axis: a
+    weight gradient ``_rows(x).T @ _rows(g)`` sums over every batch axis
+    inside one product."""
+    return a.reshape(-1, a.shape[-1])
+
+
 def _broadcast(op: str, fn, a: Tensor, b: Tensor) -> np.ndarray:
     """``fn(a.data, b.data)``, with numpy's shape failure as a ShapeError."""
     try:

@@ -365,6 +365,63 @@ def test_fused_linear_attention_matches_composed_form(shapes):
         assert got.shape == ref.shape and np.max(np.abs(got - ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("field, head", [("w_q", 0), ("w_k", 1), ("w_v", 0), ("w_o", None)])
+@pytest.mark.parametrize("cross", [False, True], ids=["self", "cross"])
+def test_fused_mha_with_an_untracked_weight_matches_composed_heads(cross, field, head):
+    rng = np.random.default_rng(75)
+    x, kv, params, _ = _mha_case(rng, cross, 2)
+    if head is None:
+        params.w_o = Tensor(params.w_o.data)
+    else:
+        getattr(params, field)[head] = Tensor(getattr(params, field)[head].data)
+    inputs = [x, *([kv] if cross else []), *params.named("attn").values()]
+    c = Tensor(rng.normal(size=x.shape))
+    _, grads = _out_and_grads(lambda: multi_head_attention(x, kv, params), inputs, c)
+    _, want_grads = _out_and_grads(lambda: oracles.multi_head_attention(x, kv, params), inputs, c)
+    for t, got, ref in zip(inputs, grads, want_grads):
+        if t.requires_grad:
+            assert got.shape == ref.shape and np.max(np.abs(got - ref)) <= 1e-12
+        else:
+            assert got is None and ref is None
+
+
+@pytest.mark.parametrize("q, k, v, match", [
+    ([3, 3], [3, 3], [3, 3, 3], r"2 query, 2 key and 3 value heads of widths \[3\]"),
+    ([3, 3], [3], [3, 3], r"2 query, 1 key and 2 value heads"),
+    ([3, 3], [3, 3], [3, 4], r"2 query, 2 key and 2 value heads of widths \[3, 4\]"),
+    ([], [], [], r"0 query, 0 key and 0 value heads"),
+])
+def test_mha_rejects_head_lists_that_do_not_match(q, k, v, match):
+    rng = np.random.default_rng(76)
+    params = AttentionParams(
+        *([T.param(rng.normal(size=(6, w))) for w in widths] for widths in (q, k, v)),
+        w_o=T.param(rng.normal(size=(6, 6))),
+    )
+    with pytest.raises(ShapeError, match=match):
+        multi_head_attention(Tensor(rng.normal(size=(5, 6))), None, params)
+
+
+def test_mha_inference_peak_memory_stays_near_its_output():
+    # the forward holds one head's q, k and v at a time beside the output:
+    # 2.4x its bytes here, where projecting every head at once read 5.4x
+    rng = np.random.default_rng(77)
+    params = AttentionParams(
+        w_q=[Tensor(rng.uniform(-0.1, 0.1, (64, 8))) for _ in range(8)],
+        w_k=[Tensor(rng.uniform(-0.1, 0.1, (64, 8))) for _ in range(8)],
+        w_v=[Tensor(rng.uniform(-0.1, 0.1, (64, 8))) for _ in range(8)],
+        w_o=Tensor(rng.uniform(-0.1, 0.1, (64, 64))),
+    )
+    x = T.param(rng.normal(size=(1, 2048, 64)))
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            out = multi_head_attention(x, None, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * out.data.nbytes
+
+
 def test_fused_mha_second_backward_doubles_gradients():
     rng = np.random.default_rng(72)
     x, kv, params, inputs = _mha_case(rng, True, 2)

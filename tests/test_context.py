@@ -422,6 +422,27 @@ def test_fused_gru_cell_with_input_as_hidden_state_matches_composed_cell():
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("untracked", ["w_xr", "w_hu", "w_xh", "w_hh", "b_u", "hidden"])
+def test_fused_gru_cell_with_an_untracked_input_matches_composed_cell(untracked):
+    rng = np.random.default_rng(45)
+    layer = _gru_layer(rng, 4)
+    x = T.param(rng.normal(size=(2, 3, 4)))
+    h = T.param(rng.normal(size=(2, 3, 4)))
+    if untracked == "hidden":
+        h = Tensor(h.data)
+    else:
+        setattr(layer, untracked, Tensor(getattr(layer, untracked).data))
+    c = Tensor(rng.normal(size=(2, 3, 4)))
+    out, grads = _cell_grads(gru_cell, x, h, layer, c)
+    want_out, want_grads = _cell_grads(oracles.gru_cell, x, h, layer, c)
+    assert np.array_equal(out, want_out)
+    for t, got, want in zip([x, h, *layer.named("gru").values()], grads, want_grads):
+        if t.requires_grad:
+            assert got.shape == want.shape and np.max(np.abs(got - want)) <= 1e-12
+        else:
+            assert got is None and want is None
+
+
 def test_gru_cell_second_backward_doubles_gradients():
     rng = np.random.default_rng(42)
     layer = _gru_layer(rng, 3)

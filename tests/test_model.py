@@ -983,3 +983,45 @@ def test_checkpoint_shape_mismatch_reports_dims(tmp_path, tiny_model):
     save_arrays(path, arrays)
     with pytest.raises(CheckpointError, match=r"\(1, 4\).*\(2, 4\)"):
         load_model(path, tiny_model.ginputs.graph)
+
+
+def _ring_adjacency_with(i, j, weight):
+    adj = ring_graph(3).adjacency.copy()
+    adj[i, j] = weight
+    return adj
+
+
+@pytest.mark.parametrize(
+    "changes, entry",
+    [
+        ({"adam.beta1": np.nan, "adam.step": -3.0}, "adam.step"),
+        ({"adam.step": -3.0}, "adam.step"),
+        ({"adam.beta1": np.nan}, "adam.beta1"),
+        ({"adam.beta2": 1.0}, "adam.beta2"),
+        ({"adam.eps": 0.0}, "adam.eps"),
+        ({"adam.eps": np.inf}, "adam.eps"),
+        ({"norm.std": 0.0}, "norm.std"),
+        ({"norm.std": np.nan}, "norm.std"),
+        ({"norm.mean": np.inf}, "norm.mean"),
+        ({"graph.adjacency": _ring_adjacency_with(0, 1, np.nan)}, "graph.adjacency"),
+        ({"graph.adjacency": _ring_adjacency_with(0, 1, -1.0)}, "graph.adjacency"),
+        ({"graph.adjacency": np.zeros((3, 4))}, "graph.adjacency"),
+        ({"graph.adjacency": np.zeros((0, 0))}, "graph.adjacency"),
+        ({"graph.adjacency": np.zeros((4, 4))}, "node.embeddings"),  # beside (3, 64) embeddings
+        ({"node.embeddings": np.zeros((3, 5))}, "node.embeddings"),
+        ({"param.input.w": np.full((1, 4), np.nan)}, "param.input.w"),
+        ({"adam.m.input.w": np.zeros((4, 1))}, "adam.m.input.w"),
+        ({"adam.v.input.w": -np.ones((1, 4))}, "adam.v.input.w"),
+    ],
+)
+def test_load_model_rejects_each_bad_entry_naming_it(tmp_path, tiny_model, changes, entry):
+    tiny_model.norm = (1.0, 2.0)
+    path = tmp_path / "model.ckpt"
+    save_model(path, tiny_model, AdamState.for_params(tiny_model.params.named()))
+    arrays = load_arrays(path)
+    for key, value in changes.items():
+        assert key in arrays
+        arrays[key] = np.asarray(value, dtype=np.float64)
+    save_arrays(path, arrays)
+    with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: bad {entry} "):
+        load_model(path)
