@@ -17,6 +17,7 @@ replaces the target, so a crash mid-save leaves the previous file intact.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -61,39 +62,48 @@ def _write(path: Path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:
+    """The named arrays of a checkpoint file, each entry read from the file
+    straight into its own array."""
     path = Path(path)
-    blob = path.read_bytes()
-    if blob[:8] != MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    pos = 8
-    try:
-        (count,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        arrays: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", blob, pos)
-            pos += 2
-            if pos + name_len > len(blob):
-                raise ValueError("name cut short")
-            try:
-                name = blob[pos : pos + name_len].decode("utf-8")
-            except UnicodeDecodeError:
-                raise CheckpointError(f"{path}: entry name at byte {pos} is not UTF-8") from None
-            pos += name_len
-            (ndim,) = struct.unpack_from("<B", blob, pos)
-            pos += 1
-            shape = struct.unpack_from(f"<{ndim}I", blob, pos) if ndim else ()
-            pos += 4 * ndim
-            n = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(blob, dtype="<f8", count=n, offset=pos)
-            pos += 8 * n
-            if name in arrays:
-                raise CheckpointError(f"{path}: duplicate entry {name!r}")
-            arrays[name] = data.astype(np.float64).reshape(shape)
-    except CheckpointError:
-        raise
-    except (struct.error, ValueError) as err:  # ValueError: array cut short
-        raise CheckpointError(f"{path}: truncated checkpoint") from err
-    if pos != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - pos} trailing bytes")
+    with open(path, "rb") as fh:
+        if fh.read(8) != MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
+        size = os.fstat(fh.fileno()).st_size
+
+        def take(n: int) -> bytes:
+            data = fh.read(n)
+            if len(data) != n:
+                raise ValueError("cut short")
+            return data
+
+        try:
+            (count,) = struct.unpack("<I", take(4))
+            arrays: dict[str, np.ndarray] = {}
+            for _ in range(count):
+                (name_len,) = struct.unpack("<H", take(2))
+                pos = fh.tell()
+                try:
+                    name = take(name_len).decode("utf-8")
+                except UnicodeDecodeError:
+                    raise CheckpointError(
+                        f"{path}: entry name at byte {pos} is not UTF-8"
+                    ) from None
+                (ndim,) = struct.unpack("<B", take(1))
+                shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+                n = math.prod(shape)
+                if 8 * n > size - fh.tell():  # refused before allocating
+                    raise ValueError("array cut short")
+                data = np.empty(n, dtype="<f8")
+                if fh.readinto(data) != 8 * n:
+                    raise ValueError("array cut short")
+                if name in arrays:
+                    raise CheckpointError(f"{path}: duplicate entry {name!r}")
+                arrays[name] = data.astype(np.float64, copy=False).reshape(shape)
+        except CheckpointError:
+            raise
+        except (struct.error, ValueError) as err:
+            raise CheckpointError(f"{path}: truncated checkpoint") from err
+        trailing = size - fh.tell()
+    if trailing:
+        raise CheckpointError(f"{path}: {trailing} trailing bytes")
     return arrays

@@ -10,7 +10,6 @@ output projection.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,18 +20,13 @@ from .tensor import ShapeError, Tensor
 
 __all__ = [
     "RoadGraph",
-    "UNREACHABLE",
     "load_adjacency",
-    "shortest_path_hops",
-    "hop_adjacency",
+    "hop_shells",
     "degree_normalize",
     "hop_transitions",
     "multi_hop_conv",
     "GraphFormatError",
 ]
-
-# Sentinel for node pairs with no directed path; never a valid hop count.
-UNREACHABLE = -1
 
 
 class GraphFormatError(ValueError):
@@ -145,40 +139,41 @@ def load_adjacency(path) -> RoadGraph:
 # ---------------------------------------------------------------------------
 # Hop structure
 
-def shortest_path_hops(g: RoadGraph) -> np.ndarray:
-    """Directed hop-count matrix S: S[i,j] = min #edges from i to j.
+def hop_shells(g: RoadGraph, k: int) -> np.ndarray:
+    """Exact-hop shells 1..k as a bool (k, N, N) mask.
 
-    S[i,i] = 0; pairs with no path hold :data:`UNREACHABLE`. Edge weights
-    do not participate (a hop is a hop).
-    """
-    n = g.n_nodes
-    out_neighbors: list[list[int]] = [[] for _ in range(n)]
-    for src, dst, w in g.edges:
-        if w != 0 and src != dst:
-            out_neighbors[src].append(dst)
-    dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
-    for start in range(n):
-        dist[start, start] = 0
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            d = dist[start, cur]
-            for nxt in out_neighbors[cur]:
-                if dist[start, nxt] == UNREACHABLE:
-                    dist[start, nxt] = d + 1
-                    queue.append(nxt)
-    return dist
+    Layer i-1 marks the pairs (s, t) whose shortest directed path from s
+    to t has exactly i edges. Edge weights do not participate (a hop is a
+    hop); self-loops and zero-weight edges are no edges.
 
-
-def hop_adjacency(s: np.ndarray, k: int) -> np.ndarray:
-    """Split the hop-distance matrix into exact-hop shells 1..k.
-
-    Returns a (k, N, N) stack in {0, 1}; layer i-1 marks pairs exactly i
-    hops apart.
+    A breadth-first search from every node at once, stopped after k
+    levels: level i is each node with an in-neighbour in level i-1 that
+    no earlier level reached. It runs on the transposed mask, target by
+    start, so each step gathers whole rows: one per in-neighbour slot.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return np.stack([(s == i).astype(np.float64) for i in range(1, k + 1)])
+    n = g.n_nodes
+    edges = np.asarray(g.edges, dtype=np.float64).reshape(-1, 3)
+    edges = edges[(edges[:, 2] != 0) & (edges[:, 0] != edges[:, 1])]
+    edges = edges[np.argsort(edges[:, 1])]
+    src, dst = edges[:, 0].astype(np.intp), edges[:, 1].astype(np.intp)
+    # row t lists t's in-neighbours, padded with n: the frontier's row that is always False
+    indeg = np.bincount(dst, minlength=n)
+    sources = np.full((n, indeg.max(initial=0)), n)
+    sources[dst, np.arange(len(dst)) - (np.cumsum(indeg) - indeg)[dst]] = src
+    shells = np.zeros((k, n, n), dtype=bool)  # shells[i, t, s] until the final transpose
+    reached = np.eye(n, dtype=bool)
+    frontier = np.eye(n + 1, n, dtype=bool)
+    for shell in shells:
+        for column in sources.T:
+            shell |= frontier[column]
+        shell &= ~reached
+        if not shell.any():
+            break
+        reached |= shell
+        frontier[:n] = shell
+    return shells.transpose(0, 2, 1).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +198,11 @@ def degree_normalize(h: np.ndarray, direction: str) -> np.ndarray:
 
 def hop_transitions(hops: np.ndarray) -> np.ndarray:
     """Bidirectional operator D_o^-1 H_i + D_i^-1 H_i^T per hop shell, (k, N, N)."""
-    return np.stack([degree_normalize(h, "out") + degree_normalize(h, "in") for h in hops])
+    out = np.empty(hops.shape)
+    for h, o in zip(hops, out):
+        o[...] = degree_normalize(h, "out")
+        o += degree_normalize(h, "in")
+    return out
 
 
 def multi_hop_conv(x: Tensor, trans: np.ndarray, w_x: list[Tensor], w_d: Tensor) -> Tensor:
@@ -214,8 +213,51 @@ def multi_hop_conv(x: Tensor, trans: np.ndarray, w_x: list[Tensor], w_d: Tensor)
     (samples, time steps); heads are concatenated and projected by
     ``w_d``. Feature width must split evenly across the k heads (validated
     at model build time).
+
+    One graph node with a hand-written backward. The forward projects
+    ``x`` once against ``[W_x[0] | ... | W_x[k-1]]`` and writes head i
+    into column block i of one buffer, the only array the node keeps; its
+    output is the same to the bit as composing the products. The backward
+    takes one product each for the gradients of ``w_d``, the stacked head
+    weights and ``x``, plus one transposed shell product per head.
     """
     if len(w_x) != trans.shape[0]:
         raise ShapeError(f"expected {trans.shape[0]} head weights, got {len(w_x)}")
-    heads = [T.matmul(Tensor(trans[i]), T.matmul(x, w)) for i, w in enumerate(w_x)]
-    return T.matmul(T.concat(heads, axis=-1), w_d)
+    inputs = (x, *w_x, w_d)
+    cuts = np.cumsum([0] + [w.shape[-1] for w in w_x])
+    blocks = [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    w = np.concatenate([w.data for w in w_x], axis=1)
+    try:
+        if x.data.ndim < 2:
+            raise ValueError
+        y = x.data @ w
+        cat = np.empty(y.shape)
+        for i, at in enumerate(blocks):
+            np.matmul(trans[i], y[..., at], out=cat[..., at])
+        del y
+        out = cat @ w_d.data
+    except ValueError:
+        raise ShapeError(
+            f"multi_hop_conv: features {x.shape}, shells {trans.shape}, head weights "
+            f"{w.shape} and output map {w_d.shape} do not fit"
+        ) from None
+
+    def vjp(g, need):
+        grads = [None] * len(inputs)
+        if need[-1]:
+            grads[-1] = T._rows(cat).T @ T._rows(g)
+        if any(need[:-1]):
+            # as matmul's gradients, through the output map, then each shell
+            g_cat = g @ w_d.data.T
+            g_y = np.empty(g_cat.shape)
+            for i, at in enumerate(blocks):
+                np.matmul(trans[i].T, g_cat[..., at], out=g_y[..., at])
+            del g_cat
+            if any(need[1:-1]):
+                g_w = T._rows(x.data).T @ T._rows(g_y)
+                grads[1:-1] = [g_w[:, at] for at in blocks]
+            if need[0]:
+                grads[0] = g_y @ w.T
+        return grads
+
+    return T._node(out, inputs, vjp)

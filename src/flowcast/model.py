@@ -50,7 +50,7 @@ from .data import (
     zscore_fit,
     zscore_invert,
 )
-from .graph import RoadGraph, hop_adjacency, hop_transitions, multi_hop_conv, shortest_path_hops
+from .graph import RoadGraph, hop_shells, hop_transitions, multi_hop_conv
 from .optim import AdamState, GradientError, adam_step, lr_at_epoch, zero_grads
 from .tensor import ShapeError, Tensor
 
@@ -291,64 +291,68 @@ class ModelParams:
         return out
 
 
-def _weight(rng, rows: int, cols: int) -> Tensor:
-    bound = 1.0 / math.sqrt(rows)
-    return T.param(rng.uniform(-bound, bound, (rows, cols)))
-
-
-def _bias(cols: int) -> Tensor:
-    return T.param(np.zeros(cols))
-
-
-def _gru_layer(rng, f: int) -> GruLayerParams:
+def _gru_layer(make, f: int) -> GruLayerParams:
     return GruLayerParams(
-        w_xr=_weight(rng, f, f), w_hr=_weight(rng, f, f),
-        w_xu=_weight(rng, f, f), w_hu=_weight(rng, f, f),
-        w_xh=_weight(rng, f, f), w_hh=_weight(rng, f, f),
-        b_r=_bias(f), b_u=_bias(f), b_h=_bias(f),
+        w_xr=make((f, f)), w_hr=make((f, f)),
+        w_xu=make((f, f)), w_hu=make((f, f)),
+        w_xh=make((f, f)), w_hh=make((f, f)),
+        b_r=make((f,)), b_u=make((f,)), b_h=make((f,)),
     )
 
 
-def _attention(rng, cfg: ModelConfig) -> AttentionParams:
+def _attention(make, cfg: ModelConfig) -> AttentionParams:
     f, d = cfg.width, cfg.head_dim
     return AttentionParams(
-        w_q=[_weight(rng, f, d) for _ in range(cfg.heads)],
-        w_k=[_weight(rng, f, d) for _ in range(cfg.heads)],
-        w_v=[_weight(rng, f, d) for _ in range(cfg.heads)],
-        w_o=_weight(rng, f, f),
+        w_q=[make((f, d)) for _ in range(cfg.heads)],
+        w_k=[make((f, d)) for _ in range(cfg.heads)],
+        w_v=[make((f, d)) for _ in range(cfg.heads)],
+        w_o=make((f, f)),
     )
 
 
-def _block(rng, cfg: ModelConfig) -> BlockParams:
+def _block(make, cfg: ModelConfig) -> BlockParams:
     f = cfg.width
     return BlockParams(
-        gru=[_gru_layer(rng, f) for _ in range(cfg.gru_layers)],
-        hop_w=[_weight(rng, f, f // cfg.hops) for _ in range(cfg.hops)],
-        hop_out=_weight(rng, f, f),
-        fuse_w=_weight(rng, 5 * f, f),
-        fuse_b=_bias(f),
-        attn=_attention(rng, cfg),
+        gru=[_gru_layer(make, f) for _ in range(cfg.gru_layers)],
+        hop_w=[make((f, f // cfg.hops)) for _ in range(cfg.hops)],
+        hop_out=make((f, f)),
+        fuse_w=make((5 * f, f)),
+        fuse_b=make((f,)),
+        attn=_attention(make, cfg),
+    )
+
+
+def _params(cfg: ModelConfig, make) -> ModelParams:
+    """The parameters of ``cfg``'s model, each tensor from ``make(shape)``,
+    called in one fixed order: (fan_in, fan_out) for a weight, (n,) for a bias."""
+    f = cfg.width
+    return ModelParams(
+        in_w=make((cfg.channels, f)), in_b=make((f,)),
+        out_w=make((f, cfg.channels)), out_b=make((cfg.channels,)),
+        emb_w=make((64, f)), emb_b=make((f,)),
+        time_w=make((cfg.time_enc_width, f)), time_b=make((f,)),
+        encoder=_block(make, cfg),
+        decoder=_block(make, cfg),
+        transform=TransformParams(
+            gru=[_gru_layer(make, f) for _ in range(cfg.gru_layers)],
+            q_fuse_w=make((3 * f, f)), q_fuse_b=make((f,)),
+            kv_fuse_w=make((3 * f, f)), kv_fuse_b=make((f,)),
+            attn=_attention(make, cfg),
+        ),
     )
 
 
 def init_params(cfg: ModelConfig, seed: int | None = None) -> ModelParams:
     """Uniform +-1/sqrt(fan_in) weights, zero biases, reproducible by seed."""
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    f = cfg.width
-    return ModelParams(
-        in_w=_weight(rng, cfg.channels, f), in_b=_bias(f),
-        out_w=_weight(rng, f, cfg.channels), out_b=_bias(cfg.channels),
-        emb_w=_weight(rng, 64, f), emb_b=_bias(f),
-        time_w=_weight(rng, cfg.time_enc_width, f), time_b=_bias(f),
-        encoder=_block(rng, cfg),
-        decoder=_block(rng, cfg),
-        transform=TransformParams(
-            gru=[_gru_layer(rng, f) for _ in range(cfg.gru_layers)],
-            q_fuse_w=_weight(rng, 3 * f, f), q_fuse_b=_bias(f),
-            kv_fuse_w=_weight(rng, 3 * f, f), kv_fuse_b=_bias(f),
-            attn=_attention(rng, cfg),
-        ),
-    )
+
+    def make(shape: tuple[int, ...]) -> Tensor:
+        if len(shape) == 1:
+            return T.param(np.zeros(shape))
+        bound = 1.0 / math.sqrt(shape[0])
+        return T.param(rng.uniform(-bound, bound, shape))
+
+    return _params(cfg, make)
 
 
 @dataclass
@@ -356,12 +360,12 @@ class GraphInputs:
     """Per-graph preprocessing shared by every forward pass."""
 
     graph: RoadGraph
-    hops: np.ndarray   # (k, N, N) exact-hop shells
+    hops: np.ndarray   # (k, N, N) bool exact-hop shells
     trans: np.ndarray  # (k, N, N) bidirectional transition per shell
 
     @classmethod
     def build(cls, graph: RoadGraph, k: int) -> "GraphInputs":
-        hops = hop_adjacency(shortest_path_hops(graph), k)
+        hops = hop_shells(graph, k)
         return cls(graph=graph, hops=hops, trans=hop_transitions(hops))
 
 
@@ -878,7 +882,12 @@ def load_model(path, graph: RoadGraph | None = None) -> tuple[Forecaster, AdamSt
     if graph is None:
         n = max((entry("graph.adjacency").shape or (0,))[0], 1)  # a graph has a node
         graph = RoadGraph.from_adjacency(array("graph.adjacency", (n, n), low=0.0))
-    model = Forecaster.new(cfg, graph, entry("node.embeddings"))
+    # every parameter starts as a zero-byte stand-in of its shape, then takes its entry
+    params = _params(cfg, lambda shape: Tensor(np.broadcast_to(0.0, shape), requires_grad=True))
+    model = Forecaster(
+        cfg=cfg, params=params, ginputs=GraphInputs.build(graph, cfg.hops),
+        node_emb=np.asarray(entry("node.embeddings"), dtype=np.float64),
+    )
     array("node.embeddings", (graph.n_nodes, model.params.emb_w.shape[0]))
     named = model.params.named()
     for name, p in named.items():

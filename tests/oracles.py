@@ -4,13 +4,16 @@ Each one computes the textbook formula directly, with none of the
 rewriting the library applies, so a test can compare the two. The walk and
 skip-gram oracles are the per-step loops the library's vectorized forms
 replaced (``rng.choice`` with ``p``, nested pair lists, ``np.add.at``);
-the library must reproduce their output bit for bit. The GRU, fusion and
-attention oracles are the forms composed of autodiff ops that the fused
-single-node ``context.gru_cell``, ``model._fuse`` and
-``attention.multi_head_attention`` / ``linear_attention`` replaced.
+the library must reproduce their output bit for bit. The GRU, fusion,
+attention and hop-conv oracles are the forms composed of autodiff ops that
+the fused single-node ``context.gru_cell``, ``model._fuse``,
+``attention.multi_head_attention`` / ``linear_attention`` and
+``graph.multi_hop_conv`` replaced. The full-depth BFS distance matrix and
+its float shells are the reference for ``graph.hop_shells``.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -21,6 +24,54 @@ from flowcast.graph import RoadGraph, degree_normalize
 from flowcast.tensor import ShapeError, Tensor
 
 import ops
+
+# Sentinel for node pairs with no directed path; never a valid hop count.
+UNREACHABLE = -1
+
+
+def shortest_path_hops(g: RoadGraph) -> np.ndarray:
+    """Directed hop-count matrix S: S[i,j] = min #edges from i to j.
+
+    S[i,i] = 0; pairs with no path hold :data:`UNREACHABLE`. Edge weights
+    do not participate (a hop is a hop).
+    """
+    n = g.n_nodes
+    out_neighbors: list[list[int]] = [[] for _ in range(n)]
+    for src, dst, w in g.edges:
+        if w != 0 and src != dst:
+            out_neighbors[src].append(dst)
+    dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
+    for start in range(n):
+        dist[start, start] = 0
+        queue = deque([start])
+        while queue:
+            cur = queue.popleft()
+            d = dist[start, cur]
+            for nxt in out_neighbors[cur]:
+                if dist[start, nxt] == UNREACHABLE:
+                    dist[start, nxt] = d + 1
+                    queue.append(nxt)
+    return dist
+
+
+def hop_adjacency(s: np.ndarray, k: int) -> np.ndarray:
+    """Split the hop-distance matrix into exact-hop shells 1..k.
+
+    Returns a (k, N, N) stack in {0, 1}; layer i-1 marks pairs exactly i
+    hops apart.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return np.stack([(s == i).astype(np.float64) for i in range(1, k + 1)])
+
+
+def multi_hop_conv(x: Tensor, trans: np.ndarray, w_x: list[Tensor], w_d: Tensor) -> Tensor:
+    """Head i is ``trans[i] @ (X W_x[i])``; the heads are concatenated and
+    projected by ``w_d``."""
+    if len(w_x) != trans.shape[0]:
+        raise ShapeError(f"expected {trans.shape[0]} head weights, got {len(w_x)}")
+    heads = [T.matmul(Tensor(trans[i]), T.matmul(x, w)) for i, w in enumerate(w_x)]
+    return T.matmul(T.concat(heads, axis=-1), w_d)
 
 
 def similarity_attention(

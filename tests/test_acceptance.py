@@ -23,13 +23,7 @@ from flowcast.context import (
     temporal_onehot,
 )
 from flowcast.data import assign_windows, make_windows, metrics
-from flowcast.graph import (
-    RoadGraph,
-    hop_adjacency,
-    hop_transitions,
-    multi_hop_conv,
-    shortest_path_hops,
-)
+from flowcast.graph import RoadGraph, hop_shells, hop_transitions, multi_hop_conv
 from flowcast.model import (
     Forecaster,
     ModelConfig,
@@ -178,7 +172,7 @@ def test_criterion_3_gradient_suite():
 
     # multi-hop diffusion conv
     graph = ring_graph(4)
-    trans = hop_transitions(hop_adjacency(shortest_path_hops(graph), 2))
+    trans = hop_transitions(hop_shells(graph, 2))
     mx = T.param(rng.uniform(-1, 1, (4, f)))
     w_x = [T.param(rng.uniform(-0.5, 0.5, (f, f // 2))) for _ in range(2)]
     w_d = T.param(rng.uniform(-0.5, 0.5, (f, f)))
@@ -265,7 +259,8 @@ def test_criterion_4_hop_adjacency_oracle():
         for mid in range(n):
             dist = np.minimum(dist, dist[:, mid : mid + 1] + dist[mid : mid + 1, :])
 
-        hops = hop_adjacency(shortest_path_hops(graph), k)
+        hops = hop_shells(graph, k)
+        assert hops.dtype == bool and hops.shape == (k, n, n)
         for i in range(k):
             assert np.array_equal(hops[i], (dist == i + 1).astype(float))
             for j in range(i + 1, k):

@@ -1,5 +1,7 @@
 """Graph preprocessing and diffusion convolution against independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -7,21 +9,21 @@ from hypothesis import strategies as st
 
 from flowcast import tensor as T
 from flowcast.graph import (
-    UNREACHABLE,
     GraphFormatError,
     RoadGraph,
     degree_normalize,
-    hop_adjacency,
+    hop_shells,
     hop_transitions,
     load_adjacency,
     multi_hop_conv,
-    shortest_path_hops,
 )
-from flowcast.tensor import Tensor, backward
+from flowcast.synth import ring_graph
+from flowcast.tensor import ShapeError, Tensor, backward
 
 import ops
+import oracles
 from gradcheck import grad_close, numeric_grad
-from oracles import diffusion_conv
+from oracles import UNREACHABLE, diffusion_conv, hop_adjacency, shortest_path_hops
 
 
 def floyd_warshall_hops(adj: np.ndarray) -> np.ndarray:
@@ -81,7 +83,7 @@ def test_bfs_matches_floyd_warshall_on_random_graphs():
 # Hop shells
 
 def test_line_graph_hops():
-    hops = hop_adjacency(shortest_path_hops(line_graph()), k=2)
+    hops = hop_shells(line_graph(), k=2)
     h1, h2 = hops
     assert h1[0, 1] == 1 and h1[1, 2] == 1 and h1.sum() == 2
     assert h2[0, 2] == 1 and h2.sum() == 1
@@ -90,7 +92,7 @@ def test_line_graph_hops():
 def test_k1_equals_binarized_adjacency():
     rng = np.random.default_rng(5)
     g = random_graph(rng, 12, density=0.2)
-    hops = hop_adjacency(shortest_path_hops(g), k=1)
+    hops = hop_shells(g, k=1)
     binarized = (g.adjacency != 0).astype(float)
     np.fill_diagonal(binarized, 0.0)
     assert np.array_equal(hops[0], binarized)
@@ -103,7 +105,7 @@ def test_hop_union_covers_reachable_pairs_and_shells_are_disjoint():
         k = int(rng.integers(1, 6))
         g = random_graph(rng, n)
         s = shortest_path_hops(g)
-        hops = hop_adjacency(s, k)
+        hops = hop_shells(g, k)
         union = hops.sum(axis=0)
         expected = ((s >= 1) & (s <= k)).astype(float)
         assert np.array_equal(union, expected)  # disjoint => sum == union
@@ -111,6 +113,38 @@ def test_hop_union_covers_reachable_pairs_and_shells_are_disjoint():
             assert np.all(np.diag(hops[i]) == 0)
             for j in range(i + 1, k):
                 assert np.all(hops[i] * hops[j] == 0)
+
+
+_GRAPHS = st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                  st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+        max_size=3 * n,
+    ),
+    st.integers(0, 3),
+    st.integers(1, n + 2),
+))
+
+
+@given(case=_GRAPHS)
+@settings(max_examples=200, deadline=None)
+def test_hop_shells_match_the_bfs_distance_oracle(case):
+    n, edges, zeroed, k = case
+    # node n has no edge, so every graph has an isolated node; self-loops,
+    # zero weights and repeated edges come from the draw, and the first
+    # ``zeroed`` edges repeat once more with weight 0; k runs past the
+    # diameter, which is at most n - 1
+    edges = edges + [(src, dst, 0.0) for src, dst, _ in edges[:zeroed]]
+    g = RoadGraph(n_nodes=n + 1, edges=edges)
+    hops = hop_shells(g, k)
+    assert hops.dtype == bool and hops.shape == (k, n + 1, n + 1)
+    assert np.array_equal(hops, hop_adjacency(shortest_path_hops(g), k) != 0)
+
+
+def test_hop_shells_reject_k_below_one():
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        hop_shells(line_graph(), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +228,7 @@ def test_multi_hop_conv_no_edges_gives_zero():
     rng = np.random.default_rng(14)
     f, n, k = 4, 5, 2
     g = RoadGraph(n_nodes=n, edges=[])
-    trans = hop_transitions(hop_adjacency(shortest_path_hops(g), k))
+    trans = hop_transitions(hop_shells(g, k))
     out = multi_hop_conv(
         Tensor(rng.normal(size=(n, f))),
         trans,
@@ -210,7 +244,7 @@ def test_multi_hop_conv_k1_equals_diffusion_conv():
     adj = (rng.random((n, n)) < 0.4).astype(float)  # binary weights
     np.fill_diagonal(adj, 0.0)
     g = RoadGraph.from_adjacency(adj)
-    trans = hop_transitions(hop_adjacency(shortest_path_hops(g), k=1))
+    trans = hop_transitions(hop_shells(g, k=1))
     x = Tensor(rng.normal(size=(n, f)))
     w = Tensor(rng.normal(size=(f, f)))
 
@@ -259,11 +293,11 @@ def test_multi_hop_conv_permutation_equivariance():
     g_perm = RoadGraph.from_adjacency(p_mat @ g.adjacency @ p_mat.T)
 
     out = multi_hop_conv(
-        Tensor(x), hop_transitions(hop_adjacency(shortest_path_hops(g), k)), w_x, w_d
+        Tensor(x), hop_transitions(hop_shells(g, k)), w_x, w_d
     ).data
     out_perm = multi_hop_conv(
         Tensor(p_mat @ x),
-        hop_transitions(hop_adjacency(shortest_path_hops(g_perm), k)),
+        hop_transitions(hop_shells(g_perm, k)),
         w_x,
         w_d,
     ).data
@@ -273,7 +307,7 @@ def test_multi_hop_conv_permutation_equivariance():
 def test_multi_hop_conv_over_leading_axes_equals_per_step_calls():
     rng = np.random.default_rng(21)
     n, f, k = 5, 4, 2
-    trans = hop_transitions(hop_adjacency(shortest_path_hops(random_graph(rng, n, 0.4)), k))
+    trans = hop_transitions(hop_shells(random_graph(rng, n, 0.4), k))
     w_x = _head_weights(rng, f, k)
     w_d = T.param(rng.normal(size=(f, f)))
     x = rng.normal(size=(2, 3, n, f))  # (B, T, N, F)
@@ -288,7 +322,7 @@ def test_multi_hop_conv_gradients():
     rng = np.random.default_rng(20)
     n, f, k = 4, 4, 2
     g = random_graph(rng, n, density=0.5)
-    trans = hop_transitions(hop_adjacency(shortest_path_hops(g), k))
+    trans = hop_transitions(hop_shells(g, k))
     x = T.param(rng.normal(size=(n, f)))
     w_x = _head_weights(rng, f, k)
     w_d = T.param(rng.normal(size=(f, f)))
@@ -301,6 +335,77 @@ def test_multi_hop_conv_gradients():
 
     for t in [x, w_d, *w_x]:
         assert grad_close(t.grad, numeric_grad(forward, t.data))
+
+
+@pytest.mark.parametrize("untracked", ["none", "x", "w_x", "w_d"])
+def test_multi_hop_conv_matches_composed_oracle(untracked):
+    rng = np.random.default_rng(22)
+    n, f, k = 6, 8, 4
+    trans = hop_transitions(hop_shells(random_graph(rng, n, 0.35), k))
+    x = rng.normal(size=(2, 3, n, f))  # (B, T, N, F)
+    w_x = [rng.normal(size=(f, f // k)) for _ in range(k)]
+    w_d = rng.normal(size=(f, f))
+    c = Tensor(rng.normal(size=(2, 3, n, f)))
+
+    def run(conv):
+        xt = Tensor(x, requires_grad=untracked != "x")
+        wts = [Tensor(w, requires_grad=(untracked, i) != ("w_x", 1)) for i, w in enumerate(w_x)]
+        wd = Tensor(w_d, requires_grad=untracked != "w_d")
+        out = conv(xt, trans, wts, wd)
+        backward(ops.sum_(ops.mul(out, c)))
+        return out.data, [t.grad for t in (xt, *wts, wd)]
+
+    out, grads = run(multi_hop_conv)
+    want, want_grads = run(oracles.multi_hop_conv)
+    assert out.tobytes() == want.tobytes()
+    assert [g is None for g in grads] == [g is None for g in want_grads]
+    assert sum(g is None for g in grads) == (untracked != "none")
+    for got, ref in zip(grads, want_grads):
+        if ref is not None:
+            assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def test_multi_hop_conv_under_no_grad_builds_no_node():
+    rng = np.random.default_rng(23)
+    trans = hop_transitions(hop_shells(line_graph(), 2))
+    with T.no_grad():
+        out = multi_hop_conv(
+            T.param(rng.normal(size=(3, 4))), trans, _head_weights(rng, 4, 2),
+            T.param(rng.normal(size=(4, 4))),
+        )
+    assert out.parents == () and not out.requires_grad
+
+
+def test_multi_hop_conv_keeps_one_feature_array():
+    # ref shape: 12 steps of 228 nodes at width 128 over 8 hop shells
+    rng = np.random.default_rng(24)
+    n, f, k = 228, 128, 8
+    trans = hop_transitions(hop_shells(ring_graph(n), k))
+    x = T.param(rng.normal(size=(1, 12, n, f)))
+    w_x = [T.param(rng.uniform(-0.1, 0.1, (f, f // k))) for _ in range(k)]
+    w_d = T.param(rng.uniform(-0.1, 0.1, (f, f)))
+    tracemalloc.start()
+    try:
+        out = multi_hop_conv(x, trans, w_x, w_d)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # beyond its output, the node keeps the heads' buffer, as large as x,
+    # and the stacked (F, F) head weights; the composed form kept 3 times x
+    assert held - out.data.nbytes <= x.data.nbytes + w_d.data.nbytes + 4096
+
+
+def test_multi_hop_conv_rejects_shapes_that_do_not_fit():
+    trans = hop_transitions(hop_shells(line_graph(), 2))  # 3 nodes
+    w_x, w_d = [Tensor(np.ones((4, 2)))] * 2, Tensor(np.ones((4, 4)))
+    with pytest.raises(ShapeError, match="do not fit"):
+        multi_hop_conv(Tensor(np.ones((5, 4))), trans, w_x, w_d)
+    with pytest.raises(ShapeError, match="do not fit"):
+        multi_hop_conv(Tensor(np.ones((3, 3))), trans, w_x, w_d)
+    with pytest.raises(ShapeError, match="do not fit"):
+        multi_hop_conv(Tensor(np.ones(4)), trans, w_x, w_d)
+    with pytest.raises(ShapeError, match="expected 2 head weights, got 1"):
+        multi_hop_conv(Tensor(np.ones((3, 4))), trans, w_x[:1], w_d)
 
 
 # ---------------------------------------------------------------------------

@@ -430,8 +430,9 @@ def test_fused_fuse_rejects_streams_that_do_not_fit():
 
 
 def test_toy_loss_graph_nodes_per_sample():
-    # one graph node per fused GRU cell, context fusion, attention call and
-    # L1 loss; the composed forms built 17.6 nodes per sample here
+    # one graph node per fused GRU cell, context fusion, attention call,
+    # hop-diffusion conv and L1 loss; the composed forms built 17.6 nodes
+    # per sample here
     cfg = load_config(TOY_CFG)
     rng = np.random.default_rng(65)
     model = Forecaster.new(cfg, ring_graph(8), rng.normal(size=(8, 64)))
@@ -445,7 +446,16 @@ def test_toy_loss_graph_nodes_per_sample():
         if id(node) not in seen:
             seen.add(id(node))
             stack.extend(parent for parent, _ in node.parents)
-    assert len(seen) / batch <= 183 / 18
+    assert len(seen) / batch <= 173 / 18
+
+
+@pytest.mark.parametrize("n, k, nnz", [(228, 8, 1824), (8, 2, 16)])
+def test_ring_hop_shells_hold_one_pair_per_node_and_shell(n, k, nnz):
+    # a directed ring has one node at each hop distance: perfbench reports
+    # this count as graph.shell_nnz
+    hops = GraphInputs.build(ring_graph(n), k).hops
+    assert hops.dtype == bool and hops.shape == (k, n, n)
+    assert np.count_nonzero(hops) == nnz
 
 
 def test_encoder_shapes_and_determinism(tiny_model):
@@ -928,6 +938,20 @@ def test_model_checkpoint_round_trip(tmp_path, tiny_model):
     assert loaded_state.step == 1
     x = np.random.default_rng(16).normal(size=(m.cfg.history, 3, 1))
     assert np.array_equal(m.predict(x[None], [3]), loaded.predict(x[None], [3]))
+
+
+def test_load_model_takes_each_parameter_from_the_checkpoint(tmp_path, tiny_model, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_model(path, tiny_model, None)
+    # drawing weights only to overwrite them was the old cost of a load
+    monkeypatch.setattr(model_module, "init_params", lambda *args, **kwargs: pytest.fail(
+        "load_model drew parameters"
+    ))
+    loaded, _ = load_model(path)
+    saved = tiny_model.params.named()
+    for name, p in loaded.params.named().items():
+        assert p.requires_grad and p.data.flags.writeable, name
+        assert np.array_equal(p.data, saved[name].data), name
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import ast
 import re
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -594,6 +595,21 @@ def test_checkpoint_round_trip(tmp_path):
     for name in arrays:
         assert np.array_equal(loaded[name], arrays[name])
         assert loaded[name].shape == arrays[name].shape
+
+
+def test_load_arrays_holds_each_entry_once(tmp_path):
+    path = tmp_path / "big.ckpt"
+    save_arrays(path, {f"w{i}": np.full((256, 256), float(i)) for i in range(8)})  # 4 MB
+    tracemalloc.start()
+    try:
+        arrays = load_arrays(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # reading the whole file first and copying each entry out of it peaked at twice this
+    assert peak <= sum(a.nbytes for a in arrays.values()) + 65536
+    assert all(a.flags.writeable and a.flags.c_contiguous for a in arrays.values())
+    assert [float(a[0, 0]) for a in arrays.values()] == [float(i) for i in range(8)]
 
 
 def test_checkpoint_truncated_mid_array_names_file(tmp_path):
