@@ -152,7 +152,7 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """
     _check_qkv(q, k, v)
     out, saved = _head_forward(q.data, k.data, v.data)
-    return T._node(out, (q, k, v), lambda g, need: _head_backward(g, saved))
+    return T._node(out, (q, k, v), lambda g: _head_backward(g, saved))
 
 
 def multi_head_attention(
@@ -173,7 +173,7 @@ def multi_head_attention(
     when no graph is built, it keeps none of them. The backward stacks the
     heads' q gradients, and their k and v gradients, as column blocks, so
     x meets ``[W_q]`` and the key/value source ``[W_k | W_v]`` in one
-    product for its own gradient and one for theirs.
+    :func:`~flowcast.tensor._linear_grads` call each.
     """
     width = params.w_o.shape[0]
     if x.shape[-1] != width:
@@ -210,33 +210,20 @@ def multi_head_attention(
             saved.append(head)
     out = cat @ params.w_o.data
 
-    def vjp(g, need):
-        grads = [None] * len(inputs)
-        n = len(sources)  # w_o's place in the inputs; the w_q, w_k and w_v follow
-        if need[n]:
-            grads[n] = T._rows(cat).T @ T._rows(g)
-        g_cat = g @ params.w_o.data.T
+    def vjp(g):
+        g_cat, g_o = T._linear_grads(cat, [params.w_o.data], g)
         # head i's gradients at q, k and v are the column blocks i, i and heads + i
         g_q = np.empty(x.shape[:-1] + (heads * d,))
         g_kv = np.empty(source.shape[:-1] + (2 * heads * d,))
         for i, head in enumerate(saved):
             at, at_v = slice(i * d, (i + 1) * d), slice((heads + i) * d, (heads + i + 1) * d)
             g_q[..., at], g_kv[..., at], g_kv[..., at_v] = _head_backward(g_cat[..., at], head)
-        # as matmul's gradients: operand^T @ g_p, split per weight, and g_p @ w^T;
-        # popped, so each gradient buffer is freed once its products are taken
-        stacks = [
-            (0, g_q, slice(n + 1, n + 1 + heads), params.w_q),
-            (n - 1, g_kv, slice(n + 1 + heads, None), params.w_k + params.w_v),
-        ]
-        del g_cat, g_q, g_kv
-        while stacks:
-            at, g_p, w_at, ws = stacks.pop(0)
-            if any(need[w_at]):
-                g_w = T._rows(sources[at].data).T @ T._rows(g_p)
-                grads[w_at] = [g_w[:, j : j + d] for j in range(0, g_p.shape[-1], d)]
-            if need[at]:  # in self-attention, x's two shares add up in place
-                g_in = g_p @ np.concatenate([w.data for w in ws], axis=1).T
-                grads[at] = g_in if grads[at] is None else np.add(g_in, grads[at], out=g_in)
-        return grads
+        del g_cat
+        g_x, g_wq = T._linear_grads(x.data, [w.data for w in w_qkv[:heads]], g_q)
+        del g_q  # freed before the key/value products
+        g_src, g_wkv = T._linear_grads(source.data, [w.data for w in w_qkv[heads:]], g_kv)
+        if cross_kv is None:  # x's two shares add up in place
+            return (np.add(g_src, g_x, out=g_src), *g_o, *g_wq, *g_wkv)
+        return (g_x, g_src, *g_o, *g_wq, *g_wkv)
 
     return T._node(out, inputs, vjp)

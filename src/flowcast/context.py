@@ -337,7 +337,7 @@ def gru_cell(x_t: Tensor, h_prev: Tensor, layer: GruLayerParams) -> Tensor:
     the composed cell made a new array, so its output is the same to the bit.
     The backward holds the gate gradients as the column blocks [r | u | c]
     of one array, so X meets [W_xr | W_xu | W_xh] and H_prev meets
-    [W_hr | W_hu] in one product for its own gradient and one for theirs.
+    [W_hr | W_hu] in one :func:`~flowcast.tensor._linear_grads` call each.
     """
     if x_t.shape != h_prev.shape:
         raise ShapeError(f"gru_cell: input {x_t.shape} vs hidden {h_prev.shape}")
@@ -359,40 +359,25 @@ def gru_cell(x_t: Tensor, h_prev: Tensor, layer: GruLayerParams) -> Tensor:
     out = u * h
     out += (1.0 - u) * cand
 
-    def vjp(g, need):
+    def vjp(g):
         # gradients at the pre-activations of the gates, as the column blocks
         # [r | u | c] of one array, plus the gradient at R * H_prev
         f = out.shape[-1]
-
-        def blocks(a):  # the f-wide column blocks of a
-            return [a[..., i : i + f] for i in range(0, a.shape[-1], f)]
-
         gates = np.empty(out.shape[:-1] + (3 * f,))
-        a_r, a_u, a_c = blocks(gates)
+        a_r, a_u, a_c = T._cols(gates, [f] * 3)
         one_minus_u = 1.0 - u
         np.multiply(g * one_minus_u, 1.0 - cand * cand, out=a_c)
-        d_rh = a_c @ w_hh.T
+        d_rh, g_hh = T._linear_grads(rh, [w_hh], a_c)
         np.multiply(d_rh * h * r, 1.0 - r, out=a_r)
         np.multiply(g * (h - cand) * u, one_minus_u, out=a_u)
-        a_ru = gates[..., : 2 * f]
-        grads = [None] * (2 + len(params))  # one per input, in the order of the inputs below
-        if need[0]:
-            grads[0] = gates @ np.concatenate([w_xr, w_xu, w_xh], axis=1).T
-        if need[1]:
-            grads[1] = dh = g * u
-            dh += d_rh * r
-            dh += a_ru @ np.concatenate([w_hr, w_hu], axis=1).T
-        # as matmul's gradients: operand^T @ gate gradients, with the rows of
-        # every batch axis in one product
-        if need[2] or need[4] or need[6]:
-            grads[2], grads[4], grads[6] = blocks(T._rows(x).T @ T._rows(gates))
-        if need[3] or need[5]:
-            grads[3], grads[5] = blocks(T._rows(h).T @ T._rows(a_ru))
-        if need[7]:
-            grads[7] = T._rows(rh).T @ T._rows(a_c)
-        if need[8] or need[9] or need[10]:
-            grads[8:] = blocks(T._rows(gates).sum(axis=0))
-        return grads
+        dx, (g_xr, g_xu, g_xh) = T._linear_grads(x, [w_xr, w_xu, w_xh], gates)
+        dh_ru, (g_hr, g_hu) = T._linear_grads(h, [w_hr, w_hu], gates[..., : 2 * f])
+        dh = g * u
+        dh += d_rh * r
+        dh += dh_ru
+        g_br, g_bu, g_bh = T._cols(T._rows(gates).sum(axis=0), [f] * 3)
+        # in the order of the inputs below
+        return dx, dh, g_xr, g_hr, g_xu, g_hu, g_xh, *g_hh, g_br, g_bu, g_bh
 
     return T._node(out, (x_t, h_prev) + params, vjp)
 

@@ -44,16 +44,16 @@ class RoadGraph:
     def __post_init__(self):
         if self.n_nodes < 1:
             raise ValueError("graph needs at least one node")
+        for src, dst, w in self.edges:
+            if not (0 <= src < self.n_nodes and 0 <= dst < self.n_nodes):
+                raise ValueError(f"edge ({src},{dst}) out of range for N={self.n_nodes}")
+            if not (math.isfinite(w) and w >= 0):
+                raise ValueError(f"edge ({src},{dst}) weight must be finite and >= 0, got {w}")
         if self.adjacency is None:
             adj = np.zeros((self.n_nodes, self.n_nodes))
             for src, dst, w in self.edges:
                 adj[src, dst] = w
             self.adjacency = adj
-        for src, dst, w in self.edges:
-            if not (0 <= src < self.n_nodes and 0 <= dst < self.n_nodes):
-                raise ValueError(f"edge ({src},{dst}) out of range for N={self.n_nodes}")
-            if w < 0:
-                raise ValueError(f"edge ({src},{dst}) has negative weight {w}")
 
     @classmethod
     def from_adjacency(cls, adj: np.ndarray) -> "RoadGraph":
@@ -242,22 +242,14 @@ def multi_hop_conv(x: Tensor, trans: np.ndarray, w_x: list[Tensor], w_d: Tensor)
             f"{w.shape} and output map {w_d.shape} do not fit"
         ) from None
 
-    def vjp(g, need):
-        grads = [None] * len(inputs)
-        if need[-1]:
-            grads[-1] = T._rows(cat).T @ T._rows(g)
-        if any(need[:-1]):
-            # as matmul's gradients, through the output map, then each shell
-            g_cat = g @ w_d.data.T
-            g_y = np.empty(g_cat.shape)
-            for i, at in enumerate(blocks):
-                np.matmul(trans[i].T, g_cat[..., at], out=g_y[..., at])
-            del g_cat
-            if any(need[1:-1]):
-                g_w = T._rows(x.data).T @ T._rows(g_y)
-                grads[1:-1] = [g_w[:, at] for at in blocks]
-            if need[0]:
-                grads[0] = g_y @ w.T
-        return grads
+    def vjp(g):
+        # as matmul's gradients, through the output map, then each shell
+        g_cat, g_d = T._linear_grads(cat, [w_d.data], g)
+        g_y = np.empty(g_cat.shape)
+        for i, at in enumerate(blocks):
+            np.matmul(trans[i].T, g_cat[..., at], out=g_y[..., at])
+        del g_cat
+        g_x, g_w = T._linear_grads(x.data, [w.data for w in w_x], g_y)
+        return (g_x, *g_w, *g_d)
 
     return T._node(out, inputs, vjp)

@@ -66,9 +66,8 @@ __all__ = [
     "input_projection",
     "output_projection",
     "context_block",
-    "encoder_forward",
+    "block_forward",
     "transform_layer",
-    "decoder_forward",
     "forward_batch",
     "train",
     "forecast",
@@ -342,9 +341,9 @@ def _params(cfg: ModelConfig, make) -> ModelParams:
     )
 
 
-def init_params(cfg: ModelConfig, seed: int | None = None) -> ModelParams:
-    """Uniform +-1/sqrt(fan_in) weights, zero biases, reproducible by seed."""
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+def init_params(cfg: ModelConfig) -> ModelParams:
+    """Uniform +-1/sqrt(fan_in) weights, zero biases, reproducible by ``cfg.seed``."""
+    rng = np.random.default_rng(cfg.seed)
 
     def make(shape: tuple[int, ...]) -> Tensor:
         if len(shape) == 1:
@@ -378,21 +377,22 @@ def input_projection(params: ModelParams, x: Tensor) -> Tensor:
         raise ShapeError(
             f"input has {x.shape[-1]} channels, projection expects {params.in_w.shape[0]}"
         )
-    return T.add(T.matmul(x, params.in_w), params.in_b)
+    return _fuse(params.in_w, params.in_b, [x])
 
 
 def output_projection(params: ModelParams, feats: Tensor) -> Tensor:
     """(..., T, N, F) -> (..., T, N, C)."""
-    return T.add(T.matmul(feats, params.out_w), params.out_b)
+    return _fuse(params.out_w, params.out_b, [feats])
 
 
 def _fuse(w: Tensor, b: Tensor, streams: list[Tensor]) -> Tensor:
     """``concat(streams, axis=-1) @ w + b`` without the concat.
 
-    Stream i meets its own F-row block of ``w``, and the products add up
-    by broadcasting, so static context of shape (N, F) or (..., T, 1, F)
-    joins (..., T, N, F) features without being tiled. Stream 0 has the
-    output's full shape.
+    Stream i meets its own block of ``w``, the rows from the summed widths
+    of the streams before it, and the products add up by broadcasting, so
+    static context of shape (N, F) or (..., T, 1, F) joins (..., T, N, F)
+    features without being tiled. Stream 0 has the output's leading shape.
+    One stream makes it a linear map ``x @ w + b``.
 
     One graph node with a hand-written backward that keeps nothing beyond
     its inputs. The forward adds ``b + s_0 @ W_0``, then each ``s_i @ W_i``
@@ -400,9 +400,11 @@ def _fuse(w: Tensor, b: Tensor, streams: list[Tensor]) -> Tensor:
     nodes, so its output is the same to the bit.
     """
     f = w.shape[1]
-    blocks = [w.data[i * f : (i + 1) * f] for i in range(len(streams))]
+    cuts = np.cumsum([0] + [s.shape[-1] for s in streams])
+    rows = [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    blocks = [w.data[at] for at in rows]
     try:
-        if w.shape[0] != len(streams) * f or min(s.data.ndim for s in streams) < 2:
+        if w.shape[0] != cuts[-1] or min(s.data.ndim for s in streams) < 2:
             raise ValueError
         out = b.data + streams[0].data @ blocks[0]
         for s, block in zip(streams[1:], blocks[1:]):
@@ -412,17 +414,13 @@ def _fuse(w: Tensor, b: Tensor, streams: list[Tensor]) -> Tensor:
             f"fuse: streams {[s.shape for s in streams]} do not fit weight {w.shape}"
         ) from None
 
-    def vjp(g, need):
-        w_grad = np.empty(w.shape) if need[0] else None
-        grads = [w_grad, T._unbroadcast(g, b.shape) if need[1] else None]
-        for i, (s, block) in enumerate(zip(streams, blocks)):
+    def vjp(g):
+        grads = [np.empty(w.shape), T._unbroadcast(g, b.shape)]
+        for s, block, at in zip(streams, blocks, rows):
             # as matmul under add: the product's share of g, then its two factors
             g_s = T._unbroadcast(g, s.shape[:-1] + (f,))
-            if w_grad is not None:
-                w_grad[i * f : (i + 1) * f] = T._unbroadcast(
-                    np.swapaxes(s.data, -1, -2) @ g_s, (f, f)
-                )
-            grads.append(T._unbroadcast(g_s @ block.T, s.shape) if need[i + 2] else None)
+            grads[0][at] = T._unbroadcast(np.swapaxes(s.data, -1, -2) @ g_s, block.shape)
+            grads.append(T._unbroadcast(g_s @ block.T, s.shape))
         return grads
 
     return T._node(out, (w, b, *streams), vjp)
@@ -478,19 +476,21 @@ def _attend(block: str, x: Tensor, cross_kv: Tensor | None, attn: AttentionParam
     return T.reshape(out, x.shape)
 
 
-def encoder_forward(
-    cfg: ModelConfig,
-    params: ModelParams,
+def block_forward(
+    name: str,
+    block: BlockParams,
     xh: Tensor,
     emb_proj: Tensor,
-    time_hist: Tensor,
+    time_proj: Tensor,
     ginputs: GraphInputs,
+    h0: list[Tensor],
 ) -> tuple[Tensor, list[Tensor]]:
-    """Context block, then self attention with a residual connection."""
-    h0 = [Tensor(np.zeros(xh.shape[:-3] + xh.shape[-2:])) for _ in range(cfg.gru_layers)]
-    ctx, finals = context_block(params.encoder, xh, emb_proj, time_hist, ginputs, h0)
-    enc = T.add(ctx, _attend("encoder", ctx, None, params.encoder.attn))
-    return enc, finals
+    """The encoder or decoder: :func:`context_block` from GRU states ``h0``,
+    then self attention with a residual connection; a degenerate-normalizer
+    error names ``name``. Returns (..., T, N, F) features plus the GRU's
+    final hidden states."""
+    ctx, finals = context_block(block, xh, emb_proj, time_proj, ginputs, h0)
+    return T.add(ctx, _attend(name, ctx, None, block.attn)), finals
 
 
 def transform_layer(
@@ -530,20 +530,6 @@ def transform_layer(
     return _attend("transform", q, kv, tp.attn)
 
 
-def decoder_forward(
-    params: ModelParams,
-    xh: Tensor,
-    enc_finals: list[Tensor],
-    emb_proj: Tensor,
-    time_fut: Tensor,
-    ginputs: GraphInputs,
-) -> Tensor:
-    """Mirror of the encoder over the horizon span; GRU starts from the
-    encoder's final hidden state. Returns (..., horizon, N, F) features."""
-    ctx, _ = context_block(params.decoder, xh, emb_proj, time_fut, ginputs, list(enc_finals))
-    return T.add(ctx, _attend("decoder", ctx, None, params.decoder.attn))
-
-
 def _reject_non_finite(xs: np.ndarray) -> None:
     finite = np.isfinite(xs).reshape(len(xs), -1).all(axis=1)
     if not finite.all():
@@ -566,21 +552,27 @@ def forward_batch(
     non-finite inputs by sample index.
     """
     _reject_non_finite(xs)
-    emb_proj = T.add(T.matmul(Tensor(node_emb), params.emb_w), params.emb_b)
+    emb_proj = _fuse(params.emb_w, params.emb_b, [Tensor(node_emb)])
     span = cfg.history + cfg.horizon
     hot = np.stack([
         temporal_encoding(int(t0), span, cfg.slots_per_day, cfg.start_weekday) for t0 in t0s
     ])
-    time_proj = T.add(T.matmul(Tensor(hot), params.time_w), params.time_b)
+    time_proj = _fuse(params.time_w, params.time_b, [Tensor(hot)])
     time_hist, time_fut = time_proj[:, : cfg.history], time_proj[:, cfg.history :]
 
     xh = input_projection(params, Tensor(xs))
-    enc, enc_finals = encoder_forward(cfg, params, xh, emb_proj, time_hist, ginputs)
+    # zero initial GRU states, passed without a name so they are freed once the encoder returns
+    enc, enc_finals = block_forward(
+        "encoder", params.encoder, xh, emb_proj, time_hist, ginputs,
+        [Tensor(np.zeros(xh.shape[:-3] + xh.shape[-2:])) for _ in range(cfg.gru_layers)],
+    )
     dec_in = transform_layer(
         cfg, params, enc, enc_finals, xh[:, cfg.history - 1],
         emb_proj, time_hist, time_fut,
     )
-    dec_feats = decoder_forward(params, dec_in, enc_finals, emb_proj, time_fut, ginputs)
+    dec_feats, _ = block_forward(
+        "decoder", params.decoder, dec_in, emb_proj, time_fut, ginputs, enc_finals
+    )
     return output_projection(params, dec_feats)
 
 

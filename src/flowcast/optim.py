@@ -27,8 +27,8 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: dict[str, Tensor], **kwargs) -> "AdamState":
-        state = cls(**kwargs)
+    def for_params(cls, params: dict[str, Tensor]) -> "AdamState":
+        state = cls()
         for name, p in params.items():
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)

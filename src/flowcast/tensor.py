@@ -13,14 +13,17 @@ cost O(T·N·F), not T full arrays (see :func:`backward`).
 
 Every op, plain or fused, records one node through :func:`_node` with a
 single vector-Jacobian product that maps the node's output gradient to one
-gradient per input. A fixed formula of several inputs, such as the GRU
-cell, is one node with a hand-written vjp, so the graph keeps only what
-that vjp reads instead of every intermediate array.
+gradient per input, tracked or not; :func:`backward` reads only the tracked
+ones. A fixed formula of several inputs, such as the GRU cell, is one node
+with a hand-written vjp, so the graph keeps only what that vjp reads
+instead of every intermediate array. Each such vjp takes the gradients of
+its linear maps ``x @ [w_0 | ... | w_k]`` from :func:`_linear_grads`.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -116,19 +119,16 @@ def _tracks(inputs) -> bool:
 def _node(data: np.ndarray, inputs, vjp) -> Tensor:
     """Wrap an op result as one graph node over ``inputs``.
 
-    ``vjp(g, need)`` maps the output gradient to one gradient per input;
-    ``need[i]`` says whether input i is tracked. The entries of the others
-    are never read: a vjp leaves them None and skips work only they need.
-    :func:`backward` calls it once per pass. Under :func:`no_grad`, or with
-    no tracked input, the node keeps nothing.
+    ``vjp(g)`` maps the output gradient to one gradient per input, in the
+    order of ``inputs``; :func:`backward` calls it once per pass and reads
+    only the entries of tracked inputs. Under :func:`no_grad`, or with no
+    tracked input, the node keeps nothing.
     """
     if not _tracks(inputs):
         return Tensor(data)
-    need = tuple(t.requires_grad for t in inputs)
     return Tensor(
         data, requires_grad=True,
-        parents=tuple((t, i) for i, t in enumerate(inputs) if need[i]),
-        vjp=lambda g: vjp(g, need),
+        parents=tuple((t, i) for i, t in enumerate(inputs) if t.requires_grad), vjp=vjp,
     )
 
 
@@ -152,6 +152,19 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
+def _cols(a: np.ndarray, widths) -> list[np.ndarray]:
+    """Views of ``a``'s consecutive column blocks of ``widths``."""
+    return [a[..., end - w : end] for end, w in zip(accumulate(widths), widths)]
+
+
+def _linear_grads(x: np.ndarray, ws, g: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Gradients of ``x @ [w_0 | ... | w_k]`` from its output gradient ``g``:
+    ``g @ [w_0 | ... | w_k]^T`` at ``x``, and ``_rows(x)^T @ _rows(g)`` cut
+    into each weight's column block, one product each."""
+    w = ws[0] if len(ws) == 1 else np.concatenate(ws, axis=1)
+    return g @ w.T, _cols(_rows(x).T @ _rows(g), [w_i.shape[-1] for w_i in ws])
+
+
 def _broadcast(op: str, fn, a: Tensor, b: Tensor) -> np.ndarray:
     """``fn(a.data, b.data)``, with numpy's shape failure as a ShapeError."""
     try:
@@ -172,9 +185,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul needs operands of rank >= 2, got {a.shape} and {b.shape}")
     ad, bd = a.data, b.data
-    return _node(_broadcast("matmul", np.matmul, a, b), (a, b), lambda g, need: (
-        _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape) if need[0] else None,
-        _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape) if need[1] else None,
+    return _node(_broadcast("matmul", np.matmul, a, b), (a, b), lambda g: (
+        _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape),
+        _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape),
     ))
 
 
@@ -182,7 +195,7 @@ def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes."""
     if a.data.ndim < 2:
         raise ShapeError(f"transpose needs a tensor of rank >= 2, got {a.shape}")
-    return _node(np.swapaxes(a.data, -1, -2).copy(), (a,), lambda g, need: (g.swapaxes(-1, -2),))
+    return _node(np.swapaxes(a.data, -1, -2).copy(), (a,), lambda g: (g.swapaxes(-1, -2),))
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +203,12 @@ def transpose(a: Tensor) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     sa, sb = a.shape, b.shape
-    return _node(_broadcast("add", np.add, a, b), (a, b), lambda g, need: (
-        _unbroadcast(g, sa) if need[0] else None, _unbroadcast(g, sb) if need[1] else None,
-    ))
+    return _node(_broadcast("add", np.add, a, b), (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
-    return _node(a.data * s, (a,), lambda g, need: (g * s,))
+    return _node(a.data * s, (a,), lambda g: (g * s,))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -218,15 +229,14 @@ def concat(tensors, axis: int = 0) -> Tensor:
             f"concat axis={axis}: incompatible shapes {[t.shape for t in tensors]}"
         ) from None
     offsets = np.cumsum([t.shape[axis] for t in tensors[:-1]])
-    # views of g, so an untracked input's entry costs nothing
-    return _node(out, tensors, lambda g, need: np.split(g, offsets, axis=axis))
+    return _node(out, tensors, lambda g: np.split(g, offsets, axis=axis))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     if int(np.prod(shape)) != a.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
-    return _node(a.data.reshape(shape), (a,), lambda g, need: (g.reshape(a.shape),))
+    return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
 class _Scatter(NamedTuple):
@@ -237,7 +247,7 @@ class _Scatter(NamedTuple):
 
 
 def _slice(a: Tensor, idx) -> Tensor:
-    return _node(np.array(a.data[idx]), (a,), lambda g, need: (_Scatter(idx, g),))
+    return _node(np.array(a.data[idx]), (a,), lambda g: (_Scatter(idx, g),))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -245,7 +255,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=axis, keepdims=True)
-    return _node(out, (a,), lambda g, need: (out * (g - (g * out).sum(axis, keepdims=True)),))
+    return _node(out, (a,), lambda g: (out * (g - (g * out).sum(axis, keepdims=True)),))
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +344,8 @@ def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
         raise ShapeError(f"l1_loss: shapes differ, {pred.shape} vs {target.shape}")
     diff = pred.data - target.data
 
-    def vjp(g, need):
+    def vjp(g):
         grad = g * np.sign(diff)
-        return grad, -grad if need[1] else None
+        return grad, -grad
 
     return _node(np.abs(diff).sum(), (pred, target), vjp)

@@ -14,53 +14,50 @@ from flowcast.tensor import Tensor, _broadcast, _node, _sigmoid, _unbroadcast
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     sa, sb = a.shape, b.shape
-    return _node(_broadcast("sub", np.subtract, a, b), (a, b), lambda g, need: (
-        _unbroadcast(g, sa) if need[0] else None,
-        -_unbroadcast(g, sb) if need[1] else None,
+    return _node(_broadcast("sub", np.subtract, a, b), (a, b), lambda g: (
+        _unbroadcast(g, sa), -_unbroadcast(g, sb),
     ))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
-    return _node(_broadcast("mul", np.multiply, a, b), (a, b), lambda g, need: (
-        _unbroadcast(g * bd, ad.shape) if need[0] else None,
-        _unbroadcast(g * ad, bd.shape) if need[1] else None,
+    return _node(_broadcast("mul", np.multiply, a, b), (a, b), lambda g: (
+        _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape),
     ))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
-    return _node(_broadcast("div", np.divide, a, b), (a, b), lambda g, need: (
-        _unbroadcast(g / bd, ad.shape) if need[0] else None,
-        _unbroadcast(-g * ad / (bd * bd), bd.shape) if need[1] else None,
+    return _node(_broadcast("div", np.divide, a, b), (a, b), lambda g: (
+        _unbroadcast(g / bd, ad.shape), _unbroadcast(-g * ad / (bd * bd), bd.shape),
     ))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     out = _sigmoid(a.data)
-    return _node(out, (a,), lambda g, need: (g * out * (1.0 - out),))
+    return _node(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
-    return _node(out, (a,), lambda g, need: (g * (1.0 - out * out),))
+    return _node(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
-    return _node(out, (a,), lambda g, need: (g * out,))
+    return _node(out, (a,), lambda g: (g * out,))
 
 
 def absolute(a: Tensor) -> Tensor:
     """|x| with subgradient 0 at x == 0 (np.sign's convention)."""
     sign = np.sign(a.data)
-    return _node(np.abs(a.data), (a,), lambda g, need: (g * sign,))
+    return _node(np.abs(a.data), (a,), lambda g: (g * sign,))
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def vjp(g, need):
+    def vjp(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)

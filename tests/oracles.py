@@ -278,14 +278,15 @@ def gru_cell(x_t: Tensor, h_prev: Tensor, layer: GruLayerParams) -> Tensor:
 def fuse(w: Tensor, b: Tensor, streams: list[Tensor]) -> Tensor:
     """``concat(streams, axis=-1) @ w + b`` without the concat.
 
-    Stream i meets its own F-row block of ``w``, and the products add up
-    by broadcasting, so static context of shape (N, F) or (..., T, 1, F)
-    joins (..., T, N, F) features without being tiled.
+    Stream i meets its own block of ``w``, the rows from the summed widths
+    of the streams before it, and the products add up by broadcasting, so
+    static context of shape (N, F) or (..., T, 1, F) joins (..., T, N, F)
+    features without being tiled.
     """
-    f = w.shape[1]
-    out = b
-    for i, stream in enumerate(streams):
-        out = T.add(out, T.matmul(stream, w[i * f : (i + 1) * f]))
+    out, lo = b, 0
+    for stream in streams:
+        out = T.add(out, T.matmul(stream, w[lo : lo + stream.shape[-1]]))
+        lo += stream.shape[-1]
     return out
 
 

@@ -73,7 +73,9 @@ def test_walk_rejects_bad_params():
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("weight", [np.inf, np.nan])
 def test_walk_rejects_non_finite_weights(weight):
-    g = RoadGraph(n_nodes=3, edges=[(0, 1, weight), (1, 2, 1.0)])
+    # RoadGraph refuses such an edge, so the weight goes into the adjacency
+    g = RoadGraph(n_nodes=3, edges=[(0, 1, 1.0), (1, 2, 1.0)])
+    g.adjacency[0, 1] = weight
     with pytest.raises(ValueError, match="not finite"):
         node2vec_walks(g, walk_len=4, walks_per_node=1)
 

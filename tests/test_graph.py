@@ -441,6 +441,21 @@ def test_load_adjacency_bad_node_count_names_file_and_line(tmp_path):
         load_adjacency(path)
 
 
+@pytest.mark.parametrize("edge, message", [
+    ((5, 0, 1.0), r"^edge \(5,0\) out of range for N=3$"),
+    ((0, -1, 1.0), r"^edge \(0,-1\) out of range for N=3$"),
+    ((0, 1, -0.5), r"^edge \(0,1\) weight must be finite and >= 0, got -0\.5$"),
+    ((0, 1, float("nan")), r"^edge \(0,1\) weight must be finite and >= 0, got nan$"),
+    ((0, 1, float("inf")), r"^edge \(0,1\) weight must be finite and >= 0, got inf$"),
+], ids=["index-past-n", "negative-index", "negative-weight", "nan-weight", "inf-weight"])
+def test_road_graph_rejects_bad_edges_before_filling_the_adjacency(edge, message):
+    # as load_adjacency does: an out-of-range index is not an IndexError
+    # (nor a silent write through a negative index), and a NaN or inf
+    # weight never reaches the adjacency
+    with pytest.raises(ValueError, match=message):
+        RoadGraph(n_nodes=3, edges=[(0, 1, 1.0), edge])
+
+
 @pytest.mark.parametrize("content, message", [
     (b"0,1,1.0\n1,\xff,1.0\n", r"edges\.csv: not UTF-8 text$"),
     (b"N=2\n-1,0,1.0\n", r"edges\.csv:2: edge \(-1,0\) out of range for N=2$"),

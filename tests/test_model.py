@@ -26,9 +26,8 @@ from flowcast.model import (
     GraphInputs,
     ModelConfig,
     TrainingDiverged,
+    block_forward,
     context_block,
-    decoder_forward,
-    encoder_forward,
     evaluate,
     forward_batch,
     init_params,
@@ -345,13 +344,16 @@ _FUSE_STREAMS = {
     "block": lambda b, t, n, f: [(b, t, n, f)] * 3 + [(n, f), (b, t, 1, f)],
     # the transform's query and key/value maps
     "transform": lambda b, t, n, f: [(b, t, n, f), (n, f), (b, t, 1, f)],
+    # the input and time-slot projections: one stream, narrower than the output
+    "input": lambda b, t, n, f: [(b, t, n, 1)],
+    "time": lambda b, t, n, f: [(b, t, f + 3)],
 }
 
 
 def _fuse_inputs(rng, kind, batch):
     shapes = _FUSE_STREAMS[kind](batch, 3, 5, 4)
     streams = [T.param(rng.normal(size=s)) for s in shapes]
-    w = T.param(rng.uniform(-0.5, 0.5, (4 * len(streams), 4)))
+    w = T.param(rng.uniform(-0.5, 0.5, (sum(s[-1] for s in shapes), 4)))
     b = T.param(rng.normal(size=4))
     return w, b, streams
 
@@ -371,7 +373,7 @@ def test_fused_fuse_matches_composed_chain(kind, batch):
     rng = np.random.default_rng(60)
     w, b, streams = _fuse_inputs(rng, kind, batch)
     inputs = [w, b, *streams]
-    c = Tensor(rng.normal(size=streams[0].shape))
+    c = Tensor(rng.normal(size=streams[0].shape[:-1] + b.shape))
     out, grads = _out_and_grads(lambda: model_module._fuse(w, b, streams), inputs, c)
     want, want_grads = _out_and_grads(lambda: oracles.fuse(w, b, streams), inputs, c)
     assert out.tobytes() == want.tobytes()
@@ -430,9 +432,9 @@ def test_fused_fuse_rejects_streams_that_do_not_fit():
 
 
 def test_toy_loss_graph_nodes_per_sample():
-    # one graph node per fused GRU cell, context fusion, attention call,
-    # hop-diffusion conv and L1 loss; the composed forms built 17.6 nodes
-    # per sample here
+    # one graph node per fused GRU cell, context fusion, linear map,
+    # attention call, hop-diffusion conv and L1 loss; the composed forms
+    # built 17.6 nodes per sample here
     cfg = load_config(TOY_CFG)
     rng = np.random.default_rng(65)
     model = Forecaster.new(cfg, ring_graph(8), rng.normal(size=(8, 64)))
@@ -446,7 +448,7 @@ def test_toy_loss_graph_nodes_per_sample():
         if id(node) not in seen:
             seen.add(id(node))
             stack.extend(parent for parent, _ in node.parents)
-    assert len(seen) / batch <= 173 / 18
+    assert len(seen) / batch <= 169 / 18
 
 
 @pytest.mark.parametrize("n, k, nnz", [(228, 8, 1824), (8, 2, 16)])
@@ -462,8 +464,10 @@ def test_encoder_shapes_and_determinism(tiny_model):
     m = tiny_model
     emb_proj, time_hist, _ = _projected_statics(m, 2, 2)
     xh = Tensor(np.random.default_rng(5).normal(size=(2, 3, 4)))
-    enc1, finals1 = encoder_forward(m.cfg, m.params, xh, emb_proj, time_hist, m.ginputs)
-    enc2, _ = encoder_forward(m.cfg, m.params, xh, emb_proj, time_hist, m.ginputs)
+    h0 = [Tensor(np.zeros((3, 4)))]
+    enc = m.params.encoder
+    enc1, finals1 = block_forward("encoder", enc, xh, emb_proj, time_hist, m.ginputs, h0)
+    enc2, _ = block_forward("encoder", enc, xh, emb_proj, time_hist, m.ginputs, h0)
     assert enc1.shape == (2, 3, 4)
     assert len(finals1) == 1
     assert np.array_equal(enc1.data, enc2.data)
@@ -474,7 +478,8 @@ def test_encoder_gradient_coverage(tiny_model):
     rng = np.random.default_rng(6)
     emb_proj, time_hist, _ = _projected_statics(m, 2, 2)
     xh = input_projection(m.params, Tensor(rng.normal(size=(2, 3, 1))))
-    enc, _ = encoder_forward(m.cfg, m.params, xh, emb_proj, time_hist, m.ginputs)
+    h0 = [Tensor(np.zeros((3, 4)))]
+    enc, _ = block_forward("encoder", m.params.encoder, xh, emb_proj, time_hist, m.ginputs, h0)
     backward(ops.sum_(ops.mul(enc, Tensor(rng.normal(size=enc.shape)))))
     for name, p in m.params.encoder.named("encoder").items():
         assert p.grad is not None and np.any(p.grad != 0), f"dead parameter {name}"
@@ -545,11 +550,11 @@ def test_decoder_shape(tiny_model):
     m = tiny_model
     rng = np.random.default_rng(10)
     emb_proj, _, time_fut = _projected_statics(m, 2, 2)
-    out = decoder_forward(
-        m.params, Tensor(rng.normal(size=(2, 3, 4))),
-        [Tensor(np.zeros((3, 4)))], emb_proj, time_fut, m.ginputs,
+    out, finals = block_forward(
+        "decoder", m.params.decoder, Tensor(rng.normal(size=(2, 3, 4))),
+        emb_proj, time_fut, m.ginputs, [Tensor(np.zeros((3, 4)))],
     )
-    assert out.shape == (2, 3, 4)
+    assert out.shape == (2, 3, 4) and [h.shape for h in finals] == [(3, 4)]
 
 
 def test_decoder_zeroed_attention_reduces_to_context_block(tiny_model):
@@ -559,8 +564,8 @@ def test_decoder_zeroed_attention_reduces_to_context_block(tiny_model):
     emb_proj, _, time_fut = _projected_statics(m, 2, 2)
     dec_tokens = Tensor(rng.normal(size=(2, 3, 4)))
     finals = [Tensor(rng.normal(size=(3, 4)))]
-    out = decoder_forward(
-        m.params, dec_tokens, finals, emb_proj, time_fut, m.ginputs
+    out, _ = block_forward(
+        "decoder", m.params.decoder, dec_tokens, emb_proj, time_fut, m.ginputs, finals
     )
     ctx, _ = context_block(
         m.params.decoder, dec_tokens,
@@ -668,13 +673,14 @@ def test_single_shot_inference_is_pointwise_on_features(tiny_model):
         time_hist = T.add(T.matmul(Tensor(hist), p.time_w), p.time_b)
         time_fut = T.add(T.matmul(Tensor(fut), p.time_w), p.time_b)
         xh = input_projection(p, Tensor(x))
-        enc, finals = encoder_forward(m.cfg, p, xh, emb_proj, time_hist, m.ginputs)
+        h0 = [Tensor(np.zeros((3, 4)))]
+        enc, finals = block_forward("encoder", p.encoder, xh, emb_proj, time_hist, m.ginputs, h0)
         dec_in = transform_layer(
             m.cfg, p, enc, finals, xh[m.cfg.history - 1], emb_proj, time_hist,
             time_fut,
         )
-        feats = decoder_forward(
-            p, dec_in, finals, emb_proj, time_fut, m.ginputs
+        feats, _ = block_forward(
+            "decoder", p.decoder, dec_in, emb_proj, time_fut, m.ginputs, finals
         )
         for t in range(m.cfg.horizon):
             step = T.add(T.matmul(feats[t], p.out_w), p.out_b)

@@ -13,9 +13,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flowcast import tensor as T
+from flowcast.attention import AttentionParams, linear_attention, multi_head_attention
 from flowcast.checkpoint import CheckpointError, load_arrays, save_arrays
 from flowcast.context import GruLayerParams, gru_cell
+from flowcast.graph import hop_shells, hop_transitions, multi_hop_conv
+from flowcast.model import _fuse
 from flowcast.optim import AdamState, GradientError, adam_step, lr_at_epoch, zero_grads
+from flowcast.synth import ring_graph
 from flowcast.tensor import ShapeError, Tensor, backward, l1_loss
 
 import ops
@@ -365,16 +369,16 @@ def test_fused_node_runs_its_vjp_once_per_backward_for_tracked_inputs():
     b = Tensor(np.array([5.0, 7.0]))
     calls = []
 
-    def vjp(g, need):
-        calls.append(need)
-        return [g * b.data, g * a.data if need[1] else None, g, g * b.data]
+    def vjp(g):
+        calls.append(g.shape)
+        return [g * b.data, g * a.data, g, g * b.data]
 
     out = T._node(a.data * b.data + c.data, (a, b, c, a), vjp)
     assert out.parents == ((a, 0), (c, 2), (a, 3))
     loss = ops.sum_(out)
     backward(loss)
     backward(loss)
-    assert calls == [(True, False, True, True)] * 2
+    assert calls == [(2,)] * 2 and b.grad is None
     assert a.grad.tolist() == [20.0, 28.0] and c.grad.tolist() == [2.0, 2.0]
     with T.no_grad():
         assert T._node(a.data, (a,), vjp).parents == ()
@@ -404,14 +408,72 @@ def test_parents_name_each_tracked_input_by_its_position():
     _assert_parents_index_inputs(gru_cell(x_t, h_prev, layer), inputs)
 
 
-def test_matmul_vjp_skips_an_untracked_operand():
+def test_backward_leaves_an_untracked_operand_without_grad():
     rng = np.random.default_rng(6)
-    a, b = rng.normal(size=(2, 3)), rng.normal(size=(3, 4))
-    g = rng.normal(size=(2, 4))
-    left = T.matmul(Tensor(a), T.param(b)).vjp(g)
-    right = T.matmul(T.param(a), Tensor(b)).vjp(g)
-    assert left[0] is None and np.array_equal(left[1], a.T @ g)
-    assert right[1] is None and np.array_equal(right[0], g @ b.T)
+    a, b = Tensor(rng.normal(size=(2, 3))), T.param(rng.normal(size=(3, 4)))
+    c = Tensor(rng.normal(size=(2, 4)))
+    backward(ops.sum_(ops.mul(T.matmul(a, b), c)))
+    assert a.grad is None and c.grad is None
+    assert np.array_equal(b.grad, a.data.T @ c.data)
+
+
+def _node_cases(rng):
+    """Each node kind as a call that builds one node, with untracked
+    constants among the inputs and broadcast operands where the op
+    broadcasts."""
+    def p(*shape):
+        return T.param(rng.normal(size=shape))
+
+    def c(*shape):
+        return Tensor(rng.normal(size=shape))
+
+    a = p(2, 3)
+    gru = GruLayerParams(**{
+        f.name: p(3) if f.name.startswith("b_") else p(3, 3) for f in fields(GruLayerParams)
+    })
+    attn = AttentionParams(
+        w_q=[p(4, 2), p(4, 2)], w_k=[p(4, 2), p(4, 2)], w_v=[p(4, 2), p(4, 2)], w_o=p(4, 4)
+    )
+    trans = hop_transitions(hop_shells(ring_graph(5), 2))
+    return {
+        "matmul": lambda: T.matmul(c(2, 3, 4), p(4, 5)),
+        "add": lambda: T.add(p(2, 3), c(3)),
+        "scale": lambda: T.scale(a, 0.5),
+        "concat": lambda: T.concat([p(2, 1), c(2, 2), p(2, 3)], axis=1),
+        "reshape": lambda: T.reshape(a, (3, 2)),
+        "slice": lambda: a[1:, ::2],
+        "softmax": lambda: T.softmax(a, axis=0),
+        "transpose": lambda: T.transpose(p(2, 3, 4)),
+        "l1_loss": lambda: l1_loss(a, c(2, 3)),
+        "fuse": lambda: _fuse(p(10, 4), p(4), [p(2, 3, 5, 1), c(5, 4), p(2, 3, 1, 5)]),
+        "gru_cell": lambda: gru_cell(p(2, 5, 3), c(2, 5, 3), gru),
+        "self_attention": lambda: multi_head_attention(p(2, 6, 4), None, attn),
+        "cross_attention": lambda: multi_head_attention(p(2, 6, 4), c(2, 7, 4), attn),
+        "linear_attention": lambda: linear_attention(p(5, 3), c(6, 3), p(6, 2)),
+        "multi_hop_conv": lambda: multi_hop_conv(p(3, 5, 4), trans, [p(4, 2), p(4, 2)], p(4, 4)),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_node_cases(np.random.default_rng(0))))
+def test_every_vjp_returns_one_gradient_per_input_of_its_shape(kind, monkeypatch):
+    # every input as the op hands it to _node, tracked or not
+    seen, node = [], T._node
+
+    def recording_node(data, inputs, vjp):
+        seen.append(inputs)
+        return node(data, inputs, vjp)
+
+    monkeypatch.setattr(T, "_node", recording_node)
+    rng = np.random.default_rng(8)
+    out = _node_cases(rng)[kind]()
+    (inputs,) = seen
+    grads = out.vjp(rng.normal(size=out.shape))
+    assert len(grads) == len(inputs)
+    for t, g in zip(inputs, grads):
+        if kind == "slice":
+            assert isinstance(g, T._Scatter) and g.grad.shape == out.shape
+        else:
+            assert g.shape == t.shape
 
 
 def test_only_node_builds_graph_nodes():
