@@ -10,7 +10,7 @@ output projection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ __all__ = [
     "RoadGraph",
     "load_adjacency",
     "hop_shells",
-    "degree_normalize",
+    "row_normalize",
     "hop_transitions",
     "multi_hop_conv",
     "GraphFormatError",
@@ -35,32 +35,28 @@ class GraphFormatError(ValueError):
 
 @dataclass
 class RoadGraph:
-    """Weighted directed sensor graph."""
+    """Weighted directed sensor graph, held as one (N, N) float64 matrix:
+    ``adjacency[src, dst]`` is the weight of the edge src -> dst, 0 for no
+    edge. It must be square and non-empty, every weight finite and >= 0."""
 
-    n_nodes: int
-    edges: list[tuple[int, int, float]]
-    adjacency: np.ndarray = field(repr=False, default=None)
+    adjacency: np.ndarray
 
     def __post_init__(self):
-        if self.n_nodes < 1:
-            raise ValueError("graph needs at least one node")
-        for src, dst, w in self.edges:
-            if not (0 <= src < self.n_nodes and 0 <= dst < self.n_nodes):
-                raise ValueError(f"edge ({src},{dst}) out of range for N={self.n_nodes}")
-            if not (math.isfinite(w) and w >= 0):
-                raise ValueError(f"edge ({src},{dst}) weight must be finite and >= 0, got {w}")
-        if self.adjacency is None:
-            adj = np.zeros((self.n_nodes, self.n_nodes))
-            for src, dst, w in self.edges:
-                adj[src, dst] = w
-            self.adjacency = adj
+        adj = self.adjacency = np.asarray(self.adjacency, dtype=np.float64)
+        if adj.ndim != 2 or adj.shape[0] != adj.shape[1] or adj.size == 0:
+            raise ValueError(f"adjacency must be a non-empty square matrix, got shape {adj.shape}")
+        bad = np.argwhere(~(np.isfinite(adj) & (adj >= 0)))
+        if len(bad):
+            src, dst = bad[0]
+            raise ValueError(f"edge ({src},{dst}) weight must be finite and >= 0, got {adj[src, dst]}")
 
     @classmethod
-    def from_adjacency(cls, adj: np.ndarray) -> "RoadGraph":
-        adj = np.asarray(adj, dtype=np.float64)
-        src, dst = np.nonzero(adj)
-        edges = [(int(i), int(j), float(adj[i, j])) for i, j in zip(src, dst)]
-        return cls(n_nodes=adj.shape[0], edges=edges, adjacency=adj)
+    def from_adjacency(cls, adj) -> "RoadGraph":  # as tests/test_golden.py spells it
+        return cls(adj)
+
+    @property
+    def n_nodes(self) -> int:
+        return self.adjacency.shape[0]
 
     def undirected_weights(self) -> np.ndarray:
         """Symmetric weight matrix (sum of both directions), for random walks."""
@@ -68,13 +64,16 @@ class RoadGraph:
 
 
 def load_adjacency(path) -> RoadGraph:
-    """Parse an edge-list file: one ``src,dst,weight`` line per edge.
+    """Parse an edge-list file, one ``src,dst,weight`` line per edge, into
+    the graph's adjacency.
 
     An optional ``N=<int>`` line declares the node count; otherwise it is
     inferred as max index + 1. A single header line of column names is
-    tolerated. A malformed line, a node index outside 0..N-1, or a weight
-    that is negative or not finite raises :class:`GraphFormatError` naming
-    ``path:line``; text that is not UTF-8 one naming ``path``.
+    tolerated. An edge that repeats takes its last line's weight, so a
+    last weight of 0 removes it. A malformed line, a node index outside
+    0..N-1, or a weight that is negative or not finite raises
+    :class:`GraphFormatError` naming ``path:line``; text that is not UTF-8
+    one naming ``path``.
     """
     path = Path(path)
     declared_n = None
@@ -131,9 +130,12 @@ def load_adjacency(path) -> RoadGraph:
                 f"{path}:{lineno}: edge ({src},{dst}) out of range for N={n}"
             )
     try:
-        return RoadGraph(n_nodes=n, edges=edges)
+        adj = np.zeros((n, n))
     except (ValueError, MemoryError):  # numpy cannot hold the dense N x N adjacency
         raise GraphFormatError(f"{path}: N={n} is too large for a dense adjacency") from None
+    for src, dst, w in edges:
+        adj[src, dst] = w
+    return RoadGraph(adj)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +145,8 @@ def hop_shells(g: RoadGraph, k: int) -> np.ndarray:
     """Exact-hop shells 1..k as a bool (k, N, N) mask.
 
     Layer i-1 marks the pairs (s, t) whose shortest directed path from s
-    to t has exactly i edges. Edge weights do not participate (a hop is a
-    hop); self-loops and zero-weight edges are no edges.
+    to t has exactly i edges. An edge is an off-diagonal non-zero of the
+    adjacency; its weight does not participate (a hop is a hop).
 
     A breadth-first search from every node at once, stopped after k
     levels: level i is each node with an in-neighbour in level i-1 that
@@ -154,12 +156,11 @@ def hop_shells(g: RoadGraph, k: int) -> np.ndarray:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n = g.n_nodes
-    edges = np.asarray(g.edges, dtype=np.float64).reshape(-1, 3)
-    edges = edges[(edges[:, 2] != 0) & (edges[:, 0] != edges[:, 1])]
-    edges = edges[np.argsort(edges[:, 1])]
-    src, dst = edges[:, 0].astype(np.intp), edges[:, 1].astype(np.intp)
+    linked = g.adjacency.T != 0  # linked[t, s]: an edge s -> t
+    np.fill_diagonal(linked, False)
+    dst, src = np.nonzero(linked)
     # row t lists t's in-neighbours, padded with n: the frontier's row that is always False
-    indeg = np.bincount(dst, minlength=n)
+    indeg = linked.sum(axis=1)
     sources = np.full((n, indeg.max(initial=0)), n)
     sources[dst, np.arange(len(dst)) - (np.cumsum(indeg) - indeg)[dst]] = src
     shells = np.zeros((k, n, n), dtype=bool)  # shells[i, t, s] until the final transpose
@@ -179,29 +180,24 @@ def hop_shells(g: RoadGraph, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Degree normalization and diffusion
 
-def degree_normalize(h: np.ndarray, direction: str) -> np.ndarray:
-    """Row-stochastic transition matrix from a nonnegative matrix.
-
-    ``out``: D_o^-1 h, rows normalized by out-degree. ``in``: D_i^-1 h^T,
-    the reverse direction. Zero-degree rows stay all-zero (the node
-    aggregates nothing that way).
+def row_normalize(h: np.ndarray) -> np.ndarray:
+    """Row-stochastic transition matrix D^-1 h from a nonnegative matrix,
+    each row divided by its sum (the out-degree; of ``h.T``, the in-degree).
+    Zero rows stay all-zero (the node aggregates nothing that way).
     """
-    if direction not in ("out", "in"):
-        raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
     if np.any(h < 0):
-        raise ValueError("degree_normalize expects nonnegative entries")
-    mat = h if direction == "out" else h.T
-    deg = mat.sum(axis=1)
+        raise ValueError("row_normalize expects nonnegative entries")
+    deg = h.sum(axis=1)
     inv = np.divide(1.0, deg, out=np.zeros_like(deg, dtype=np.float64), where=deg > 0)
-    return inv[:, None] * mat
+    return inv[:, None] * h
 
 
 def hop_transitions(hops: np.ndarray) -> np.ndarray:
     """Bidirectional operator D_o^-1 H_i + D_i^-1 H_i^T per hop shell, (k, N, N)."""
     out = np.empty(hops.shape)
     for h, o in zip(hops, out):
-        o[...] = degree_normalize(h, "out")
-        o += degree_normalize(h, "in")
+        o[...] = row_normalize(h)
+        o += row_normalize(h.T)
     return out
 
 

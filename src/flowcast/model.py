@@ -419,8 +419,8 @@ def _fuse(w: Tensor, b: Tensor, streams: list[Tensor]) -> Tensor:
         for s, block, at in zip(streams, blocks, rows):
             # as matmul under add: the product's share of g, then its two factors
             g_s = T._unbroadcast(g, s.shape[:-1] + (f,))
-            grads[0][at] = T._unbroadcast(np.swapaxes(s.data, -1, -2) @ g_s, block.shape)
-            grads.append(T._unbroadcast(g_s @ block.T, s.shape))
+            g_x, (grads[0][at],) = T._linear_grads(s.data, [block], g_s)
+            grads.append(g_x)
         return grads
 
     return T._node(out, (w, b, *streams), vjp)
@@ -873,7 +873,7 @@ def load_model(path, graph: RoadGraph | None = None) -> tuple[Forecaster, AdamSt
 
     if graph is None:
         n = max((entry("graph.adjacency").shape or (0,))[0], 1)  # a graph has a node
-        graph = RoadGraph.from_adjacency(array("graph.adjacency", (n, n), low=0.0))
+        graph = RoadGraph(array("graph.adjacency", (n, n), low=0.0))
     # every parameter starts as a zero-byte stand-in of its shape, then takes its entry
     params = _params(cfg, lambda shape: Tensor(np.broadcast_to(0.0, shape), requires_grad=True))
     model = Forecaster(

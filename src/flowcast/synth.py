@@ -13,15 +13,16 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, DatasetMeta, save_readings
-from .graph import RoadGraph, degree_normalize
+from .graph import RoadGraph, row_normalize
 
 __all__ = ["ring_graph", "make_ring_dataset", "write_dataset_files"]
 
 
 def ring_graph(n_nodes: int = 8) -> RoadGraph:
     """Directed ring: node i feeds node (i+1) mod N."""
-    edges = [(i, (i + 1) % n_nodes, 1.0) for i in range(n_nodes)]
-    return RoadGraph(n_nodes=n_nodes, edges=edges)
+    adj = np.zeros((n_nodes, n_nodes))
+    adj[np.arange(n_nodes), (np.arange(n_nodes) + 1) % n_nodes] = 1.0
+    return RoadGraph(adj)
 
 
 def make_ring_dataset(
@@ -40,7 +41,7 @@ def make_ring_dataset(
     phase = np.arange(n_nodes)[None, :] / n_nodes
     base = np.sin(2 * np.pi * (t / period + phase))
 
-    fwd = degree_normalize(graph.adjacency, "out")
+    fwd = row_normalize(graph.adjacency)
     mix = (np.eye(n_nodes) + fwd + fwd @ fwd) / 3.0
     signal = base @ mix.T
 
@@ -66,8 +67,9 @@ def write_dataset_files(out_dir, dataset: Dataset, graph: RoadGraph) -> dict[str
     save_readings(paths["readings"], dataset.readings)
     with open(paths["adjacency"], "w") as fh:
         fh.write(f"N={graph.n_nodes}\n")
-        for src, dst, w in graph.edges:
-            fh.write(f"{src},{dst},{w!r}\n")
+        # row-major non-zeros; float(), as numpy 2 reprs a scalar as np.float64(w)
+        for src, dst in zip(*np.nonzero(graph.adjacency)):
+            fh.write(f"{src},{dst},{float(graph.adjacency[src, dst])!r}\n")
     meta = dataset.meta
     paths["meta"].write_text(
         f"n_nodes = {meta.n_nodes}\n"

@@ -9,7 +9,9 @@ attention and hop-conv oracles are the forms composed of autodiff ops that
 the fused single-node ``context.gru_cell``, ``model._fuse``,
 ``attention.multi_head_attention`` / ``linear_attention`` and
 ``graph.multi_hop_conv`` replaced. The full-depth BFS distance matrix and
-its float shells are the reference for ``graph.hop_shells``.
+its float shells are the reference for ``graph.hop_shells``;
+``graph_from_edges`` fills an adjacency from an edge list as
+``graph.load_adjacency`` fills it from a file's lines.
 """
 
 import math
@@ -20,7 +22,7 @@ import numpy as np
 from flowcast import tensor as T
 from flowcast.attention import AttentionParams, DegenerateAttentionError, _check_qkv
 from flowcast.context import GruLayerParams
-from flowcast.graph import RoadGraph, degree_normalize
+from flowcast.graph import RoadGraph, row_normalize
 from flowcast.tensor import ShapeError, Tensor
 
 import ops
@@ -32,14 +34,14 @@ UNREACHABLE = -1
 def shortest_path_hops(g: RoadGraph) -> np.ndarray:
     """Directed hop-count matrix S: S[i,j] = min #edges from i to j.
 
-    S[i,i] = 0; pairs with no path hold :data:`UNREACHABLE`. Edge weights
-    do not participate (a hop is a hop).
+    S[i,i] = 0; pairs with no path hold :data:`UNREACHABLE`. An edge is an
+    off-diagonal non-zero of the adjacency; its weight does not participate
+    (a hop is a hop).
     """
     n = g.n_nodes
-    out_neighbors: list[list[int]] = [[] for _ in range(n)]
-    for src, dst, w in g.edges:
-        if w != 0 and src != dst:
-            out_neighbors[src].append(dst)
+    out_neighbors = [
+        [dst for dst in np.flatnonzero(g.adjacency[src]) if dst != src] for src in range(n)
+    ]
     dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
     for start in range(n):
         dist[start, start] = 0
@@ -52,6 +54,16 @@ def shortest_path_hops(g: RoadGraph) -> np.ndarray:
                     dist[start, nxt] = d + 1
                     queue.append(nxt)
     return dist
+
+
+def graph_from_edges(n: int, edges) -> RoadGraph:
+    """The n-node graph of ``(src, dst, weight)`` edges, filled in list order
+    as ``load_adjacency`` fills its lines: a repeated edge takes its last
+    weight."""
+    adj = np.zeros((n, n))
+    for src, dst, w in edges:
+        adj[src, dst] = w
+    return RoadGraph(adj)
 
 
 def hop_adjacency(s: np.ndarray, k: int) -> np.ndarray:
@@ -106,8 +118,8 @@ def diffusion_conv(x: Tensor, a: np.ndarray, k_step: int, w: Tensor) -> Tensor:
         raise ValueError(f"k_step must be >= 0, got {k_step}")
     if x.data.ndim != 2 or x.shape[0] != a.shape[0]:
         raise ShapeError(f"diffusion_conv: x {x.shape} vs adjacency {a.shape}")
-    fwd = np.linalg.matrix_power(degree_normalize(a, "out"), k_step)
-    bwd = np.linalg.matrix_power(degree_normalize(a, "in"), k_step)
+    fwd = np.linalg.matrix_power(row_normalize(a), k_step)
+    bwd = np.linalg.matrix_power(row_normalize(a.T), k_step)
     return T.matmul(T.matmul(Tensor(fwd + bwd), x), w)
 
 

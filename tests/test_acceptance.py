@@ -250,7 +250,7 @@ def test_criterion_4_hop_adjacency_oracle():
         k = int(rng.integers(1, 6))
         adj = (rng.random((n, n)) < rng.uniform(0.05, 0.35)).astype(float)
         np.fill_diagonal(adj, 0.0)
-        graph = RoadGraph.from_adjacency(adj * rng.uniform(0.1, 3.0, (n, n)))
+        graph = RoadGraph(adj * rng.uniform(0.1, 3.0, (n, n)))
 
         inf = n + 10
         dist = np.full((n, n), inf)

@@ -28,19 +28,20 @@ from flowcast.synth import ring_graph
 from flowcast.tensor import Tensor
 
 from gradcheck import grad_close, numeric_grad
+from oracles import graph_from_edges
 
 
 # ---------------------------------------------------------------------------
 # Random walks
 
 def test_walk_count():
-    g = RoadGraph(n_nodes=5, edges=[(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)])
+    g = graph_from_edges(5, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)])
     walks = node2vec_walks(g, walks_per_node=2, walk_len=10, seed=1)
     assert len(walks) == 10
 
 
 def test_isolated_node_walks_are_singletons():
-    g = RoadGraph(n_nodes=3, edges=[(0, 1, 1.0)])
+    g = graph_from_edges(3, [(0, 1, 1.0)])
     walks = node2vec_walks(g, walks_per_node=3, walk_len=5, seed=2)
     for walk in walks:
         if walk[0] == 2:
@@ -48,7 +49,7 @@ def test_isolated_node_walks_are_singletons():
 
 
 def test_two_node_pair_alternates():
-    g = RoadGraph(n_nodes=2, edges=[(0, 1, 1.0)])
+    g = graph_from_edges(2, [(0, 1, 1.0)])
     for walk in node2vec_walks(g, walks_per_node=4, walk_len=12, seed=3):
         assert len(walk) == 12
         for a, b in zip(walk, walk[1:]):
@@ -56,14 +57,14 @@ def test_two_node_pair_alternates():
 
 
 def test_walks_deterministic_under_seed():
-    g = RoadGraph(n_nodes=6, edges=[(i, (i + 1) % 6, 1.0) for i in range(6)])
+    g = graph_from_edges(6, [(i, (i + 1) % 6, 1.0) for i in range(6)])
     assert node2vec_walks(g, seed=7, walk_len=10) == node2vec_walks(
         g, seed=7, walk_len=10
     )
 
 
 def test_walk_rejects_bad_params():
-    g = RoadGraph(n_nodes=2, edges=[(0, 1, 1.0)])
+    g = graph_from_edges(2, [(0, 1, 1.0)])
     with pytest.raises(ValueError):
         node2vec_walks(g, p=0.0)
     with pytest.raises(ValueError):
@@ -73,8 +74,8 @@ def test_walk_rejects_bad_params():
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("weight", [np.inf, np.nan])
 def test_walk_rejects_non_finite_weights(weight):
-    # RoadGraph refuses such an edge, so the weight goes into the adjacency
-    g = RoadGraph(n_nodes=3, edges=[(0, 1, 1.0), (1, 2, 1.0)])
+    # RoadGraph refuses such a weight, so it goes into the built adjacency
+    g = graph_from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
     g.adjacency[0, 1] = weight
     with pytest.raises(ValueError, match="not finite"):
         node2vec_walks(g, walk_len=4, walks_per_node=1)
@@ -96,7 +97,7 @@ def barbell_graph() -> RoadGraph:
                 edges.append((a, b, 1.0))
     edges += [(3, 4, 1.0), (4, 3, 1.0), (4, 5, 1.0), (5, 4, 1.0),
               (5, 6, 1.0), (6, 5, 1.0)]
-    return RoadGraph(n_nodes=10, edges=edges)
+    return graph_from_edges(10, edges)
 
 
 def _cosine(a, b):
@@ -147,7 +148,7 @@ def weighted_graph_with_isolated_node() -> RoadGraph:
     adj = (rng.random((24, 24)) < 0.15) * rng.uniform(0.1, 3.0, (24, 24))
     np.fill_diagonal(adj, 0.0)
     adj[7, :] = adj[:, 7] = 0.0
-    return RoadGraph.from_adjacency(adj)
+    return RoadGraph(adj)
 
 
 def assert_same_walks_and_embeddings(g, walk_kw, skipgram_kw):

@@ -11,19 +11,25 @@ from flowcast import tensor as T
 from flowcast.graph import (
     GraphFormatError,
     RoadGraph,
-    degree_normalize,
     hop_shells,
     hop_transitions,
     load_adjacency,
     multi_hop_conv,
+    row_normalize,
 )
-from flowcast.synth import ring_graph
+from flowcast.synth import make_ring_dataset, ring_graph, write_dataset_files
 from flowcast.tensor import ShapeError, Tensor, backward
 
 import ops
 import oracles
 from gradcheck import grad_close, numeric_grad
-from oracles import UNREACHABLE, diffusion_conv, hop_adjacency, shortest_path_hops
+from oracles import (
+    UNREACHABLE,
+    diffusion_conv,
+    graph_from_edges,
+    hop_adjacency,
+    shortest_path_hops,
+)
 
 
 def floyd_warshall_hops(adj: np.ndarray) -> np.ndarray:
@@ -48,11 +54,11 @@ def floyd_warshall_hops(adj: np.ndarray) -> np.ndarray:
 def random_graph(rng, n, density=0.15) -> RoadGraph:
     adj = (rng.random((n, n)) < density).astype(float) * rng.uniform(0.1, 2.0, (n, n))
     np.fill_diagonal(adj, 0.0)
-    return RoadGraph.from_adjacency(adj)
+    return RoadGraph(adj)
 
 
 def line_graph() -> RoadGraph:
-    return RoadGraph(n_nodes=3, edges=[(0, 1, 1.0), (1, 2, 1.0)])
+    return graph_from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +71,7 @@ def test_line_graph_distances():
 
 
 def test_empty_graph_distances():
-    s = shortest_path_hops(RoadGraph(n_nodes=3, edges=[]))
+    s = shortest_path_hops(RoadGraph(np.zeros((3, 3))))
     assert np.array_equal(np.diag(s), np.zeros(3))
     off = s[~np.eye(3, dtype=bool)]
     assert np.all(off == UNREACHABLE)
@@ -133,10 +139,11 @@ def test_hop_shells_match_the_bfs_distance_oracle(case):
     n, edges, zeroed, k = case
     # node n has no edge, so every graph has an isolated node; self-loops,
     # zero weights and repeated edges come from the draw, and the first
-    # ``zeroed`` edges repeat once more with weight 0; k runs past the
-    # diameter, which is at most n - 1
+    # ``zeroed`` edges repeat once more with weight 0, which removes them,
+    # as a last line does in an adjacency file; k runs past the diameter,
+    # which is at most n - 1
     edges = edges + [(src, dst, 0.0) for src, dst, _ in edges[:zeroed]]
-    g = RoadGraph(n_nodes=n + 1, edges=edges)
+    g = graph_from_edges(n + 1, edges)
     hops = hop_shells(g, k)
     assert hops.dtype == bool and hops.shape == (k, n + 1, n + 1)
     assert np.array_equal(hops, hop_adjacency(shortest_path_hops(g), k) != 0)
@@ -152,19 +159,19 @@ def test_hop_shells_reject_k_below_one():
 
 def test_degree_normalize_out():
     h = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert degree_normalize(h, "out").tolist() == [[0.0, 1.0], [0.0, 0.0]]
+    assert row_normalize(h).tolist() == [[0.0, 1.0], [0.0, 0.0]]
 
 
 def test_degree_normalize_in_transposes_then_normalizes():
     h = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert degree_normalize(h, "in").tolist() == [[0.0, 0.0], [1.0, 0.0]]
+    assert row_normalize(h.T).tolist() == [[0.0, 0.0], [1.0, 0.0]]
 
 
 def test_degree_normalize_rows_stochastic():
     rng = np.random.default_rng(21)
     h = rng.random((10, 10)) * (rng.random((10, 10)) < 0.4)
-    for direction in ("out", "in"):
-        rows = degree_normalize(h, direction).sum(axis=1)
+    for mat in (h, h.T):
+        rows = row_normalize(mat).sum(axis=1)
         nonzero = rows[rows > 0]
         assert np.max(np.abs(nonzero - 1.0)) <= 1e-12
 
@@ -172,7 +179,7 @@ def test_degree_normalize_rows_stochastic():
 def test_degree_normalize_zero_rows_stay_zero():
     h = np.zeros((3, 3))
     h[0, 1] = 2.0
-    out = degree_normalize(h, "out")
+    out = row_normalize(h)
     assert np.array_equal(out[1], np.zeros(3))
     assert np.array_equal(out[2], np.zeros(3))
 
@@ -227,7 +234,7 @@ def _head_weights(rng, f, k):
 def test_multi_hop_conv_no_edges_gives_zero():
     rng = np.random.default_rng(14)
     f, n, k = 4, 5, 2
-    g = RoadGraph(n_nodes=n, edges=[])
+    g = RoadGraph(np.zeros((n, n)))
     trans = hop_transitions(hop_shells(g, k))
     out = multi_hop_conv(
         Tensor(rng.normal(size=(n, f))),
@@ -243,7 +250,7 @@ def test_multi_hop_conv_k1_equals_diffusion_conv():
     n, f = 6, 4
     adj = (rng.random((n, n)) < 0.4).astype(float)  # binary weights
     np.fill_diagonal(adj, 0.0)
-    g = RoadGraph.from_adjacency(adj)
+    g = RoadGraph(adj)
     trans = hop_transitions(hop_shells(g, k=1))
     x = Tensor(rng.normal(size=(n, f)))
     w = Tensor(rng.normal(size=(f, f)))
@@ -290,7 +297,7 @@ def test_multi_hop_conv_permutation_equivariance():
 
     perm = rng.permutation(n)
     p_mat = np.eye(n)[perm]
-    g_perm = RoadGraph.from_adjacency(p_mat @ g.adjacency @ p_mat.T)
+    g_perm = RoadGraph(p_mat @ g.adjacency @ p_mat.T)
 
     out = multi_hop_conv(
         Tensor(x), hop_transitions(hop_shells(g, k)), w_x, w_d
@@ -427,6 +434,24 @@ def test_load_adjacency_header_and_n_declaration(tmp_path):
     assert g.adjacency[0, 1] == 1.0
 
 
+def test_load_adjacency_repeated_edge_takes_its_last_lines_weight(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_text("0,1,0.5\n1,2,2.0\n0,1,3.0\n1,2,0\n")
+    g = load_adjacency(path)
+    assert g.adjacency.tolist() == [[0.0, 3.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    assert np.array_equal(hop_shells(g, 1)[0], g.adjacency != 0)
+
+
+@pytest.mark.parametrize("graph", [ring_graph(8), random_graph(np.random.default_rng(31), 12, 0.3)],
+                         ids=["ring", "random-weights"])
+def test_written_adjacency_loads_back_byte_for_byte(tmp_path, graph):
+    # each weight is written as a Python float's repr: a numpy scalar's
+    # repr (np.float64(...) under numpy 2) would not parse back
+    dataset, _ = make_ring_dataset(n_nodes=graph.n_nodes, steps=4)
+    paths = write_dataset_files(tmp_path, dataset, graph)
+    assert load_adjacency(paths["adjacency"]).adjacency.tobytes() == graph.adjacency.tobytes()
+
+
 def test_load_adjacency_malformed_line(tmp_path):
     path = tmp_path / "edges.csv"
     path.write_text("0,1,1.0\n3,zzz\n")
@@ -441,19 +466,26 @@ def test_load_adjacency_bad_node_count_names_file_and_line(tmp_path):
         load_adjacency(path)
 
 
-@pytest.mark.parametrize("edge, message", [
-    ((5, 0, 1.0), r"^edge \(5,0\) out of range for N=3$"),
-    ((0, -1, 1.0), r"^edge \(0,-1\) out of range for N=3$"),
-    ((0, 1, -0.5), r"^edge \(0,1\) weight must be finite and >= 0, got -0\.5$"),
-    ((0, 1, float("nan")), r"^edge \(0,1\) weight must be finite and >= 0, got nan$"),
-    ((0, 1, float("inf")), r"^edge \(0,1\) weight must be finite and >= 0, got inf$"),
-], ids=["index-past-n", "negative-index", "negative-weight", "nan-weight", "inf-weight"])
-def test_road_graph_rejects_bad_edges_before_filling_the_adjacency(edge, message):
-    # as load_adjacency does: an out-of-range index is not an IndexError
-    # (nor a silent write through a negative index), and a NaN or inf
-    # weight never reaches the adjacency
+@pytest.mark.parametrize("weight, message", [
+    (-0.5, r"^edge \(1,2\) weight must be finite and >= 0, got -0\.5$"),
+    (float("nan"), r"^edge \(1,2\) weight must be finite and >= 0, got nan$"),
+    (float("inf"), r"^edge \(1,2\) weight must be finite and >= 0, got inf$"),
+], ids=["negative-weight", "nan-weight", "inf-weight"])
+def test_road_graph_rejects_bad_edges_before_filling_the_adjacency(weight, message):
+    # as load_adjacency does per line, the graph refuses a bad weight in the
+    # matrix it is built from, so no consumer reads it; a bad node index
+    # cannot reach a matrix, and load_adjacency names its file and line
+    adj = np.zeros((3, 3))
+    adj[0, 1], adj[1, 2] = 1.0, weight
     with pytest.raises(ValueError, match=message):
-        RoadGraph(n_nodes=3, edges=[(0, 1, 1.0), edge])
+        RoadGraph(adj)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (0, 0), (2, 2, 2)],
+                         ids=["non-square", "vector", "empty", "stack"])
+def test_road_graph_rejects_an_adjacency_that_is_not_a_square_matrix(shape):
+    with pytest.raises(ValueError, match=r"^adjacency must be a non-empty square matrix"):
+        RoadGraph(np.ones(shape))
 
 
 @pytest.mark.parametrize("content, message", [

@@ -17,7 +17,7 @@ from flowcast import tensor as T
 from flowcast.attention import DegenerateAttentionError
 from flowcast.checkpoint import CheckpointError, load_arrays, save_arrays
 from flowcast.data import assign_windows, make_windows
-from flowcast.graph import RoadGraph
+from flowcast.graph import RoadGraph, load_adjacency
 from flowcast.model import (
     CSV_HEADER,
     ConfigError,
@@ -635,7 +635,7 @@ def test_node_permutation_consistency():
     rng = np.random.default_rng(13)
     adj = (rng.random((n, n)) < 0.4).astype(float) * rng.uniform(0.5, 2, (n, n))
     np.fill_diagonal(adj, 0)
-    graph = RoadGraph.from_adjacency(adj)
+    graph = RoadGraph(adj)
     node_emb = rng.normal(size=(n, 64))
     x = rng.normal(size=(cfg.history, n, 1))
 
@@ -644,7 +644,7 @@ def test_node_permutation_consistency():
 
     perm = rng.permutation(n)
     p_mat = np.eye(n)[perm]
-    graph_p = RoadGraph.from_adjacency(p_mat @ adj @ p_mat.T)
+    graph_p = RoadGraph(p_mat @ adj @ p_mat.T)
     m_p = Forecaster(
         cfg=cfg, params=m.params, ginputs=GraphInputs.build(graph_p, cfg.hops),
         node_emb=node_emb[perm],
@@ -944,6 +944,23 @@ def test_model_checkpoint_round_trip(tmp_path, tiny_model):
     assert loaded_state.step == 1
     x = np.random.default_rng(16).normal(size=(m.cfg.history, 3, 1))
     assert np.array_equal(m.predict(x[None], [3]), loaded.predict(x[None], [3]))
+
+
+def test_a_zero_weight_repeat_of_an_edge_survives_the_checkpoint_round_trip(tmp_path):
+    # the file's last line for 0 -> 1 removes that edge; the hop shells, the
+    # walks and the checkpoint all read the one adjacency, so the loaded
+    # model predicts the same bits
+    path = tmp_path / "edges.csv"
+    path.write_text("0,1,1.0\n1,2,1.0\n2,3,1.0\n3,0,1.0\n0,1,0\n")
+    graph = load_adjacency(path)
+    cfg = tiny_cfg(hops=2, history=3, horizon=3)
+    m = Forecaster.new(cfg, graph, np.random.default_rng(0).normal(size=(4, 64)))
+    assert np.array_equal(m.ginputs.hops[0], graph.adjacency != 0)
+
+    save_model(tmp_path / "model.ckpt", m, None)
+    loaded, _ = load_model(tmp_path / "model.ckpt")
+    x = np.random.default_rng(1).normal(size=(1, cfg.history, 4, 1))
+    assert loaded.predict(x, [3]).tobytes() == m.predict(x, [3]).tobytes()
 
 
 def test_load_model_takes_each_parameter_from_the_checkpoint(tmp_path, tiny_model, monkeypatch):
