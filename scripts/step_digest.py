@@ -1,0 +1,86 @@
+"""Fingerprint one training step: sha256 of the predictions and of every
+parameter gradient, plus the graph's node count.
+
+Runs one toy step (``configs/toy.cfg`` on the 8-node ring, batch 18) and
+one reference step (``configs/pemsd7.cfg`` on a 228-node ring, batch 1):
+forward, the training loss (L1 sum scaled by 1/B) and ``backward``, on
+inputs drawn from a fixed seed. Two checkouts that print the same lines
+compute the same step to the bit. BLAS runs on one thread, because a
+product's summation order can depend on the thread count.
+
+    python scripts/step_digest.py               # from a checkout's root
+    python scripts/step_digest.py --save a.npz  # also keep the arrays
+
+``--save`` writes the predictions and gradients to one ``.npz`` (keys
+``<step>/pred`` and ``<step>/<parameter>``) for diffing two checkouts.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "src"))
+
+import numpy as np  # noqa: E402
+
+from flowcast import tensor as T  # noqa: E402
+from flowcast.model import Forecaster, forward_batch, load_config  # noqa: E402
+from flowcast.synth import ring_graph  # noqa: E402
+
+# (name, config, ring nodes, batch)
+STEPS = (("toy", "configs/toy.cfg", 8, 18), ("ref228", "configs/pemsd7.cfg", 228, 1))
+
+
+def graph_nodes(root: T.Tensor) -> int:
+    """Tensors reachable from ``root`` through parents, ``root`` included."""
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(parent for parent, _ in node.parents)
+    return len(seen)
+
+
+def run_step(config: str, nodes: int, batch: int) -> tuple[dict, int]:
+    """Arrays of one train step, keyed ``pred`` and by parameter name, and
+    the loss graph's node count."""
+    cfg = load_config(REPO / config)
+    rng = np.random.default_rng(0)
+    model = Forecaster.new(cfg, ring_graph(nodes), rng.normal(size=(nodes, 64)))
+    xs = rng.normal(size=(batch, cfg.history, nodes, cfg.channels))
+    target = rng.normal(size=(batch, cfg.horizon, nodes, cfg.channels))
+    t0s = rng.integers(0, 7 * cfg.slots_per_day, size=batch)
+    pred = forward_batch(cfg, model.params, model.ginputs, model.node_emb, xs, t0s)
+    loss = T.scale(T.l1_loss(pred, T.Tensor(target)), 1.0 / batch)
+    count = graph_nodes(loss)
+    T.backward(loss)
+    arrays = {"pred": pred.data}
+    arrays.update((name, p.grad) for name, p in model.params.named().items())
+    return arrays, count
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--save", metavar="NPZ", help="write the arrays to this .npz")
+    args = parser.parse_args()
+    saved = {}
+    for step, config, nodes, batch in STEPS:
+        arrays, count = run_step(config, nodes, batch)
+        print(f"{step}: {count} graph nodes ({count / batch:g} per sample)")
+        for name, a in arrays.items():
+            print(f"{step}/{name} {hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()}")
+            saved[f"{step}/{name}"] = a
+    if args.save:
+        np.savez(args.save, **saved)
+
+
+if __name__ == "__main__":
+    main()

@@ -25,7 +25,6 @@ __all__ = [
     "skipgram_train",
     "save_embeddings",
     "load_embeddings",
-    "temporal_onehot",
     "temporal_encoding",
     "GruLayerParams",
     "gru_cell",
@@ -277,31 +276,21 @@ def load_embeddings(path, n_nodes: int, dim: int = EMBED_DIM) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Static temporal context
 
-def temporal_onehot(
-    time_index: int, slots_per_day: int, start_weekday: int
-) -> np.ndarray:
-    """One-hot pair over (slot of day, day of week): width slots_per_day + 7.
+def temporal_encoding(t0, steps: int, slots_per_day: int, start_weekday: int) -> np.ndarray:
+    """One-hot pairs over (slot of day, day of week), width slots_per_day + 7,
+    for ``steps`` consecutive time indices from each start in ``t0`` (an int
+    or a sequence of them): shape ``np.shape(t0) + (steps, slots_per_day + 7)``.
 
-    ``time_index`` is the absolute step since the dataset start;
+    A time index is the absolute step since the dataset start;
     ``start_weekday`` is that start's weekday, Monday = 0.
     """
     if slots_per_day < 1:
         raise ValueError(f"slots_per_day must be >= 1, got {slots_per_day}")
-    vec = np.zeros(slots_per_day + 7)
-    slot = time_index % slots_per_day
-    weekday = (time_index // slots_per_day + start_weekday) % 7
-    vec[slot] = 1.0
-    vec[slots_per_day + weekday] = 1.0
-    return vec
-
-
-def temporal_encoding(
-    t0: int, steps: int, slots_per_day: int, start_weekday: int
-) -> np.ndarray:
-    """Stacked one-hots for ``steps`` consecutive time indices from ``t0``."""
-    return np.stack(
-        [temporal_onehot(t0 + i, slots_per_day, start_weekday) for i in range(steps)]
-    )
+    t = np.add.outer(np.asarray(t0, dtype=np.int64), np.arange(steps))
+    hot = np.zeros(t.shape + (slots_per_day + 7,))
+    weekday = (t // slots_per_day + start_weekday) % 7
+    np.put_along_axis(hot, np.stack([t % slots_per_day, slots_per_day + weekday], -1), 1.0, -1)
+    return hot
 
 
 # ---------------------------------------------------------------------------
@@ -325,25 +314,21 @@ class GruLayerParams:
         return {f"{prefix}.{f.name}": getattr(self, f.name) for f in fields(self)}
 
 
-def gru_cell(x_t: Tensor, h_prev: Tensor, layer: GruLayerParams) -> Tensor:
-    """One recurrence step on (..., N, F): H = U * H_prev + (1 - U) * C, with
-    gates R = sigmoid(X W_xr + H_prev W_hr + b_r), U = sigmoid(X W_xu +
-    H_prev W_hu + b_u) and candidate C = tanh(X W_xh + (R * H_prev) W_hh + b_h).
+def _cell(x: np.ndarray, h: np.ndarray, w, out=None) -> tuple[np.ndarray, object]:
+    """One recurrence step on (..., N, F) arrays: H = U * H_prev + (1 - U) * C,
+    with gates R = sigmoid(X W_xr + H_prev W_hr + b_r), U = sigmoid(X W_xu +
+    H_prev W_hu + b_u) and candidate C = tanh(X W_xh + (R * H_prev) W_hh + b_h),
+    ``w`` holding the weights in the field order of :class:`GruLayerParams`.
 
-    The cell is one graph node with a hand-written backward, so a training
-    graph keeps X, H_prev, R, U, C and R * H_prev per step instead of the
-    arrays of about 20 elementwise and matmul nodes. The forward runs the
-    numpy ops of the composed cell in the same order, adding in place where
-    the composed cell made a new array, so its output is the same to the bit.
-    The backward holds the gate gradients as the column blocks [r | u | c]
-    of one array, so X meets [W_xr | W_xu | W_xh] and H_prev meets
-    [W_hr | W_hu] in one :func:`~flowcast.tensor._linear_grads` call each.
+    Returns H, written into ``out`` when given, and its vjp (to X, H_prev,
+    then each weight), which keeps X, H_prev, R, U, C and R * H_prev. The
+    forward runs the composed cell's numpy ops in order, adding in place
+    where it made a new array, so H is the same to the bit. The backward
+    holds the gate gradients as the column blocks [r | u | c] of one array,
+    so X meets [W_xr | W_xu | W_xh] and H_prev [W_hr | W_hu] in one
+    :func:`~flowcast.tensor._linear_grads` call each.
     """
-    if x_t.shape != h_prev.shape:
-        raise ShapeError(f"gru_cell: input {x_t.shape} vs hidden {h_prev.shape}")
-    params = tuple(getattr(layer, f.name) for f in fields(layer))
-    x, h = x_t.data, h_prev.data
-    w_xr, w_hr, w_xu, w_hu, w_xh, w_hh, b_r, b_u, b_h = (p.data for p in params)
+    w_xr, w_hr, w_xu, w_hu, w_xh, w_hh, b_r, b_u, b_h = w
 
     def affine(w_x, w_h, b, hidden):
         # (x @ w_x + hidden @ w_h) + b, added in place in one buffer
@@ -356,14 +341,14 @@ def gru_cell(x_t: Tensor, h_prev: Tensor, layer: GruLayerParams) -> Tensor:
     u = T._sigmoid(affine(w_xu, w_hu, b_u, h))
     rh = r * h
     cand = np.tanh(affine(w_xh, w_hh, b_h, rh))
-    out = u * h
+    out = np.multiply(u, h, out=out)
     out += (1.0 - u) * cand
 
     def vjp(g):
         # gradients at the pre-activations of the gates, as the column blocks
         # [r | u | c] of one array, plus the gradient at R * H_prev
-        f = out.shape[-1]
-        gates = np.empty(out.shape[:-1] + (3 * f,))
+        f = g.shape[-1]
+        gates = np.empty(g.shape[:-1] + (3 * f,))
         a_r, a_u, a_c = T._cols(gates, [f] * 3)
         one_minus_u = 1.0 - u
         np.multiply(g * one_minus_u, 1.0 - cand * cand, out=a_c)
@@ -376,32 +361,66 @@ def gru_cell(x_t: Tensor, h_prev: Tensor, layer: GruLayerParams) -> Tensor:
         dh += d_rh * r
         dh += dh_ru
         g_br, g_bu, g_bh = T._cols(T._rows(gates).sum(axis=0), [f] * 3)
-        # in the order of the inputs below
         return dx, dh, g_xr, g_hr, g_xu, g_hu, g_xh, *g_hh, g_br, g_bu, g_bh
 
+    return out, vjp
+
+
+def gru_cell(x_t: Tensor, h_prev: Tensor, layer: GruLayerParams) -> Tensor:
+    """One GRU step (:func:`_cell`) on (..., N, F) as one graph node, so a
+    training graph keeps six arrays per step instead of the arrays of about
+    20 elementwise and matmul nodes."""
+    if x_t.shape != h_prev.shape:
+        raise ShapeError(f"gru_cell: input {x_t.shape} vs hidden {h_prev.shape}")
+    params = tuple(getattr(layer, f.name) for f in fields(layer))
+    out, vjp = _cell(x_t.data, h_prev.data, [p.data for p in params])
     return T._node(out, (x_t, h_prev) + params, vjp)
 
 
+def _gru_layer(x: Tensor, h0: Tensor, layer: GruLayerParams) -> Tensor:
+    """One GRU layer over a (..., T, N, F) sequence from state ``h0``, as one
+    graph node. Step t reads the view ``x[..., t, :, :]`` and writes its
+    state into the output's step t, which the next step reads, so no step
+    is copied. The backward is backpropagation through time over the steps'
+    cell vjps, kept only when the node is tracked, and sums each weight's
+    gradient from the last step to the first, as per-step cell nodes did."""
+    if h0.shape != x.shape[:-3] + x.shape[-2:]:
+        raise ShapeError(f"gru_sequence: input {x.shape} vs hidden {h0.shape}")
+    params = tuple(getattr(layer, f.name) for f in fields(layer))
+    inputs = (x, h0) + params
+    keep, w = T._tracks(inputs), [p.data for p in params]
+    seq, h, vjps = np.empty(x.shape), h0.data, []
+    for t in range(x.shape[-3]):
+        h, step = _cell(x.data[..., t, :, :], h, w, out=seq[..., t, :, :])
+        if keep:
+            vjps.append(step)
+        del step  # untracked, its gate arrays go before the next step's are made
+
+    def vjp(g):
+        dx = np.empty(g.shape)
+        dx[..., -1, :, :], dh, *dw = vjps[-1](g[..., -1, :, :])
+        for t in range(len(vjps) - 2, -1, -1):
+            dx[..., t, :, :], dh, *step_dw = vjps[t](g[..., t, :, :] + dh)
+            for acc, d in zip(dw, step_dw):
+                acc += d
+        return dx, dh, *dw
+
+    return T._node(seq, inputs, vjp)
+
+
 def gru_sequence(
-    x: Tensor,
-    h0: list[Tensor],
-    layers: list[GruLayerParams],
+    x: Tensor, h0: list[Tensor], layers: list[GruLayerParams]
 ) -> tuple[Tensor, list[Tensor]]:
     """Run stacked GRU layers over a (..., T, N, F) sequence, strictly causal.
 
-    Layer l consumes layer l-1's output sequence. Returns the top layer's
-    outputs for every step plus each layer's final (..., N, F) hidden state.
+    Layer l consumes layer l-1's output sequence; each layer is one graph
+    node. Returns the top layer's outputs for every step plus each layer's
+    final (..., N, F) hidden state.
     """
     if len(h0) != len(layers):
         raise ShapeError(f"{len(layers)} layers but {len(h0)} initial states")
-    seq = [x[..., t, :, :] for t in range(x.shape[-3])]
-    finals: list[Tensor] = []
+    outs = [x]
     for h_init, layer in zip(h0, layers):
-        h = h_init
-        outs: list[Tensor] = []
-        for x_t in seq:
-            h = gru_cell(x_t, h, layer)
-            outs.append(h)
-        seq = outs
-        finals.append(h)
-    return T.reshape(T.concat(seq, axis=-2), x.shape), finals
+        outs.append(_gru_layer(outs[-1], h_init, layer))
+    # sliced once every layer has run, so no final's copy is held while one runs
+    return outs[-1], [out[..., -1, :, :] for out in outs[1:]]

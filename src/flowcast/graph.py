@@ -33,16 +33,18 @@ class GraphFormatError(ValueError):
     """Adjacency file could not be parsed."""
 
 
-@dataclass
+@dataclass(eq=False)
 class RoadGraph:
-    """Weighted directed sensor graph, held as one (N, N) float64 matrix:
-    ``adjacency[src, dst]`` is the weight of the edge src -> dst, 0 for no
-    edge. It must be square and non-empty, every weight finite and >= 0."""
+    """Weighted directed sensor graph, held as one read-only (N, N) float64
+    copy of the matrix it is given: ``adjacency[src, dst]`` is the weight of
+    the edge src -> dst, 0 for no edge. It must be square and non-empty,
+    every weight finite and >= 0. Graphs compare by identity."""
 
     adjacency: np.ndarray
 
     def __post_init__(self):
-        adj = self.adjacency = np.asarray(self.adjacency, dtype=np.float64)
+        adj = self.adjacency = np.array(self.adjacency, dtype=np.float64)
+        adj.flags.writeable = False
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1] or adj.size == 0:
             raise ValueError(f"adjacency must be a non-empty square matrix, got shape {adj.shape}")
         bad = np.argwhere(~(np.isfinite(adj) & (adj >= 0)))

@@ -553,10 +553,7 @@ def forward_batch(
     """
     _reject_non_finite(xs)
     emb_proj = _fuse(params.emb_w, params.emb_b, [Tensor(node_emb)])
-    span = cfg.history + cfg.horizon
-    hot = np.stack([
-        temporal_encoding(int(t0), span, cfg.slots_per_day, cfg.start_weekday) for t0 in t0s
-    ])
+    hot = temporal_encoding(t0s, cfg.history + cfg.horizon, cfg.slots_per_day, cfg.start_weekday)
     time_proj = _fuse(params.time_w, params.time_b, [Tensor(hot)])
     time_hist, time_fut = time_proj[:, : cfg.history], time_proj[:, cfg.history :]
 

@@ -6,11 +6,6 @@ graph. Operations build the graph eagerly; :func:`backward` walks it in
 reverse topological order and accumulates gradients into ``.grad`` of the
 leaves (parameters and other tensors with no parents) only.
 
-A backward pass sums each node's gradient in place in a buffer the pass
-owns, and a slice scatters its gradient into its parent's buffer instead
-of building a full-size array, so T slices of a (..., T, N, F) tensor
-cost O(T·N·F), not T full arrays (see :func:`backward`).
-
 Every op, plain or fused, records one node through :func:`_node` with a
 single vector-Jacobian product that maps the node's output gradient to one
 gradient per input, tracked or not; :func:`backward` reads only the tracked
@@ -24,7 +19,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from itertools import accumulate
-from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +65,7 @@ class Tensor:
     populated (and accumulated into) by :func:`backward`. ``parents`` holds
     ``(input tensor, i)`` pairs for the op's tracked inputs, and ``vjp``
     maps the output gradient to a sequence whose entry ``i`` is input i's
-    gradient contribution: an array of its shape, or a :class:`_Scatter`
-    for a slice.
+    gradient contribution, an array of its shape.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "parents", "vjp")
@@ -96,8 +89,8 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     def __getitem__(self, idx):
-        # A slice's gradient is added at ``idx`` with ``+=``, which counts a
-        # repeated entry of an index array once, so only basic indices pass.
+        # A slice's gradient is assigned at ``idx``, which keeps one of a
+        # repeated entry's gradients, so only basic indices pass.
         for i in idx if isinstance(idx, tuple) else (idx,):
             if isinstance(i, (list, np.ndarray, bool, np.bool_)):
                 raise IndexError(
@@ -239,15 +232,13 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
-class _Scatter(NamedTuple):
-    """A slice's gradient contribution: add ``grad`` at ``idx`` of its parent."""
-
-    idx: object
-    grad: np.ndarray
-
-
 def _slice(a: Tensor, idx) -> Tensor:
-    return _node(np.array(a.data[idx]), (a,), lambda g: (_Scatter(idx, g),))
+    def vjp(g):
+        grad = np.zeros(a.shape)
+        grad[idx] = g
+        return (grad,)
+
+    return _node(np.array(a.data[idx]), (a,), vjp)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -273,9 +264,7 @@ def backward(loss: Tensor) -> None:
     Each node's ``vjp`` runs once, and its entry for each parent is summed
     into that parent's one accumulator, which the pass owns (``+=``). A
     vjp's array is adopted as-is while it is a node's only contribution
-    and copied once before the first in-place add. A slice's contribution is a scatter of
-    its gradient into the parent's accumulator, which is allocated once
-    per parent instead of once per slice.
+    and copied once before the first in-place add.
     """
     if loss.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -316,21 +305,13 @@ def backward(loss: Tensor) -> None:
         for parent, i in node.parents:
             contrib, pid = grads[i], id(parent)
             acc = flow.get(pid)
-            if isinstance(contrib, _Scatter):
-                if acc is None:
-                    acc = np.zeros(parent.shape)
-                elif pid not in owned:
-                    acc = acc.copy()
-                acc[contrib.idx] += contrib.grad
-            elif acc is None:
+            if acc is None:
                 flow[pid] = contrib
-                continue
             elif pid in owned:
                 acc += contrib
             else:
-                acc = acc + contrib
-            flow[pid] = acc
-            owned.add(pid)
+                flow[pid] = acc + contrib
+                owned.add(pid)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ the library must reproduce their output bit for bit. The GRU, fusion,
 attention and hop-conv oracles are the forms composed of autodiff ops that
 the fused single-node ``context.gru_cell``, ``model._fuse``,
 ``attention.multi_head_attention`` / ``linear_attention`` and
-``graph.multi_hop_conv`` replaced. The full-depth BFS distance matrix and
+``graph.multi_hop_conv`` replaced; ``gru_sequence`` is the per-step form
+of the one-node-per-layer GRU, a slice per step, a fused cell per step and
+layer, and a concat. The full-depth BFS distance matrix and
 its float shells are the reference for ``graph.hop_shells``;
 ``graph_from_edges`` fills an adjacency from an edge list as
 ``graph.load_adjacency`` fills it from a file's lines.
@@ -21,6 +23,7 @@ import numpy as np
 
 from flowcast import tensor as T
 from flowcast.attention import AttentionParams, DegenerateAttentionError, _check_qkv
+from flowcast import context
 from flowcast.context import GruLayerParams
 from flowcast.graph import RoadGraph, row_normalize
 from flowcast.tensor import ShapeError, Tensor
@@ -285,6 +288,26 @@ def gru_cell(x_t: Tensor, h_prev: Tensor, layer: GruLayerParams) -> Tensor:
         T.add(T.matmul(x_t, layer.w_xh), T.matmul(ops.mul(r, h_prev), layer.w_hh)), layer.b_h
     ))
     return T.add(ops.mul(u, h_prev), ops.mul(ops.sub(Tensor(1.0), u), h_cand))
+
+
+def gru_sequence(
+    x: Tensor, h0: list[Tensor], layers: list[GruLayerParams]
+) -> tuple[Tensor, list[Tensor]]:
+    """Stacked GRU layers over a (..., T, N, F) sequence, one fused
+    ``context.gru_cell`` node per step and layer on per-step slices."""
+    if len(h0) != len(layers):
+        raise ShapeError(f"{len(layers)} layers but {len(h0)} initial states")
+    seq = [x[..., t, :, :] for t in range(x.shape[-3])]
+    finals: list[Tensor] = []
+    for h_init, layer in zip(h0, layers):
+        h = h_init
+        outs: list[Tensor] = []
+        for x_t in seq:
+            h = context.gru_cell(x_t, h, layer)
+            outs.append(h)
+        seq = outs
+        finals.append(h)
+    return T.reshape(T.concat(seq, axis=-2), x.shape), finals
 
 
 def fuse(w: Tensor, b: Tensor, streams: list[Tensor]) -> Tensor:

@@ -20,7 +20,7 @@ from flowcast.context import (
     gru_sequence,
     node2vec_walks,
     skipgram_train,
-    temporal_onehot,
+    temporal_encoding,
 )
 from flowcast.data import assign_windows, make_windows, metrics
 from flowcast.graph import RoadGraph, hop_shells, hop_transitions, multi_hop_conv
@@ -436,7 +436,7 @@ def test_criterion_10_metrics_and_schedule_fidelity():
     pems = load_config(REPO / "configs" / "pemsd7.cfg")
     assert pems.epochs == 8 and pems.lr_decay_epochs == [5, 6, 7]
 
-    assert temporal_onehot(0, 288, 0).shape == (295,)
+    assert temporal_encoding(0, 1, 288, 0).shape == (1, 295)
     _passed(10, "loop-oracle metrics, 1e-3 -> 1e-4 @25 -> 1e-5 @35 schedule, "
                 "one-hot width 295 at 288 slots/day")
 

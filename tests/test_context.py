@@ -21,11 +21,10 @@ from flowcast.context import (
     save_embeddings,
     skipgram_train,
     temporal_encoding,
-    temporal_onehot,
 )
 from flowcast.graph import RoadGraph
 from flowcast.synth import ring_graph
-from flowcast.tensor import Tensor
+from flowcast.tensor import ShapeError, Tensor
 
 from gradcheck import grad_close, numeric_grad
 from oracles import graph_from_edges
@@ -71,13 +70,14 @@ def test_walk_rejects_bad_params():
         node2vec_walks(g, walk_len=1)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("weight", [np.inf, np.nan])
-def test_walk_rejects_non_finite_weights(weight):
-    # RoadGraph refuses such a weight, so it goes into the built adjacency
-    g = graph_from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    g.adjacency[0, 1] = weight
-    with pytest.raises(ValueError, match="not finite"):
+@pytest.mark.parametrize("edges", [
+    [(0, 1, 1e308), (1, 0, 1e308), (1, 2, 1.0)],  # their undirected weight overflows to inf
+    [(0, 1, 1e308), (1, 2, 1e308)],  # node 1's weights sum to inf, so its cdf is NaN
+], ids=["inf", "nan"])
+def test_walk_rejects_non_finite_weights(edges):
+    # RoadGraph refuses a non-finite weight, but finite ones can overflow in a walk
+    g = graph_from_edges(3, edges)
+    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="not finite"):
         node2vec_walks(g, walk_len=4, walks_per_node=1)
 
 
@@ -285,29 +285,29 @@ def test_load_embeddings_fuzz_raises_only_format_errors(tmp_path, text):
 # Temporal one-hot encoding
 
 def test_onehot_first_index():
-    vec = temporal_onehot(0, slots_per_day=288, start_weekday=0)
+    (vec,) = temporal_encoding(0, 1, slots_per_day=288, start_weekday=0)
     assert vec[0] == 1.0 and vec[288] == 1.0
     assert vec.sum() == 2.0
 
 
 def test_onehot_wraps_to_next_weekday():
-    vec = temporal_onehot(288, slots_per_day=288, start_weekday=0)
+    (vec,) = temporal_encoding(288, 1, slots_per_day=288, start_weekday=0)
     assert vec[0] == 1.0 and vec[289] == 1.0
 
 
 def test_onehot_width_for_5_minute_slots():
-    assert temporal_onehot(0, 288, 0).shape == (295,)
+    assert temporal_encoding(0, 1, 288, 0).shape == (1, 295)
 
 
 def test_onehot_width_for_15_minute_slots():
-    assert temporal_onehot(0, 96, 2).shape == (103,)
+    assert temporal_encoding(0, 1, 96, 2).shape == (1, 103)
 
 
 def test_onehot_cycles():
     slots = 12
-    a = temporal_onehot(5, slots, start_weekday=3)
-    assert np.array_equal(a, temporal_onehot(5 + slots * 7, slots, 3))
-    week_only = temporal_onehot(5 + slots, slots, 3)
+    (a,) = temporal_encoding(5, 1, slots, start_weekday=3)
+    assert np.array_equal(a, temporal_encoding(5 + slots * 7, 1, slots, 3)[0])
+    (week_only,) = temporal_encoding(5 + slots, 1, slots, 3)
     assert np.argmax(a[:slots]) == np.argmax(week_only[:slots])
     assert np.argmax(a[slots:]) != np.argmax(week_only[slots:])
 
@@ -316,6 +316,25 @@ def test_temporal_encoding_rows():
     enc = temporal_encoding(t0=10, steps=4, slots_per_day=12, start_weekday=0)
     assert enc.shape == (4, 19)
     assert np.all(enc.sum(axis=1) == 2.0)
+
+
+@pytest.mark.parametrize("t0", [7, [0, 95, 96 * 6 + 3], [[1, 2], [600, 1000]], range(3)])
+def test_temporal_encoding_over_starts_matches_one_index_at_a_time(t0):
+    slots, steps, weekday = 96, 5, 4
+    enc = temporal_encoding(t0, steps, slots, weekday)
+    assert enc.shape == np.shape(t0) + (steps, slots + 7)
+    for start in np.ndindex(np.shape(t0)):
+        for i in range(steps):
+            t = int(np.asarray(t0)[start]) + i
+            want = np.zeros(slots + 7)
+            want[t % slots] = 1.0
+            want[slots + (t // slots + weekday) % 7] = 1.0
+            assert np.array_equal(enc[start + (i,)], want)
+
+
+def test_temporal_encoding_rejects_an_empty_day():
+    with pytest.raises(ValueError, match="slots_per_day"):
+        temporal_encoding(0, 1, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +579,89 @@ def test_gru_sequence_over_a_batch_equals_per_sample_calls():
         one, one_finals = gru_sequence(Tensor(x[b]), [Tensor(h0[b]), Tensor(h0[b])], layers)
         assert np.max(np.abs(outs.data[b] - one.data)) <= 1e-12
         assert np.max(np.abs(finals[1].data[b] - one_finals[1].data)) <= 1e-12
+
+
+def _sequence_run(run, x, h0, layers, c):
+    """Outputs, final states and every input's gradient of a loss that reads
+    each output and each final state through the weights ``c``."""
+    inputs = [x, *h0, *(p for layer in layers for p in layer.named("gru").values())]
+    for t in inputs:
+        t.grad = None
+    out, finals = run(x, h0, layers)
+    loss = ops.sum_(ops.mul(out, c[0]))
+    for final, c_l in zip(finals, c[1:]):
+        loss = T.add(loss, ops.sum_(ops.mul(final, c_l)))
+    T.backward(loss)
+    return [out.data, *(f.data for f in finals)], [t.grad for t in inputs]
+
+
+@pytest.mark.parametrize("untracked", [None, "h0", *GruLayerParams.__dataclass_fields__])
+@pytest.mark.parametrize("shape", [(5, 3, 4), (2, 5, 3, 4), (2, 2, 3, 2, 4)],
+                         ids=["steps", "batch", "two_batch_axes"])
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_gru_layer_node_matches_the_per_step_form_to_the_byte(n_layers, shape, untracked):
+    # one node per layer against a slice, a fused cell per step and layer and
+    # a concat: outputs, final states and every gradient byte for byte
+    rng = np.random.default_rng(46)
+    layers = [_gru_layer(rng, shape[-1]) for _ in range(n_layers)]
+    x = T.param(rng.normal(size=shape))
+    h0 = [T.param(rng.normal(size=shape[:-3] + shape[-2:])) for _ in layers]
+    if untracked == "h0":
+        h0[0] = Tensor(h0[0].data)
+    elif untracked is not None:
+        setattr(layers[0], untracked, Tensor(getattr(layers[0], untracked).data))
+    c = [Tensor(rng.normal(size=shape))] + [Tensor(rng.normal(size=h.shape)) for h in h0]
+    outs, grads = _sequence_run(gru_sequence, x, h0, layers, c)
+    want_outs, want_grads = _sequence_run(oracles.gru_sequence, x, h0, layers, c)
+    for got, want in zip(outs, want_outs):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for got, want in zip(grads, want_grads):
+        if want is None:
+            assert got is None
+        else:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_gru_sequence_builds_one_node_per_layer():
+    rng = np.random.default_rng(47)
+    layers = [_gru_layer(rng, 4), _gru_layer(rng, 4)]
+    x = T.param(rng.normal(size=(6, 3, 4)))
+    out, finals = gru_sequence(x, [Tensor(np.zeros((3, 4)))] * 2, layers)
+    bottom = out.parents[0][0]
+    assert [t for t, _ in bottom.parents] == [x, *layers[0].named("gru").values()]
+    assert [t for t, _ in out.parents] == [bottom, *layers[1].named("gru").values()]
+    assert [f.parents for f in finals] == [((bottom, 0),), ((out, 0),)]
+
+
+def test_gru_sequence_rejects_a_hidden_state_of_another_shape():
+    rng = np.random.default_rng(48)
+    with pytest.raises(ShapeError, match="vs hidden"):
+        gru_sequence(Tensor(np.zeros((2, 5, 3, 4))), [Tensor(np.zeros((5, 3, 4)))],
+                     [_gru_layer(rng, 4)])
+
+
+def test_no_grad_gru_sequence_holds_no_more_than_the_per_step_form():
+    # the reference block's GRU on 228 nodes, as no-grad predict runs it: a
+    # step's gate arrays must not outlive it, nor a layer's final-state copy
+    # the next layer's run
+    rng = np.random.default_rng(49)
+    f, n = 128, 228
+    layers = [_gru_layer(rng, f), _gru_layer(rng, f)]
+    x = T.param(rng.normal(size=(1, 12, n, f)))
+    h0 = [Tensor(np.zeros((1, n, f))) for _ in layers]
+    held = []  # (bytes held by the result, peak bytes) of each form
+    for run in (gru_sequence, oracles.gru_sequence):
+        with T.no_grad():
+            tracemalloc.start()
+            try:
+                out = run(x, h0, layers)
+                held.append(tracemalloc.get_traced_memory())
+            finally:
+                tracemalloc.stop()
+        assert not out[0].parents
+        del out
+    (layer_held, layer_peak), (per_step_held, per_step_peak) = held
+    assert layer_held <= per_step_held and layer_peak <= per_step_peak
 
 
 def test_gru_hidden_stays_in_unit_interval():

@@ -488,6 +488,25 @@ def test_road_graph_rejects_an_adjacency_that_is_not_a_square_matrix(shape):
         RoadGraph(np.ones(shape))
 
 
+def test_road_graph_holds_a_read_only_copy_of_its_matrix():
+    # a write into the caller's array, or into the graph's, would skip the
+    # weight check and split the graph from the GraphInputs built from it
+    adj = np.zeros((3, 3))
+    adj[0, 1] = 1.0
+    g = RoadGraph(adj)
+    adj[0, 1] = np.inf
+    assert g.adjacency[0, 1] == 1.0 and g.adjacency.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        g.adjacency[1, 2] = np.nan
+
+
+def test_road_graphs_compare_by_identity():
+    # the generated field-wise == would ask numpy for one truth value of a matrix
+    g = RoadGraph(np.ones((2, 2)))
+    assert g == g and g != RoadGraph(np.ones((2, 2)))
+    assert g in [RoadGraph(np.ones((2, 2))), g]
+
+
 @pytest.mark.parametrize("content, message", [
     (b"0,1,1.0\n1,\xff,1.0\n", r"edges\.csv: not UTF-8 text$"),
     (b"N=2\n-1,0,1.0\n", r"edges\.csv:2: edge \(-1,0\) out of range for N=2$"),

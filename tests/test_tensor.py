@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from flowcast import tensor as T
 from flowcast.attention import AttentionParams, linear_attention, multi_head_attention
 from flowcast.checkpoint import CheckpointError, load_arrays, save_arrays
-from flowcast.context import GruLayerParams, gru_cell
+from flowcast.context import GruLayerParams, _gru_layer, gru_cell
 from flowcast.graph import hop_shells, hop_transitions, multi_hop_conv
 from flowcast.model import _fuse
 from flowcast.optim import AdamState, GradientError, adam_step, lr_at_epoch, zero_grads
@@ -213,7 +213,7 @@ def test_overlapping_slices_accumulate():
     ids=["int_array", "list", "bool_array", "list_in_tuple", "bool"],
 )
 def test_advanced_index_is_rejected(idx):
-    # a scatter with += would count the repeated 0 of [0, 0, 2] once
+    # the gradient assigned at [0, 0, 2] would keep one of the repeated 0's two
     x = T.param(np.arange(3.0))
     named = idx[-1] if isinstance(idx, tuple) else idx
     with pytest.raises(IndexError, match=re.escape(repr(named))):
@@ -231,7 +231,7 @@ def test_basic_indices_still_accumulate():
 
 
 def test_per_step_slices_match_one_dense_product():
-    # A GRU sequence reads x[:, t] for every step t.
+    # the per-step GRU oracle reads x[:, t] for every step t
     rng = np.random.default_rng(41)
     xd = rng.normal(size=(1, 12, 5, 3))
     w = rng.normal(size=(1, 12, 5, 3))
@@ -248,7 +248,7 @@ def test_per_step_slices_match_one_dense_product():
 @pytest.mark.parametrize("shared_first", [False, True], ids=["other_first", "shared_first"])
 def test_in_place_accumulation_leaves_shared_gradients_alone(dense, shared_first):
     # add hands one array to both operands. p gets a second contribution,
-    # a dense product or a slice's scatter, which must not be added in
+    # a dense product or a slice's gradient, which must not be added in
     # place into the array q holds.
     rng = np.random.default_rng(43)
     p = T.param(rng.normal(size=(3, 4)))
@@ -447,6 +447,7 @@ def _node_cases(rng):
         "l1_loss": lambda: l1_loss(a, c(2, 3)),
         "fuse": lambda: _fuse(p(10, 4), p(4), [p(2, 3, 5, 1), c(5, 4), p(2, 3, 1, 5)]),
         "gru_cell": lambda: gru_cell(p(2, 5, 3), c(2, 5, 3), gru),
+        "gru_layer": lambda: _gru_layer(p(2, 4, 5, 3), c(2, 5, 3), gru),
         "self_attention": lambda: multi_head_attention(p(2, 6, 4), None, attn),
         "cross_attention": lambda: multi_head_attention(p(2, 6, 4), c(2, 7, 4), attn),
         "linear_attention": lambda: linear_attention(p(5, 3), c(6, 3), p(6, 2)),
@@ -470,10 +471,7 @@ def test_every_vjp_returns_one_gradient_per_input_of_its_shape(kind, monkeypatch
     grads = out.vjp(rng.normal(size=out.shape))
     assert len(grads) == len(inputs)
     for t, g in zip(inputs, grads):
-        if kind == "slice":
-            assert isinstance(g, T._Scatter) and g.grad.shape == out.shape
-        else:
-            assert g.shape == t.shape
+        assert g.shape == t.shape
 
 
 def test_only_node_builds_graph_nodes():
