@@ -1,12 +1,12 @@
 """Attention kernels over joint space-time token sequences.
 
 ``softmax_attention`` is the quadratic reference: it materializes the full
-score matrix. ``linear_attention`` replaces the softmax with a positive
-exponential feature map and exploits matmul associativity: the key-value
-summary (d x d) and key normalizer (d) are accumulated once, so time and
-memory are linear in the token count instead of quadratic. The model
-flattens its (..., T, N, F) features into tokens with
-:func:`to_joint_tokens` only to attend.
+score matrix in plain numpy and builds no graph node. ``linear_attention``
+replaces the softmax with a positive exponential feature map and exploits
+matmul associativity: the key-value summary (d x d) and key normalizer (d)
+are accumulated once, so time and memory are linear in the token count
+instead of quadratic. The model flattens its (..., T, N, F) features into
+tokens with :func:`to_joint_tokens` only to attend.
 
 Every function takes optional leading batch axes, ``(..., M, d)``; each
 sample keeps its own summary and normalizer.
@@ -69,6 +69,10 @@ def to_joint_tokens(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # Quadratic reference
 
+def _swap(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
 def _check_qkv(q: Tensor, k: Tensor, v: Tensor) -> None:
     if min(q.data.ndim, k.data.ndim, v.data.ndim) < 2:
         raise ShapeError("attention operands must have rank >= 2")
@@ -76,22 +80,26 @@ def _check_qkv(q: Tensor, k: Tensor, v: Tensor) -> None:
         raise ShapeError(f"query dim {q.shape} vs key dim {k.shape}")
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"key rows {k.shape} vs value rows {v.shape}")
+    try:
+        np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+    except ValueError:
+        raise ShapeError(f"batch axes of {q.shape}, {k.shape} and {v.shape} differ") from None
 
 
 def softmax_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(Q K^T / sqrt(d)) V — O(M^2) time and memory."""
+    """softmax(Q K^T / sqrt(d)) V — O(M^2) time and memory; a reference
+    on the arrays that returns an untracked Tensor."""
     _check_qkv(q, k, v)
-    d = q.shape[-1]
-    scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(d))
-    return T.matmul(T.softmax(scores, axis=-1), v)
+    scores = q.data @ _swap(k.data)
+    scores *= 1.0 / math.sqrt(q.shape[-1])
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return Tensor(scores @ v.data)
 
 
 # ---------------------------------------------------------------------------
 # Linear attention
-
-def _swap(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a, -1, -2)
-
 
 def _head_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, out=None):
     """One head of linear attention on arrays, written into ``out`` when

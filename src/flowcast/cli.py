@@ -208,14 +208,11 @@ def cmd_eval(args) -> int:
         Path(args.out).write_text("\n".join(lines) + "\n")
 
     if args.predictions:
-        rows = []
-        for w, pred, actual in zip(chosen, preds, truth):
-            for t in range(cfg.horizon):
-                for node in range(meta.n_nodes):
-                    rows.append(
-                        (w.t0 + cfg.history + t, node,
-                         float(pred[t, node, 0]), float(actual[t, node, 0]))
-                    )
+        rows = [
+            (w.t0 + cfg.history + t, node, ch, float(pred[t, node, ch]), float(actual[t, node, ch]))
+            for w, pred, actual in zip(chosen, preds, truth)
+            for t, node, ch in np.ndindex(pred.shape)
+        ]
         save_predictions(args.predictions, rows)
     return 0
 
@@ -292,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizons", default="3,6,12")
     p.add_argument("--mask-eps", type=float, default=1.0)
     p.add_argument("--out", help="write per-horizon metrics CSV here")
-    p.add_argument("--predictions", help="write t_abs,node,pred,truth CSV here")
+    p.add_argument("--predictions", help="write t_abs,node,channel,pred,truth CSV here")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("bench", help="compare attention kernel complexity")

@@ -315,9 +315,9 @@ def metrics(
     return mae, rmse, mape
 
 
-def save_predictions(path, rows: list[tuple[int, int, float, float]]) -> None:
-    """CSV export, one `t_abs,node,pred,truth` line per entry."""
+def save_predictions(path, rows: list[tuple[int, int, int, float, float]]) -> None:
+    """CSV export, one `t_abs,node,channel,pred,truth` line per entry."""
     with open(path, "w") as fh:
-        fh.write("t_abs,node,pred,truth\n")
-        for t_abs, node, pred, truth in rows:
-            fh.write(f"{t_abs},{node},{pred!r},{truth!r}\n")
+        fh.write("t_abs,node,channel,pred,truth\n")
+        for t_abs, node, channel, pred, truth in rows:
+            fh.write(f"{t_abs},{node},{channel},{pred!r},{truth!r}\n")

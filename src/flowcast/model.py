@@ -13,7 +13,7 @@ Every forward function takes and returns (..., T, N, F) features, with
 optional leading batch axes as numpy's ``@`` has. :func:`_attend` is the
 one place that flattens them into (..., T*N, F) joint tokens, for
 :func:`multi_head_attention`, and folds its output back. Static context
-(node embeddings (N, F), time one-hots (..., T, F)) joins by
+(node embeddings (N, F), time one-hots (..., T, 1, F)) joins by
 broadcasting; :func:`forward_batch` runs a whole (B, T, N, C) batch as
 one graph.
 """
@@ -426,11 +426,6 @@ def _fuse(w: Tensor, b: Tensor, streams: list[Tensor]) -> Tensor:
     return T._node(out, (w, b, *streams), vjp)
 
 
-def _per_step(time_proj: Tensor) -> Tensor:
-    """(..., T, F) -> (..., T, 1, F), broadcastable over the node axis."""
-    return T.reshape(time_proj, time_proj.shape[:-1] + (1, time_proj.shape[-1]))
-
-
 def context_block(
     block: BlockParams,
     xh: Tensor,
@@ -444,13 +439,13 @@ def context_block(
     Per token (t, i): concat[features; hop-diffusion; GRU state; node
     embedding; time one-hot] -> 5F, project to F, plus a residual from the
     feature stream. ``xh`` is (..., T, N, F), ``emb_proj`` (N, F) and
-    ``time_proj`` (..., T, F). Returns (..., T, N, F) features plus the
+    ``time_proj`` (..., T, 1, F). Returns (..., T, N, F) features plus the
     GRU's final hidden states.
     """
     steps, n = xh.shape[-3:-1]
-    if time_proj.shape[-2] != steps:
+    if time_proj.shape[-3] != steps:
         raise ContractError(
-            f"temporal context covers {time_proj.shape[-2]} steps, block has {steps}"
+            f"temporal context covers {time_proj.shape[-3]} steps, block has {steps}"
         )
     if emb_proj.shape[-2] != n:
         raise ContractError(
@@ -459,7 +454,7 @@ def context_block(
     spatial = multi_hop_conv(xh, ginputs.trans, block.hop_w, block.hop_out)
     temporal, finals = gru_sequence(xh, h0, block.gru)
     fused = _fuse(
-        block.fuse_w, block.fuse_b, [xh, spatial, temporal, emb_proj, _per_step(time_proj)]
+        block.fuse_w, block.fuse_b, [xh, spatial, temporal, emb_proj, time_proj]
     )
     return T.add(fused, xh), finals
 
@@ -509,7 +504,8 @@ def transform_layer(
     steps, feeding each step's output back as the next input. The rollout
     (plus future static context) forms the queries; encoder features (plus
     historical static context) form keys and values of a cross attention.
-    Returns (..., horizon, N, F) features.
+    ``time_hist`` and ``time_fut`` are (..., T, 1, F). Returns
+    (..., horizon, N, F) features.
     """
     tp = params.transform
     hidden = list(enc_finals)
@@ -525,12 +521,15 @@ def transform_layer(
     rollout = T.reshape(
         T.concat(generated, axis=-2), x_last.shape[:-2] + (cfg.horizon,) + x_last.shape[-2:]
     )
-    q = _fuse(tp.q_fuse_w, tp.q_fuse_b, [rollout, emb_proj, _per_step(time_fut)])
-    kv = _fuse(tp.kv_fuse_w, tp.kv_fuse_b, [enc, emb_proj, _per_step(time_hist)])
+    q = _fuse(tp.q_fuse_w, tp.q_fuse_b, [rollout, emb_proj, time_fut])
+    kv = _fuse(tp.kv_fuse_w, tp.kv_fuse_b, [enc, emb_proj, time_hist])
     return _attend("transform", q, kv, tp.attn)
 
 
-def _reject_non_finite(xs: np.ndarray) -> None:
+def _check_windows_and_starts(xs: np.ndarray, t0s) -> None:
+    """Reject non-finite windows by sample index, and a ``t0s`` not of their count."""
+    if len(t0s) != len(xs):
+        raise ContractError(f"t0s has length {len(t0s)} for {len(xs)} windows; need one per window")
     finite = np.isfinite(xs).reshape(len(xs), -1).all(axis=1)
     if not finite.all():
         raise ValueError(f"non-finite values in input sample {int(np.argmin(finite))}")
@@ -549,12 +548,13 @@ def forward_batch(
 
     All horizon steps come from one pass; predictions are never consumed
     as inputs (the only recurrence is over internal features). Rejects
-    non-finite inputs by sample index.
+    non-finite inputs by sample index, and a ``t0s`` not of length B.
     """
-    _reject_non_finite(xs)
+    _check_windows_and_starts(xs, t0s)
     emb_proj = _fuse(params.emb_w, params.emb_b, [Tensor(node_emb)])
     hot = temporal_encoding(t0s, cfg.history + cfg.horizon, cfg.slots_per_day, cfg.start_weekday)
-    time_proj = _fuse(params.time_w, params.time_b, [Tensor(hot)])
+    # one time-slot row per (sample, step), shared by every node
+    time_proj = _fuse(params.time_w, params.time_b, [Tensor(hot[..., None, :])])
     time_hist, time_fut = time_proj[:, : cfg.history], time_proj[:, cfg.history :]
 
     xh = input_projection(params, Tensor(xs))
@@ -594,7 +594,7 @@ class Forecaster:
 
     def predict(self, xs: np.ndarray, t0s) -> np.ndarray:
         """Inference-only forward, (B, T_h, N, C) -> (B, T_p, N, C); no graph is built."""
-        _reject_non_finite(xs)
+        _check_windows_and_starts(xs, t0s)
         # One window at a time: a no-grad window of the reference config on
         # 228 nodes peaks at about 28 MB of arrays, and a batch of B at B times that.
         with T.no_grad():

@@ -40,16 +40,18 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
 
     Parameters with no gradient (never touched by the loss) are treated as
     having zero gradient so the moment decay still advances uniformly.
+    A non-finite gradient raises before anything changes, the step count included.
     """
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
+    for name, p in params.items():
+        if p.grad is not None and not np.all(np.isfinite(p.grad)):
+            raise GradientError(f"non-finite gradient in parameter '{name}'")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.all(np.isfinite(g)):
-            raise GradientError(f"non-finite gradient in parameter '{name}'")
         m = state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
         v = state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1**t)

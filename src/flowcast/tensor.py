@@ -27,13 +27,10 @@ __all__ = [
     "ShapeError",
     "param",
     "no_grad",
-    "matmul",
-    "transpose",
     "add",
     "scale",
     "concat",
     "reshape",
-    "softmax",
     "backward",
     "l1_loss",
 ]
@@ -167,31 +164,6 @@ def _broadcast(op: str, fn, a: Tensor, b: Tensor) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Linear algebra
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Product over the last two axes, broadcasting leading axes like ``@``.
-
-    Gradients dA = dC @ B^T and dB = A^T @ dC, each summed back down to
-    its operand's shape.
-    """
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul needs operands of rank >= 2, got {a.shape} and {b.shape}")
-    ad, bd = a.data, b.data
-    return _node(_broadcast("matmul", np.matmul, a, b), (a, b), lambda g: (
-        _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape),
-        _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape),
-    ))
-
-
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    if a.data.ndim < 2:
-        raise ShapeError(f"transpose needs a tensor of rank >= 2, got {a.shape}")
-    return _node(np.swapaxes(a.data, -1, -2).copy(), (a,), lambda g: (g.swapaxes(-1, -2),))
-
-
-# ---------------------------------------------------------------------------
 # Elementwise
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -239,14 +211,6 @@ def _slice(a: Tensor, idx) -> Tensor:
         return (grad,)
 
     return _node(np.array(a.data[idx]), (a,), vjp)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax along ``axis``; slices sum to 1."""
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-    return _node(out, (a,), lambda g: (out * (g - (g * out).sum(axis, keepdims=True)),))
 
 
 # ---------------------------------------------------------------------------

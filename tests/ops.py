@@ -1,15 +1,40 @@
-"""Elementwise autodiff ops that the oracles and tests compose.
+"""Generic autodiff ops that the oracles and tests compose.
 
 The forecaster runs its fixed formulas (GRU cell, context fusion,
-attention, L1 loss) as single fused nodes, so :mod:`flowcast.tensor`
-carries none of these generic ops. They record their nodes through the
-library's own ``_node`` and broadcasting helpers, so :func:`backward`
-differentiates a composed oracle the same way as the model.
+attention, L1 loss) as single fused nodes, and its quadratic attention
+reference in plain numpy, so :mod:`flowcast.tensor` carries none of these
+generic ops: the linear-algebra ones (``matmul``, ``transpose``), the
+elementwise ones, ``sum_`` and ``softmax``. They record their nodes
+through the library's own ``_node`` and broadcasting helpers, so
+:func:`backward` differentiates a composed oracle the same way as the
+model.
 """
 
 import numpy as np
 
-from flowcast.tensor import Tensor, _broadcast, _node, _sigmoid, _unbroadcast
+from flowcast.tensor import ShapeError, Tensor, _broadcast, _node, _sigmoid, _unbroadcast
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Product over the last two axes, broadcasting leading axes like ``@``.
+
+    Gradients dA = dC @ B^T and dB = A^T @ dC, each summed back down to
+    its operand's shape.
+    """
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ShapeError(f"matmul needs operands of rank >= 2, got {a.shape} and {b.shape}")
+    ad, bd = a.data, b.data
+    return _node(_broadcast("matmul", np.matmul, a, b), (a, b), lambda g: (
+        _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape),
+        _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape),
+    ))
+
+
+def transpose(a: Tensor) -> Tensor:
+    """Swap the last two axes."""
+    if a.data.ndim < 2:
+        raise ShapeError(f"transpose needs a tensor of rank >= 2, got {a.shape}")
+    return _node(np.swapaxes(a.data, -1, -2).copy(), (a,), lambda g: (g.swapaxes(-1, -2),))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -63,3 +88,11 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g, a.shape).copy(),)
 
     return _node(np.asarray(out), (a,), vjp)
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    """Stable softmax along ``axis``; slices sum to 1."""
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=axis, keepdims=True)
+    return _node(out, (a,), lambda g: (out * (g - (g * out).sum(axis, keepdims=True)),))

@@ -85,8 +85,8 @@ def multi_hop_conv(x: Tensor, trans: np.ndarray, w_x: list[Tensor], w_d: Tensor)
     projected by ``w_d``."""
     if len(w_x) != trans.shape[0]:
         raise ShapeError(f"expected {trans.shape[0]} head weights, got {len(w_x)}")
-    heads = [T.matmul(Tensor(trans[i]), T.matmul(x, w)) for i, w in enumerate(w_x)]
-    return T.matmul(T.concat(heads, axis=-1), w_d)
+    heads = [ops.matmul(Tensor(trans[i]), ops.matmul(x, w)) for i, w in enumerate(w_x)]
+    return ops.matmul(T.concat(heads, axis=-1), w_d)
 
 
 def similarity_attention(
@@ -123,7 +123,7 @@ def diffusion_conv(x: Tensor, a: np.ndarray, k_step: int, w: Tensor) -> Tensor:
         raise ShapeError(f"diffusion_conv: x {x.shape} vs adjacency {a.shape}")
     fwd = np.linalg.matrix_power(row_normalize(a), k_step)
     bwd = np.linalg.matrix_power(row_normalize(a.T), k_step)
-    return T.matmul(T.matmul(Tensor(fwd + bwd), x), w)
+    return ops.matmul(ops.matmul(Tensor(fwd + bwd), x), w)
 
 
 def node2vec_walks(
@@ -280,12 +280,12 @@ def gru_cell(x_t: Tensor, h_prev: Tensor, layer: GruLayerParams) -> Tensor:
     """One recurrence step on (..., N, F): H = U * H_prev + (1 - U) * tanh-candidate."""
     if x_t.shape != h_prev.shape:
         raise ShapeError(f"gru_cell: input {x_t.shape} vs hidden {h_prev.shape}")
-    r = ops.sigmoid(T.add(T.add(T.matmul(x_t, layer.w_xr), T.matmul(h_prev, layer.w_hr)),
+    r = ops.sigmoid(T.add(T.add(ops.matmul(x_t, layer.w_xr), ops.matmul(h_prev, layer.w_hr)),
                           layer.b_r))
-    u = ops.sigmoid(T.add(T.add(T.matmul(x_t, layer.w_xu), T.matmul(h_prev, layer.w_hu)),
+    u = ops.sigmoid(T.add(T.add(ops.matmul(x_t, layer.w_xu), ops.matmul(h_prev, layer.w_hu)),
                           layer.b_u))
     h_cand = ops.tanh(T.add(
-        T.add(T.matmul(x_t, layer.w_xh), T.matmul(ops.mul(r, h_prev), layer.w_hh)), layer.b_h
+        T.add(ops.matmul(x_t, layer.w_xh), ops.matmul(ops.mul(r, h_prev), layer.w_hh)), layer.b_h
     ))
     return T.add(ops.mul(u, h_prev), ops.mul(ops.sub(Tensor(1.0), u), h_cand))
 
@@ -320,7 +320,7 @@ def fuse(w: Tensor, b: Tensor, streams: list[Tensor]) -> Tensor:
     """
     out, lo = b, 0
     for stream in streams:
-        out = T.add(out, T.matmul(stream, w[lo : lo + stream.shape[-1]]))
+        out = T.add(out, ops.matmul(stream, w[lo : lo + stream.shape[-1]]))
         lo += stream.shape[-1]
     return out
 
@@ -339,10 +339,10 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     _check_qkv(q, k, v)
     phi_q = ops.exp(ops.sub(q, Tensor(q.data.max(axis=-1, keepdims=True))))
     phi_k = ops.exp(ops.sub(k, Tensor(k.data.max(axis=(-2, -1), keepdims=True))))
-    summary = T.matmul(T.transpose(phi_k), v)  # (..., d, d_v)
+    summary = ops.matmul(ops.transpose(phi_k), v)  # (..., d, d_v)
     normalizer = ops.sum_(phi_k, axis=-2)  # (..., d)
-    num = T.matmul(phi_q, summary)  # (..., M, d_v)
-    den = T.matmul(phi_q, T.reshape(normalizer, normalizer.shape + (1,)))
+    num = ops.matmul(phi_q, summary)  # (..., M, d_v)
+    den = ops.matmul(phi_q, T.reshape(normalizer, normalizer.shape + (1,)))
     bad = ~(den.data >= 1e-30)  # catches underflow and NaN alike
     if bad.any():
         *sample, row, _ = (int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
@@ -371,11 +371,11 @@ def multi_head_attention(
         raise ShapeError(f"key/value width {source.shape[-1]} != model dim {width}")
     heads = []
     for i, (wq, wk, wv) in enumerate(zip(params.w_q, params.w_k, params.w_v)):
-        qh = T.matmul(x, wq)
-        kh = T.matmul(source, wk)
-        vh = T.matmul(source, wv)
+        qh = ops.matmul(x, wq)
+        kh = ops.matmul(source, wk)
+        vh = ops.matmul(source, wv)
         try:
             heads.append(linear_attention(qh, kh, vh))
         except DegenerateAttentionError as err:
             raise DegenerateAttentionError(f"head {i}: {err}") from err
-    return T.matmul(T.concat(heads, axis=-1), params.w_o)
+    return ops.matmul(T.concat(heads, axis=-1), params.w_o)

@@ -94,10 +94,34 @@ def test_softmax_attention_equals_similarity_form():
     assert np.max(np.abs(direct - generic)) < 1e-10
 
 
+@pytest.mark.parametrize("lead_q, lead_kv", [((), ()), ((3,), ()), ((2, 3), (3,))])
+def test_softmax_attention_matches_the_composed_graph_form(lead_q, lead_kv):
+    # the numpy reference against the same steps as autodiff nodes:
+    # scores, 1/sqrt(d) scale, max-shifted softmax, @ v
+    rng = np.random.default_rng(6)
+    q = T.param(rng.uniform(-2, 2, lead_q + (7, 4)))
+    k = T.param(rng.uniform(-2, 2, lead_kv + (9, 4)))
+    v = T.param(rng.normal(size=lead_kv + (9, 3)))
+    scores = T.scale(ops.matmul(q, ops.transpose(k)), 1.0 / np.sqrt(4))
+    composed = ops.matmul(ops.softmax(scores, axis=-1), v)
+    out = softmax_attention(q, k, v)
+    assert out.shape == composed.shape
+    assert np.max(np.abs(out.data - composed.data)) <= 1e-12
+    assert not out.requires_grad and out.vjp is None
+
+
 def test_attention_dim_mismatch():
     with pytest.raises(ShapeError):
         softmax_attention(
             Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4)))
+        )
+
+
+@pytest.mark.parametrize("kernel", [softmax_attention, linear_attention])
+def test_attention_batch_axes_mismatch(kernel):
+    with pytest.raises(ShapeError, match="batch axes"):
+        kernel(
+            Tensor(np.zeros((2, 5, 4))), Tensor(np.zeros((3, 6, 4))), Tensor(np.zeros((3, 6, 4)))
         )
 
 

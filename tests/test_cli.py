@@ -12,6 +12,7 @@ from flowcast.attention import DegenerateAttentionError
 from flowcast.checkpoint import load_arrays, save_arrays
 from flowcast.cli import main
 from flowcast.context import load_embeddings, save_embeddings
+from flowcast.data import Dataset, DatasetMeta
 from flowcast.model import (
     EpochLog,
     Forecaster,
@@ -339,12 +340,39 @@ def test_eval_predictions_come_from_the_one_predict_call(toy_files, monkeypatch)
     assert rc == 0
     assert len(windows_per_call) == 1
     lines = preds_out.read_text().splitlines()
-    assert lines[0] == "t_abs,node,pred,truth"
+    assert lines[0] == "t_abs,node,channel,pred,truth"
     assert len(lines) - 1 == windows_per_call[0] * cfg.horizon * 5
     # the CSV holds the predictions the metrics were computed from
     rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     average_mae = float(metrics_out.read_text().splitlines()[-1].split(",")[1])
-    assert abs(np.mean(np.abs(rows[:, 2] - rows[:, 3])) - average_mae) <= 5e-7
+    assert abs(np.mean(np.abs(rows[:, 3] - rows[:, 4])) - average_mae) <= 5e-7
+
+
+def test_eval_predictions_hold_every_channel(tmp_path):
+    dataset, graph = make_ring_dataset(n_nodes=5, steps=150, period=24, seed=1)
+    readings = np.concatenate([dataset.readings, 3.0 * dataset.readings + 10.0], axis=-1)
+    meta = DatasetMeta(n_nodes=5, channels=2, window_minutes=60, start_time="2014-01-06")
+    paths = write_dataset_files(tmp_path / "data", Dataset(readings=readings, meta=meta), graph)
+    cfg = ModelConfig(
+        width=8, heads=2, head_dim=4, hops=1, gru_layers=1, history=4,
+        horizon=4, channels=2, slots_per_day=24, seed=0,
+    )
+    model = Forecaster.new(cfg, graph, np.zeros((5, 64)))
+    model.norm = (10.0, 2.0)
+    save_model(tmp_path / "model.ckpt", model)
+    metrics_out, preds_out = tmp_path / "eval.csv", tmp_path / "preds.csv"
+    rc = main([
+        "eval", "--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(paths["readings"]),
+        "--horizons", "2", "--mask-eps", "1e-6", "--out", str(metrics_out),
+        "--predictions", str(preds_out),
+    ])
+    assert rc == 0
+    lines = preds_out.read_text().splitlines()
+    assert lines[0] == "t_abs,node,channel,pred,truth"
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(np.unique(rows[:, 2]), [0.0, 1.0])
+    average_mae = float(metrics_out.read_text().splitlines()[-1].split(",")[1])
+    assert abs(np.mean(np.abs(rows[:, 3] - rows[:, 4])) - average_mae) <= 5e-7
 
 
 def test_eval_perfect_oracle_gives_zero_metrics(tmp_path, capsys):

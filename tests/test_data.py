@@ -396,8 +396,8 @@ def test_metrics_shape_mismatch():
 
 def test_save_predictions_format(tmp_path):
     path = tmp_path / "preds.csv"
-    save_predictions(path, [(100, 0, 1.5, 2.0), (100, 1, 3.25, 3.0)])
+    save_predictions(path, [(100, 0, 1, 1.5, 2.0), (100, 1, 0, 3.25, 3.0)])
     lines = path.read_text().splitlines()
-    assert lines[0] == "t_abs,node,pred,truth"
-    assert lines[1] == "100,0,1.5,2.0"
+    assert lines[0] == "t_abs,node,channel,pred,truth"
+    assert lines[1] == "100,0,1,1.5,2.0"
     assert len(lines) == 3
