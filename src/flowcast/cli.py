@@ -208,12 +208,11 @@ def cmd_eval(args) -> int:
         Path(args.out).write_text("\n".join(lines) + "\n")
 
     if args.predictions:
-        rows = [
+        save_predictions(args.predictions, (
             (w.t0 + cfg.history + t, node, ch, float(pred[t, node, ch]), float(actual[t, node, ch]))
             for w, pred, actual in zip(chosen, preds, truth)
             for t, node, ch in np.ndindex(pred.shape)
-        ]
-        save_predictions(args.predictions, rows)
+        ))
     return 0
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -315,8 +316,9 @@ def metrics(
     return mae, rmse, mape
 
 
-def save_predictions(path, rows: list[tuple[int, int, int, float, float]]) -> None:
-    """CSV export, one `t_abs,node,channel,pred,truth` line per entry."""
+def save_predictions(path, rows: Iterable[tuple[int, int, int, float, float]]) -> None:
+    """CSV export, one `t_abs,node,channel,pred,truth` line per entry,
+    written as ``rows`` yields it."""
     with open(path, "w") as fh:
         fh.write("t_abs,node,channel,pred,truth\n")
         for t_abs, node, channel, pred, truth in rows:

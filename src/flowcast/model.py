@@ -705,8 +705,10 @@ def _train_step(
     """One Adam step on ``batch``; returns its loss, the summed L1 error per
     window.
 
-    The step's graph is referenced only from this frame, so it is freed
-    when the step returns, before the next step builds its own.
+    ``backward`` consumes the step's graph as it walks it, freeing each
+    node's saved arrays once its vjp has run. What it leaves, the
+    prediction and the loss, is referenced only from this frame, so it is
+    freed when the step returns, before the next step builds its graph.
     """
     zero_grads(params)
     pred = forward_batch(

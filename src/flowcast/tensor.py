@@ -4,7 +4,10 @@ Every value flowing through the forecaster is a :class:`Tensor`: a numpy
 array plus an optional gradient and a backpointer into the computation
 graph. Operations build the graph eagerly; :func:`backward` walks it in
 reverse topological order and accumulates gradients into ``.grad`` of the
-leaves (parameters and other tensors with no parents) only.
+leaves (parameters and other tensors with no vjp) only. A pass consumes
+the graph it walks: each node drops its vjp and parents once its vjp has
+run, so the arrays they held are freed while the pass goes on, and a
+graph is built again to be backpropagated again.
 
 Every op, plain or fused, records one node through :func:`_node` with a
 single vector-Jacobian product that maps the node's output gradient to one
@@ -40,6 +43,10 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
+class GraphConsumedError(RuntimeError):
+    """Raised when :func:`backward` reaches a node an earlier pass consumed."""
+
+
 _grad_enabled = True
 
 
@@ -58,11 +65,11 @@ def no_grad():
 class Tensor:
     """A float64 array node in the computation graph.
 
-    ``data`` is never mutated by operations; on leaves, ``grad`` is
-    populated (and accumulated into) by :func:`backward`. ``parents`` holds
-    ``(input tensor, i)`` pairs for the op's tracked inputs, and ``vjp``
-    maps the output gradient to a sequence whose entry ``i`` is input i's
-    gradient contribution, an array of its shape.
+    ``data`` is never mutated by operations; on leaves (``vjp`` is None),
+    ``grad`` is populated (and accumulated into) by :func:`backward`.
+    ``parents`` holds ``(input tensor, i)`` pairs for the op's tracked
+    inputs, and ``vjp`` maps the output gradient to a sequence whose entry
+    ``i`` is input i's gradient contribution, an array of its shape.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "parents", "vjp")
@@ -216,19 +223,33 @@ def _slice(a: Tensor, idx) -> Tensor:
 # ---------------------------------------------------------------------------
 # Autodiff driver
 
+def _consumed(g):
+    raise GraphConsumedError(
+        "backward: this graph was already backpropagated, which frees it; "
+        "build it again to backpropagate again"
+    )
+
+
 def backward(loss: Tensor) -> None:
     """Populate ``.grad`` on every leaf reachable from ``loss``.
 
-    Leaves are tensors with no parents (parameters, in the model); they are
+    Leaves are tensors with no vjp (parameters, in the model); they are
     the only tensors whose gradient is read, so intermediates never hold a
     ``.grad`` array. ``loss`` must be a scalar. Gradients accumulate across
-    calls; callers that want fresh gradients must clear them first (the
-    training loop zeroes parameter grads every step).
+    calls on separately built graphs; callers that want fresh gradients
+    must clear them first (the training loop zeroes parameter grads every
+    step).
 
     Each node's ``vjp`` runs once, and its entry for each parent is summed
     into that parent's one accumulator, which the pass owns (``+=``). A
     vjp's array is adopted as-is while it is a node's only contribution
     and copied once before the first in-place add.
+
+    The pass consumes the graph: once a node's vjp has run, the node drops
+    its vjp and parents, which frees the arrays the vjp closed over and
+    every output no pending vjp still reads. A consumed node's vjp raises
+    :class:`GraphConsumedError`, so a second pass over the same graph fails
+    instead of treating its nodes as leaves.
     """
     if loss.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -252,17 +273,18 @@ def backward(loss: Tensor) -> None:
                 stack.append((parent, False))
 
     # Gradients flow through pass-local scratch storage and are committed
-    # into a leaf's .grad once, so repeated backward calls accumulate
-    # ∂loss/∂leaf exactly once per call. Only buffers in ``owned`` (ids
-    # whose buffer this pass allocated) are added into in place: a vjp may
-    # return its g, or one array for two inputs.
+    # into a leaf's .grad once, so a pass adds ∂loss/∂leaf exactly once.
+    # Only buffers in ``owned`` (ids whose buffer this pass allocated) are
+    # added into in place: a vjp may return its g, or one array for two
+    # inputs. Popping drops the list's reference to a node, so a consumed
+    # node is freed once nothing else holds it; ids are looked up only for
+    # nodes still in ``topo``, so a freed node's id, if reused, never is.
     flow: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     owned: set[int] = set()
-    for node in reversed(topo):
-        g = flow.pop(id(node), None)
-        if g is None:
-            continue
-        if not node.parents:
+    while topo:
+        node = topo.pop()
+        g = flow.pop(id(node))
+        if node.vjp is None:
             node.grad = g if node.grad is None else node.grad + g
             continue
         grads = node.vjp(g)
@@ -276,6 +298,7 @@ def backward(loss: Tensor) -> None:
             else:
                 flow[pid] = acc + contrib
                 owned.add(pid)
+        node.vjp, node.parents = _consumed, ()
 
 
 # ---------------------------------------------------------------------------

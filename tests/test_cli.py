@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -373,6 +374,44 @@ def test_eval_predictions_hold_every_channel(tmp_path):
     assert np.array_equal(np.unique(rows[:, 2]), [0.0, 1.0])
     average_mae = float(metrics_out.read_text().splitlines()[-1].split(",")[1])
     assert abs(np.mean(np.abs(rows[:, 3] - rows[:, 4])) - average_mae) <= 5e-7
+
+
+def test_eval_predictions_stream_their_rows(tmp_path, monkeypatch):
+    # what eval allocates after its one forecast is the metrics' arrays (about
+    # 25 B a row) and the CSV writer; rows built into one list first would
+    # add about 136 B a row
+    dataset, graph = make_ring_dataset(n_nodes=40, steps=1500, period=24, seed=1)
+    paths = write_dataset_files(tmp_path / "data", dataset, graph)
+    cfg = ModelConfig(
+        width=8, heads=2, head_dim=4, hops=1, gru_layers=1, history=4,
+        horizon=4, channels=1, slots_per_day=24, seed=0,
+    )
+    model = Forecaster.new(cfg, graph, np.zeros((40, 64)))
+    model.norm = (10.0, 2.0)
+    save_model(tmp_path / "model.ckpt", model)
+    forecast, after = cli.forecast, []
+
+    def forecast_then_reset_peak(*args):
+        out = forecast(*args)
+        tracemalloc.reset_peak()
+        after.append(tracemalloc.get_traced_memory()[0])
+        return out
+
+    monkeypatch.setattr(cli, "forecast", forecast_then_reset_peak)
+    preds_out = tmp_path / "preds.csv"
+    tracemalloc.start()
+    try:
+        rc = main([
+            "eval", "--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(paths["readings"]),
+            "--horizons", "2", "--mask-eps", "1e-6", "--predictions", str(preds_out),
+        ])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    rows = len(preds_out.read_text().splitlines()) - 1
+    assert rows > 40_000
+    assert peak - after[0] < 50 * rows, (rows, peak - after[0])
 
 
 def test_eval_perfect_oracle_gives_zero_metrics(tmp_path, capsys):

@@ -1,7 +1,11 @@
 """Tensor engine: op semantics, gradient correctness, Adam, checkpointing."""
 
 import ast
+import os
+import platform
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -325,12 +329,27 @@ def test_backward_rejects_non_scalar():
 
 
 def test_backward_accumulates_across_calls():
+    # a pass consumes its graph, so the second call backpropagates a rebuilt one
     w = T.param(np.array([1.0, 2.0]))
-    loss = ops.sum_(ops.mul(w, w))
+    backward(ops.sum_(ops.mul(w, w)))
+    first = w.grad.copy()
+    backward(ops.sum_(ops.mul(w, w)))
+    assert np.allclose(w.grad, 2.0 * first, atol=0)
+
+
+def test_second_backward_on_a_consumed_graph_raises():
+    w = T.param(np.array([1.0, 2.0]))
+    h = ops.mul(w, w)
+    loss = ops.sum_(h)
     backward(loss)
     first = w.grad.copy()
-    backward(loss)
-    assert np.allclose(w.grad, 2.0 * first, atol=0)
+    assert loss.parents == () and h.parents == ()
+    with pytest.raises(T.GraphConsumedError, match="already backpropagated"):
+        backward(loss)
+    # a new graph over a consumed node fails too, rather than treating it as a leaf
+    with pytest.raises(T.GraphConsumedError, match="build it again"):
+        backward(ops.sum_(T.scale(h, 2.0)))
+    assert np.array_equal(w.grad, first) and h.grad is None
 
 
 def test_shared_subexpression_gradient():
@@ -373,11 +392,13 @@ def test_fused_node_runs_its_vjp_once_per_backward_for_tracked_inputs():
         calls.append(g.shape)
         return [g * b.data, g * a.data, g, g * b.data]
 
-    out = T._node(a.data * b.data + c.data, (a, b, c, a), vjp)
-    assert out.parents == ((a, 0), (c, 2), (a, 3))
-    loss = ops.sum_(out)
-    backward(loss)
-    backward(loss)
+    def build():
+        out = T._node(a.data * b.data + c.data, (a, b, c, a), vjp)
+        assert out.parents == ((a, 0), (c, 2), (a, 3))
+        return ops.sum_(out)
+
+    backward(build())
+    backward(build())
     assert calls == [(2,)] * 2 and b.grad is None
     assert a.grad.tolist() == [20.0, 28.0] and c.grad.tolist() == [2.0, 2.0]
     with T.no_grad():
@@ -477,7 +498,8 @@ def test_every_vjp_returns_one_gradient_per_input_of_its_shape(kind, monkeypatch
 
 def test_only_node_builds_graph_nodes():
     # one node protocol: under src/flowcast, only _node builds a Tensor with
-    # parents or a vjp, and only Tensor.__init__ assigns either
+    # parents or a vjp, and only Tensor.__init__ assigns either, but for
+    # backward, which clears both on each node it consumes
     found = []
     for path in sorted(Path(T.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -494,7 +516,9 @@ def test_only_node_builds_graph_nodes():
                 and n.attr in ("parents", "vjp")
             if builds or stores:
                 found.append((path.name, inside.get(n)))
-    assert sorted(found) == [("tensor.py", "__init__")] * 2 + [("tensor.py", "_node")]
+    assert sorted(found) == (
+        [("tensor.py", "__init__")] * 2 + [("tensor.py", "_node")] + [("tensor.py", "backward")] * 2
+    )
 
 
 def test_every_public_name_is_used_by_the_forecaster():
@@ -519,6 +543,43 @@ def test_every_public_name_is_used_by_the_forecaster():
             and node.value.id in aliases
         )
     assert set(T.__all__) <= used, sorted(set(T.__all__) - used)
+
+
+_HEAP_CYCLES = """
+import resource
+import numpy as np
+import flowcast
+a = np.ones((12, 228, 128)); del a
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(200):
+    a = np.ones((12, 228, 128)); del a
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _heap_cycle_faults(**malloc_env) -> int:
+    """Minor faults of 200 alloc/free cycles of a ref228 activation-sized
+    array, after one, in a fresh process that imports flowcast first."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = str(Path(T.__file__).parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", _HEAP_CYCLES], env={**env, **malloc_env},
+        capture_output=True, text=True, check=True,
+    )
+    return int(run.stdout)
+
+
+@pytest.mark.skipif(
+    platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+    reason="the heap setting is glibc's",
+)
+def test_import_keeps_freed_arrays_in_the_heap():
+    # glibc's defaults hand a freed 2.8 MB array back to the OS, and the next
+    # one faults its pages in again (about 670 faults here)
+    assert _heap_cycle_faults() < 20
+    # a malloc setting in the environment decides instead: trimming at 0
+    # maps each array on its own, which faults on every cycle
+    assert _heap_cycle_faults(MALLOC_TRIM_THRESHOLD_="0") >= 200
 
 
 def test_deep_graph_does_not_recurse():
