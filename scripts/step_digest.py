@@ -1,5 +1,5 @@
 """Fingerprint one training step: sha256 of the predictions and of every
-parameter gradient, plus the graph's node count.
+parameter gradient, plus the graph's node count, in all and per op.
 
 Runs one toy step (``configs/toy.cfg`` on the 8-node ring, batch 18) and
 one reference step (``configs/pemsd7.cfg`` on a 228-node ring, batch 1):
@@ -10,6 +10,11 @@ product's summation order can depend on the thread count.
 
     python scripts/step_digest.py               # from a checkout's root
     python scripts/step_digest.py --save a.npz  # also keep the arrays
+
+The per-op lines, ``<step>/nodes/<op> <count>``, count the loss graph's
+nodes before ``backward`` by the function that built each one (the first
+part of its vjp's ``__qualname__``; ``leaf`` for a node with no vjp), so a
+node that only moves data shows by its op's name.
 
 ``--save`` writes the predictions and gradients to one ``.npz`` (keys
 ``<step>/pred`` and ``<step>/<parameter>``) for diffing two checkouts.
@@ -23,6 +28,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import sys  # noqa: E402
+from collections import Counter  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 REPO = Path(__file__).resolve().parents[1]
@@ -38,20 +44,22 @@ from flowcast.synth import ring_graph  # noqa: E402
 STEPS = (("toy", "configs/toy.cfg", 8, 18), ("ref228", "configs/pemsd7.cfg", 228, 1))
 
 
-def graph_nodes(root: T.Tensor) -> int:
-    """Tensors reachable from ``root`` through parents, ``root`` included."""
-    seen, stack = set(), [root]
+def graph_nodes(root: T.Tensor) -> Counter:
+    """Tensors reachable from ``root`` through parents, ``root`` included,
+    counted by the function that built each (``leaf`` for no vjp)."""
+    seen, stack, ops = set(), [root], Counter()
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
+            ops[node.vjp.__qualname__.split(".")[0] if node.vjp else "leaf"] += 1
             stack.extend(parent for parent, _ in node.parents)
-    return len(seen)
+    return ops
 
 
-def run_step(config: str, nodes: int, batch: int) -> tuple[dict, int]:
+def run_step(config: str, nodes: int, batch: int) -> tuple[dict, Counter]:
     """Arrays of one train step, keyed ``pred`` and by parameter name, and
-    the loss graph's node count."""
+    the loss graph's node count per op."""
     cfg = load_config(REPO / config)
     rng = np.random.default_rng(0)
     model = Forecaster.new(cfg, ring_graph(nodes), rng.normal(size=(nodes, 64)))
@@ -73,8 +81,11 @@ def main() -> None:
     args = parser.parse_args()
     saved = {}
     for step, config, nodes, batch in STEPS:
-        arrays, count = run_step(config, nodes, batch)
+        arrays, ops = run_step(config, nodes, batch)
+        count = ops.total()
         print(f"{step}: {count} graph nodes ({count / batch:g} per sample)")
+        for op, n in sorted(ops.items()):
+            print(f"{step}/nodes/{op} {n}")
         for name, a in arrays.items():
             print(f"{step}/{name} {hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()}")
             saved[f"{step}/{name}"] = a

@@ -5,11 +5,13 @@ score matrix in plain numpy and builds no graph node. ``linear_attention``
 replaces the softmax with a positive exponential feature map and exploits
 matmul associativity: the key-value summary (d x d) and key normalizer (d)
 are accumulated once, so time and memory are linear in the token count
-instead of quadratic. The model flattens its (..., T, N, F) features into
-tokens with :func:`to_joint_tokens` only to attend.
+instead of quadratic.
 
-Every function takes optional leading batch axes, ``(..., M, d)``; each
-sample keeps its own summary and normalizer.
+``softmax_attention`` and ``linear_attention`` take (..., M, d) tokens.
+``multi_head_attention`` takes the model's (..., T, N, F) features and
+attends over every (step, node) pair of a sample as one token, viewing
+them as (..., T*N, F) inside its node. Leading batch axes are optional;
+each sample keeps its own summary and normalizer.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .tensor import ShapeError, Tensor
 
 __all__ = [
     "AttentionParams",
-    "to_joint_tokens",
     "softmax_attention",
     "linear_attention",
     "multi_head_attention",
@@ -53,17 +54,6 @@ class AttentionParams:
             out[f"{prefix}.h{i}.w_v"] = wv
         out[f"{prefix}.w_o"] = self.w_o
         return out
-
-
-# ---------------------------------------------------------------------------
-# Token layout
-
-def to_joint_tokens(x: Tensor) -> Tensor:
-    """Flatten (..., T, N, F) into (..., T*N, F) tokens, time-major."""
-    if x.data.ndim < 3:
-        raise ShapeError(f"expected a (..., T, N, F) tensor, got {x.shape}")
-    *lead, steps, nodes, width = x.shape
-    return T.reshape(x, (*lead, steps * nodes, width))
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +158,14 @@ def multi_head_attention(
 ) -> Tensor:
     """Heads of linear attention, concatenated and output-projected.
 
-    Queries come from ``x``; keys/values from ``cross_kv`` when given
-    (cross-attention) and from ``x`` otherwise. The head count is
+    ``x`` and ``cross_kv`` are (..., T, N, F) features; every (step, node)
+    pair of a sample is one token, time-major, viewed as (..., T*N, F) inside
+    the node, and the output has the shape of ``x`` with the batch axes
+    broadcast. Queries come from ``x``; keys/values from ``cross_kv`` when
+    given (cross-attention) and from ``x`` otherwise. The head count is
     ``len(params.w_q)``, every q, k and v projection has one width, and the
     model width is that of ``params.w_o``. A degenerate normalizer is
-    re-raised naming the head.
+    re-raised naming the head; its query row is the token's index.
 
     The whole call is one graph node with a hand-written backward. Each
     head runs the numpy ops of ``linear_attention`` on its projections,
@@ -189,8 +182,8 @@ def multi_head_attention(
     source = x if cross_kv is None else cross_kv
     if source.shape[-1] != width:
         raise ShapeError(f"key/value width {source.shape[-1]} != model dim {width}")
-    if min(x.data.ndim, source.data.ndim) < 2:
-        raise ShapeError(f"attention tokens need rank >= 2, got {x.shape} and {source.shape}")
+    if min(x.data.ndim, source.data.ndim) < 3:
+        raise ShapeError(f"attention needs (..., T, N, F) features, got {x.shape} and {source.shape}")
     heads, w_qkv = len(params.w_q), (*params.w_q, *params.w_k, *params.w_v)
     widths = sorted({w.shape[-1] for w in w_qkv})
     if len(params.w_k) != heads or len(params.w_v) != heads or len(widths) != 1:
@@ -203,13 +196,15 @@ def multi_head_attention(
     inputs = sources + (params.w_o, *w_qkv)
     keep = T._tracks(inputs)
 
-    lead = np.broadcast_shapes(x.shape[:-2], source.shape[:-2])
-    cat = np.empty(lead + (x.shape[-2], heads * d))
+    xt = x.data.reshape(x.shape[:-3] + (-1, width))  # (..., T*N, F) token views
+    st = source.data.reshape(source.shape[:-3] + (-1, width))
+    lead = np.broadcast_shapes(xt.shape[:-2], st.shape[:-2])
+    cat = np.empty(lead + (xt.shape[-2], heads * d))
     saved = []
     for i, (wq, wk, wv) in enumerate(zip(params.w_q, params.w_k, params.w_v)):
         try:
             _, head = _head_forward(
-                x.data @ wq.data, source.data @ wk.data, source.data @ wv.data,
+                xt @ wq.data, st @ wk.data, st @ wv.data,
                 out=cat[..., i * d : (i + 1) * d],
             )
         except DegenerateAttentionError as err:
@@ -219,19 +214,19 @@ def multi_head_attention(
     out = cat @ params.w_o.data
 
     def vjp(g):
-        g_cat, g_o = T._linear_grads(cat, [params.w_o.data], g)
+        g_cat, g_o = T._linear_grads(cat, [params.w_o.data], g.reshape(out.shape))
         # head i's gradients at q, k and v are the column blocks i, i and heads + i
-        g_q = np.empty(x.shape[:-1] + (heads * d,))
-        g_kv = np.empty(source.shape[:-1] + (2 * heads * d,))
+        g_q = np.empty(xt.shape[:-1] + (heads * d,))
+        g_kv = np.empty(st.shape[:-1] + (2 * heads * d,))
         for i, head in enumerate(saved):
             at, at_v = slice(i * d, (i + 1) * d), slice((heads + i) * d, (heads + i + 1) * d)
             g_q[..., at], g_kv[..., at], g_kv[..., at_v] = _head_backward(g_cat[..., at], head)
         del g_cat
-        g_x, g_wq = T._linear_grads(x.data, [w.data for w in w_qkv[:heads]], g_q)
+        g_x, g_wq = T._linear_grads(xt, [w.data for w in w_qkv[:heads]], g_q)
         del g_q  # freed before the key/value products
-        g_src, g_wkv = T._linear_grads(source.data, [w.data for w in w_qkv[heads:]], g_kv)
+        g_src, g_wkv = T._linear_grads(st, [w.data for w in w_qkv[heads:]], g_kv)
         if cross_kv is None:  # x's two shares add up in place
-            return (np.add(g_src, g_x, out=g_src), *g_o, *g_wq, *g_wkv)
-        return (g_x, g_src, *g_o, *g_wq, *g_wkv)
+            return (np.add(g_src, g_x, out=g_src).reshape(x.shape), *g_o, *g_wq, *g_wkv)
+        return (g_x.reshape(x.shape), g_src.reshape(source.shape), *g_o, *g_wq, *g_wkv)
 
-    return T._node(out, inputs, vjp)
+    return T._node(out.reshape(lead + x.shape[-3:]), inputs, vjp)

@@ -10,12 +10,12 @@ and cross-attends against encoder features, so all horizon steps are
 produced in a single pass with no output fed back as input.
 
 Every forward function takes and returns (..., T, N, F) features, with
-optional leading batch axes as numpy's ``@`` has. :func:`_attend` is the
-one place that flattens them into (..., T*N, F) joint tokens, for
-:func:`multi_head_attention`, and folds its output back. Static context
-(node embeddings (N, F), time one-hots (..., T, 1, F)) joins by
-broadcasting; :func:`forward_batch` runs a whole (B, T, N, C) batch as
-one graph.
+optional leading batch axes as numpy's ``@`` has, and so does
+:func:`multi_head_attention`, which treats each (step, node) pair as one
+token. Static context (node embeddings (N, F), time one-hots
+(..., T, 1, F)) joins by broadcasting; :func:`forward_batch` runs a whole
+(B, T, N, C) batch as one graph, in which no node only reshapes or
+concatenates: the horizon rollout is one node, as each GRU layer is.
 """
 
 from __future__ import annotations
@@ -30,12 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .attention import (
-    AttentionParams,
-    DegenerateAttentionError,
-    multi_head_attention,
-    to_joint_tokens,
-)
+from .attention import AttentionParams, DegenerateAttentionError, multi_head_attention
 from .checkpoint import CheckpointError, load_arrays, save_arrays
 from .context import GruLayerParams, gru_cell, gru_sequence, temporal_encoding
 from .data import (
@@ -460,15 +455,11 @@ def context_block(
 
 
 def _attend(block: str, x: Tensor, cross_kv: Tensor | None, attn: AttentionParams) -> Tensor:
-    """:func:`multi_head_attention` over the joint tokens of (..., T, N, F)
-    features, returned in the shape of ``x``; a degenerate-normalizer error
-    names ``block``."""
-    kv = None if cross_kv is None else to_joint_tokens(cross_kv)
+    """:func:`multi_head_attention`, whose degenerate-normalizer error names ``block``."""
     try:
-        out = multi_head_attention(to_joint_tokens(x), kv, attn)
+        return multi_head_attention(x, cross_kv, attn)
     except DegenerateAttentionError as err:
         raise DegenerateAttentionError(f"{block} {err}") from err
-    return T.reshape(out, x.shape)
 
 
 def block_forward(
@@ -488,6 +479,52 @@ def block_forward(
     return T.add(ctx, _attend(name, ctx, None, block.attn)), finals
 
 
+def _rollout(
+    x_last: Tensor, h0: list[Tensor], layers: list[GruLayerParams], horizon: int
+) -> Tensor:
+    """``horizon`` steps of stacked GRU layers from states ``h0`` as one graph
+    node: step 0 reads ``x_last`` (..., N, F) and step t the top state of
+    step t - 1, which that step wrote into its slot of the (..., horizon, N,
+    F) output, so the cell's own array goes at once. The node keeps each
+    :func:`gru_cell` call's vjp when tracked, never the cell's node, and its
+    backward is backpropagation through time over them, summing each state's
+    and weight's shares in the order per-step cell nodes did.
+    """
+    if len(h0) != len(layers):
+        raise ShapeError(f"{len(layers)} layers but {len(h0)} initial states")
+    inputs = (x_last, *h0, *(getattr(layer, f.name) for layer in layers for f in fields(layer)))
+    keep = T._tracks(inputs)
+    seq = np.empty(x_last.shape[:-2] + (horizon,) + x_last.shape[-2:])
+    state = [Tensor(h.data, requires_grad=keep) for h in h0]
+    top, vjps = Tensor(x_last.data, requires_grad=keep), []
+    for t in range(horizon):
+        for i, layer in enumerate(layers):
+            cell = gru_cell(top if i == 0 else state[i - 1], state[i], layer)
+            vjps.append(cell.vjp)  # None when untracked
+            state[i] = Tensor(cell.data, requires_grad=keep)
+            del cell  # the top cell's array goes once it is copied into seq
+        seq[..., t, :, :] = state[-1].data
+        top = state[-1] = Tensor(seq[..., t, :, :], requires_grad=keep)
+
+    def vjp(g):
+        n = len(layers)
+        dh, dw = [None] * n, [None] * n
+        for t in range(horizon - 1, -1, -1):
+            d = g[..., t, :, :]
+            if t < horizon - 1:  # step t + 1 read the top state as input and as state
+                d = d + dx + dh[0] if n == 1 else d + dh[-1] + dx
+            for i in range(n - 1, -1, -1):
+                if i < n - 1:  # layer i + 1 read layer i's state as its input
+                    d = dx if t == horizon - 1 else dh[i] + dx
+                dx, dh[i], *step_dw = vjps[t * n + i](d)
+                for acc, s in zip(dw[i] or (), step_dw):
+                    acc += s  # from the last step to the first
+                dw[i] = dw[i] or step_dw
+        return (dx, *dh, *(w for layer_dw in dw for w in layer_dw))
+
+    return T._node(seq, inputs, vjp)
+
+
 def transform_layer(
     cfg: ModelConfig,
     params: ModelParams,
@@ -500,27 +537,15 @@ def transform_layer(
 ) -> Tensor:
     """Bridge history to the horizon without decoding step by step.
 
-    A GRU seeded with the encoder's final hidden state rolls ``horizon``
-    steps, feeding each step's output back as the next input. The rollout
-    (plus future static context) forms the queries; encoder features (plus
-    historical static context) form keys and values of a cross attention.
-    ``time_hist`` and ``time_fut`` are (..., T, 1, F). Returns
-    (..., horizon, N, F) features.
+    A GRU seeded with the encoder's final hidden states rolls ``horizon``
+    steps in one node, :func:`_rollout`, each step's output the next's
+    input. The rollout (plus future static context) forms the queries;
+    encoder features (plus historical static context) form keys and values
+    of a cross attention. ``time_hist`` and ``time_fut`` are (..., T, 1, F).
+    Returns (..., horizon, N, F) features.
     """
     tp = params.transform
-    hidden = list(enc_finals)
-    step_in = x_last
-    generated: list[Tensor] = []
-    for _ in range(cfg.horizon):
-        layer_in = step_in
-        for i, layer in enumerate(tp.gru):
-            hidden[i] = gru_cell(layer_in, hidden[i], layer)
-            layer_in = hidden[i]
-        generated.append(hidden[-1])
-        step_in = hidden[-1]
-    rollout = T.reshape(
-        T.concat(generated, axis=-2), x_last.shape[:-2] + (cfg.horizon,) + x_last.shape[-2:]
-    )
+    rollout = _rollout(x_last, enc_finals, tp.gru, cfg.horizon)
     q = _fuse(tp.q_fuse_w, tp.q_fuse_b, [rollout, emb_proj, time_fut])
     kv = _fuse(tp.kv_fuse_w, tp.kv_fuse_b, [enc, emb_proj, time_hist])
     return _attend("transform", q, kv, tp.attn)
@@ -596,7 +621,7 @@ class Forecaster:
         """Inference-only forward, (B, T_h, N, C) -> (B, T_p, N, C); no graph is built."""
         _check_windows_and_starts(xs, t0s)
         # One window at a time: a no-grad window of the reference config on
-        # 228 nodes peaks at about 28 MB of arrays, and a batch of B at B times that.
+        # 228 nodes peaks at about 22 MB of arrays, and a batch of B at B times that.
         with T.no_grad():
             return np.concatenate([
                 forward_batch(

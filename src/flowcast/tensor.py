@@ -32,8 +32,6 @@ __all__ = [
     "no_grad",
     "add",
     "scale",
-    "concat",
-    "reshape",
     "backward",
     "l1_loss",
 ]
@@ -190,25 +188,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     out += 1.0
     out *= 0.5
     return out
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    """Concatenate along ``axis``; all other dimensions must agree."""
-    try:
-        out = np.concatenate([t.data for t in tensors], axis=axis)
-    except ValueError:
-        raise ShapeError(
-            f"concat axis={axis}: incompatible shapes {[t.shape for t in tensors]}"
-        ) from None
-    offsets = np.cumsum([t.shape[axis] for t in tensors[:-1]])
-    return _node(out, tensors, lambda g: np.split(g, offsets, axis=axis))
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    if int(np.prod(shape)) != a.size:
-        raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
-    return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
 def _slice(a: Tensor, idx) -> Tensor:

@@ -4,7 +4,8 @@ The forecaster runs its fixed formulas (GRU cell, context fusion,
 attention, L1 loss) as single fused nodes, and its quadratic attention
 reference in plain numpy, so :mod:`flowcast.tensor` carries none of these
 generic ops: the linear-algebra ones (``matmul``, ``transpose``), the
-elementwise ones, ``sum_`` and ``softmax``. They record their nodes
+elementwise ones, ``sum_``, ``softmax``, and the layout ones (``concat``,
+``reshape``). They record their nodes
 through the library's own ``_node`` and broadcasting helpers, so
 :func:`backward` differentiates a composed oracle the same way as the
 model.
@@ -96,3 +97,22 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     e = np.exp(shifted)
     out = e / e.sum(axis=axis, keepdims=True)
     return _node(out, (a,), lambda g: (out * (g - (g * out).sum(axis, keepdims=True)),))
+
+
+def concat(tensors, axis: int = 0) -> Tensor:
+    """Concatenate along ``axis``; all other dimensions must agree."""
+    try:
+        out = np.concatenate([t.data for t in tensors], axis=axis)
+    except ValueError:
+        raise ShapeError(
+            f"concat axis={axis}: incompatible shapes {[t.shape for t in tensors]}"
+        ) from None
+    offsets = np.cumsum([t.shape[axis] for t in tensors[:-1]])
+    return _node(out, tensors, lambda g: np.split(g, offsets, axis=axis))
+
+
+def reshape(a: Tensor, shape) -> Tensor:
+    shape = tuple(shape)
+    if int(np.prod(shape)) != a.size:
+        raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
+    return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))

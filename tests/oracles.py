@@ -10,7 +10,8 @@ the fused single-node ``context.gru_cell``, ``model._fuse``,
 ``attention.multi_head_attention`` / ``linear_attention`` and
 ``graph.multi_hop_conv`` replaced; ``gru_sequence`` is the per-step form
 of the one-node-per-layer GRU, a slice per step, a fused cell per step and
-layer, and a concat. The full-depth BFS distance matrix and
+layer, and a concat, and ``rollout`` the per-step form of the one-node
+transform rollout ``model._rollout``. The full-depth BFS distance matrix and
 its float shells are the reference for ``graph.hop_shells``;
 ``graph_from_edges`` fills an adjacency from an edge list as
 ``graph.load_adjacency`` fills it from a file's lines.
@@ -86,7 +87,7 @@ def multi_hop_conv(x: Tensor, trans: np.ndarray, w_x: list[Tensor], w_d: Tensor)
     if len(w_x) != trans.shape[0]:
         raise ShapeError(f"expected {trans.shape[0]} head weights, got {len(w_x)}")
     heads = [ops.matmul(Tensor(trans[i]), ops.matmul(x, w)) for i, w in enumerate(w_x)]
-    return ops.matmul(T.concat(heads, axis=-1), w_d)
+    return ops.matmul(ops.concat(heads, axis=-1), w_d)
 
 
 def similarity_attention(
@@ -307,7 +308,29 @@ def gru_sequence(
             outs.append(h)
         seq = outs
         finals.append(h)
-    return T.reshape(T.concat(seq, axis=-2), x.shape), finals
+    return ops.reshape(ops.concat(seq, axis=-2), x.shape), finals
+
+
+def rollout(
+    x_last: Tensor, h0: list[Tensor], layers: list[GruLayerParams], horizon: int
+) -> Tensor:
+    """Stacked GRU layers rolled ``horizon`` steps from states ``h0``, each
+    step's input the top state before it and the first step's ``x_last``,
+    as a fused ``context.gru_cell`` node per step and layer whose top states
+    join by a concat and a reshape into (..., horizon, N, F)."""
+    hidden = list(h0)
+    step_in = x_last
+    generated: list[Tensor] = []
+    for _ in range(horizon):
+        layer_in = step_in
+        for i, layer in enumerate(layers):
+            hidden[i] = context.gru_cell(layer_in, hidden[i], layer)
+            layer_in = hidden[i]
+        generated.append(hidden[-1])
+        step_in = hidden[-1]
+    return ops.reshape(
+        ops.concat(generated, axis=-2), x_last.shape[:-2] + (horizon,) + x_last.shape[-2:]
+    )
 
 
 def fuse(w: Tensor, b: Tensor, streams: list[Tensor]) -> Tensor:
@@ -342,7 +365,7 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     summary = ops.matmul(ops.transpose(phi_k), v)  # (..., d, d_v)
     normalizer = ops.sum_(phi_k, axis=-2)  # (..., d)
     num = ops.matmul(phi_q, summary)  # (..., M, d_v)
-    den = ops.matmul(phi_q, T.reshape(normalizer, normalizer.shape + (1,)))
+    den = ops.matmul(phi_q, ops.reshape(normalizer, normalizer.shape + (1,)))
     bad = ~(den.data >= 1e-30)  # catches underflow and NaN alike
     if bad.any():
         *sample, row, _ = (int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
@@ -378,4 +401,4 @@ def multi_head_attention(
             heads.append(linear_attention(qh, kh, vh))
         except DegenerateAttentionError as err:
             raise DegenerateAttentionError(f"head {i}: {err}") from err
-    return ops.matmul(T.concat(heads, axis=-1), params.w_o)
+    return ops.matmul(ops.concat(heads, axis=-1), params.w_o)

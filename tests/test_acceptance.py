@@ -131,7 +131,7 @@ def test_criterion_3_gradient_suite():
         lambda: T.add(x, y), lambda: ops.sub(x, y), lambda: ops.mul(x, y),
         lambda: ops.div(x, y), lambda: ops.sigmoid(x), lambda: ops.tanh(x),
         lambda: ops.exp(x), lambda: T.scale(x, -1.7), lambda: ops.absolute(x),
-        lambda: T.concat([x, y], axis=1), lambda: T.reshape(x, (9, 1)),
+        lambda: ops.concat([x, y], axis=1), lambda: ops.reshape(x, (9, 1)),
         lambda: x[1],
     ):
         x.grad = y.grad = None
@@ -201,8 +201,8 @@ def test_criterion_3_gradient_suite():
         w_v=[T.param(rng.uniform(-0.5, 0.5, (4, 2))) for _ in range(2)],
         w_o=T.param(rng.uniform(-0.5, 0.5, (4, 4))),
     )
-    ax = T.param(rng.uniform(-1, 1, (6, 4)))
-    hmask = Tensor(rng.uniform(-1, 1, (6, 4)))
+    ax = T.param(rng.uniform(-1, 1, (2, 3, 4)))  # (T, N, F) features
+    hmask = Tensor(rng.uniform(-1, 1, (2, 3, 4)))
     mha_params = {"ax": ax}
     mha_params.update(attn.named("attn"))
     _fd_check(lambda: (

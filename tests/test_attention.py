@@ -13,7 +13,6 @@ from flowcast.attention import (
     linear_attention,
     multi_head_attention,
     softmax_attention,
-    to_joint_tokens,
 )
 from flowcast.tensor import ShapeError, Tensor
 
@@ -39,29 +38,43 @@ def brute_force_kernel_attention(q, k, v):
 
 
 # ---------------------------------------------------------------------------
-# Joint token layout
+# Joint token layout: multi_head_attention attends over every (step, node)
+# pair of a (..., T, N, F) sample as one token
 
 def test_joint_tokens_round_trip():
+    # (..., T, N, F) features attend as their (..., 1, T*N, F) tokens do,
+    # and come back in their own shape
     rng = np.random.default_rng(1)
+    params = _mha_params(rng, heads=1, head_dim=5)
     for shape in [(3, 4, 5), (2, 3, 4, 5)]:  # one sample, then a batch
-        x = Tensor(rng.normal(size=shape))
-        tokens = to_joint_tokens(x)
-        assert tokens.shape == shape[:-3] + (12, 5)
-        back = T.reshape(tokens, shape)  # how the model folds attention output back
-        assert np.array_equal(back.data, x.data)
+        x = rng.normal(size=shape)
+        out = multi_head_attention(Tensor(x), None, params)
+        flat = multi_head_attention(Tensor(x.reshape(shape[:-3] + (1, 12, 5))), None, params)
+        assert out.shape == shape
+        assert out.data.tobytes() == flat.data.reshape(shape).tobytes()
 
 
 def test_joint_tokens_time_major_order():
-    x = np.arange(2 * 2 * 3, dtype=float).reshape(2, 2, 3)
-    tokens = to_joint_tokens(Tensor(x))
-    # token index 2 belongs to the second time step, first node
-    assert np.array_equal(tokens.data[2], x[1, 0])
+    # a NaN query at step 1, node 0 of 2 nodes is token 2
+    x = np.zeros((2, 2, 3))
+    x[1, 0] = np.nan
+    params = _mha_params(np.random.default_rng(2), heads=1, head_dim=3)
+    with pytest.raises(DegenerateAttentionError, match="query row 2$"):
+        multi_head_attention(Tensor(x), Tensor(np.zeros((1, 3, 3))), params)
 
 
 def test_joint_tokens_preserve_sum():
+    # folding the token gradients back into (..., T, N, F) keeps every entry
     rng = np.random.default_rng(2)
-    x = Tensor(rng.normal(size=(4, 3, 2)))
-    assert to_joint_tokens(x).data.sum() == x.data.sum()
+    params = _mha_params(rng, heads=2, head_dim=1)
+    x = T.param(rng.normal(size=(4, 3, 2)))
+    flat = T.param(x.data.reshape(1, 12, 2))
+    c = rng.normal(size=(4, 3, 2))
+    for t in (x, flat):
+        out = multi_head_attention(t, None, params)
+        T.backward(ops.sum_(ops.mul(out, Tensor(c.reshape(t.shape)))))
+    assert x.grad.shape == x.shape and x.grad.sum() == flat.grad.sum()
+    assert x.grad.tobytes() == flat.grad.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +283,7 @@ def _mha_params(rng, heads, head_dim, identity=False):
 def test_single_head_identity_projections_reduce_to_linear_attention():
     rng = np.random.default_rng(15)
     params = _mha_params(rng, heads=1, head_dim=4, identity=True)
-    x = Tensor(rng.uniform(-1, 1, (6, 4)))
+    x = Tensor(rng.uniform(-1, 1, (1, 6, 4)))
     via_mha = multi_head_attention(x, None, params)
     direct = linear_attention(x, x, x)
     assert np.max(np.abs(via_mha.data - direct.data)) < 1e-14
@@ -279,8 +292,8 @@ def test_single_head_identity_projections_reduce_to_linear_attention():
 def test_batched_mha_equals_stacked_calls():
     rng = np.random.default_rng(21)
     params = _mha_params(rng, heads=2, head_dim=3)
-    x = rng.normal(size=(3, 5, 6))
-    kv = rng.normal(size=(3, 4, 6))
+    x = rng.normal(size=(3, 1, 5, 6))
+    kv = rng.normal(size=(3, 1, 4, 6))
     batched = multi_head_attention(Tensor(x), Tensor(kv), params).data
     for b in range(3):
         single = multi_head_attention(Tensor(x[b]), Tensor(kv[b]), params).data
@@ -290,10 +303,10 @@ def test_batched_mha_equals_stacked_calls():
 def test_mha_output_shape_with_cross_inputs():
     rng = np.random.default_rng(16)
     params = _mha_params(rng, heads=2, head_dim=3)
-    x = Tensor(rng.normal(size=(5, 6)))
+    x = Tensor(rng.normal(size=(1, 5, 6)))
     for kv_rows in (1, 4, 9):
-        kv = Tensor(rng.normal(size=(kv_rows, 6)))
-        assert multi_head_attention(x, kv, params).shape == (5, 6)
+        kv = Tensor(rng.normal(size=(1, kv_rows, 6)))
+        assert multi_head_attention(x, kv, params).shape == (1, 5, 6)
 
 
 def test_mha_rejects_wrong_kv_width():
@@ -310,15 +323,26 @@ def test_mha_rejects_wrong_query_width():
     params = _mha_params(rng, heads=2, head_dim=3)
     with pytest.raises(ShapeError, match="token width 7"):
         multi_head_attention(Tensor(rng.normal(size=(5, 7))), None, params)
-    with pytest.raises(ShapeError, match="rank >= 2"):
+    with pytest.raises(ShapeError, match=r"\(\.\.\., T, N, F\) features, got \(6,\)"):
         multi_head_attention(Tensor(rng.normal(size=6)), None, params)
+
+
+@pytest.mark.parametrize("cross", [False, True], ids=["self", "cross"])
+def test_mha_rejects_rank_2_tokens_naming_the_feature_layout(cross):
+    rng = np.random.default_rng(17)
+    params = _mha_params(rng, heads=2, head_dim=3)
+    x, kv = Tensor(rng.normal(size=(5, 6))), Tensor(rng.normal(size=(2, 4, 6)))
+    if cross:  # the key/value source is the rank-2 one
+        x, kv = kv, x
+    with pytest.raises(ShapeError, match=r"\(\.\.\., T, N, F\) features"):
+        multi_head_attention(x, kv if cross else None, params)
 
 
 def test_mha_gradients():
     rng = np.random.default_rng(18)
     params = _mha_params(rng, heads=2, head_dim=2)
-    x = T.param(rng.uniform(-1, 1, (4, 4)))
-    c = Tensor(rng.normal(size=(4, 4)))
+    x = T.param(rng.uniform(-1, 1, (1, 4, 4)))
+    c = Tensor(rng.normal(size=(1, 4, 4)))
 
     T.backward(ops.sum_(ops.mul(multi_head_attention(x, None, params), c)))
 
@@ -343,11 +367,12 @@ def _out_and_grads(fn, inputs, c):
 
 
 def _mha_case(rng, cross, batch):
-    # model shapes: (B, T*N, F) joint tokens, 3 steps of 4 nodes; cross
+    # (B, 1, T*N, F) features, the joint tokens of 3 steps of 4 nodes, which
+    # the token-layout oracle reads with (B, 1) as its batch axes; cross
     # attention reads 2 steps of keys and values
     params = _mha_params(rng, heads=2, head_dim=3)
-    x = T.param(rng.normal(size=(batch, 12, 6)))
-    kv = T.param(rng.normal(size=(batch, 8, 6))) if cross else None
+    x = T.param(rng.normal(size=(batch, 1, 12, 6)))
+    kv = T.param(rng.normal(size=(batch, 1, 8, 6))) if cross else None
     inputs = [x, *([kv] if cross else []), *params.named("attn").values()]
     return x, kv, params, inputs
 
@@ -371,6 +396,30 @@ def test_fused_mha_matches_composed_heads(cross, batch):
 
     for t, g in zip(inputs, grads):
         assert grad_close(g, numeric_grad(forward, t.data))
+
+
+@pytest.mark.parametrize("cross", [False, True], ids=["self", "cross"])
+def test_fused_mha_over_features_matches_composed_heads_over_their_tokens(cross):
+    # a (B, T, N, F) call against the oracle on its (B, T*N, F) joint tokens;
+    # cross attention reads 2 steps of keys and values
+    rng = np.random.default_rng(78)
+    params = _mha_params(rng, heads=2, head_dim=3)
+    x = T.param(rng.normal(size=(2, 3, 4, 6)))
+    kv = T.param(rng.normal(size=(2, 2, 4, 6))) if cross else None
+    sources = [x, kv] if cross else [x]
+    tokens = [T.param(t.data.reshape(2, -1, 6)) for t in sources]
+    weights = list(params.named("attn").values())
+    c = rng.normal(size=x.shape)
+    out, grads = _out_and_grads(
+        lambda: multi_head_attention(x, kv, params), sources + weights, Tensor(c)
+    )
+    want, want_grads = _out_and_grads(
+        lambda: oracles.multi_head_attention(tokens[0], tokens[1] if cross else None, params),
+        tokens + weights, Tensor(c.reshape(2, 12, 6)),
+    )
+    assert out.shape == x.shape and out.tobytes() == want.reshape(x.shape).tobytes()
+    for got, ref in zip(grads, want_grads):
+        assert np.max(np.abs(got - ref.reshape(got.shape))) <= 1e-12
 
 
 @pytest.mark.parametrize("shapes", [
@@ -422,7 +471,7 @@ def test_mha_rejects_head_lists_that_do_not_match(q, k, v, match):
         w_o=T.param(rng.normal(size=(6, 6))),
     )
     with pytest.raises(ShapeError, match=match):
-        multi_head_attention(Tensor(rng.normal(size=(5, 6))), None, params)
+        multi_head_attention(Tensor(rng.normal(size=(1, 5, 6))), None, params)
 
 
 def test_mha_inference_peak_memory_stays_near_its_output():

@@ -16,6 +16,7 @@ from flowcast import model as model_module
 from flowcast import tensor as T
 from flowcast.attention import DegenerateAttentionError
 from flowcast.checkpoint import CheckpointError, load_arrays, save_arrays
+from flowcast.context import GruLayerParams
 from flowcast.data import assign_windows, make_windows
 from flowcast.graph import RoadGraph, load_adjacency
 from flowcast.model import (
@@ -427,16 +428,12 @@ def test_fused_fuse_rejects_streams_that_do_not_fit():
         model_module._fuse(w, b, [streams[0], Tensor(np.ones((5, 3))), streams[2]])
 
 
-def test_toy_loss_graph_nodes_per_sample():
-    # one graph node per context GRU layer, transform GRU cell, context
-    # fusion, linear map, attention call, hop-diffusion conv and L1 loss; the
-    # composed forms built 17.6 nodes per sample here, the per-step context
-    # GRU 169 per batch, and a reshape per time-context consumer 120
-    cfg = load_config(TOY_CFG)
+def _loss_graph_nodes_per_sample(config: Path, n: int, batch: int) -> float:
+    """Graph nodes of a training loss, per sample, on an n-node ring."""
+    cfg = load_config(config)
     rng = np.random.default_rng(65)
-    model = Forecaster.new(cfg, ring_graph(8), rng.normal(size=(8, 64)))
-    batch = cfg.batch_size
-    xs = rng.normal(size=(batch, cfg.history, 8, cfg.channels))
+    model = Forecaster.new(cfg, ring_graph(n), rng.normal(size=(n, 64)))
+    xs = rng.normal(size=(batch, cfg.history, n, cfg.channels))
     pred = forward_batch(cfg, model.params, model.ginputs, model.node_emb, xs, range(batch))
     loss = T.scale(l1_loss(pred, Tensor(np.zeros(pred.shape))), 1.0 / batch)
     seen, stack = set(), [loss]
@@ -445,7 +442,22 @@ def test_toy_loss_graph_nodes_per_sample():
         if id(node) not in seen:
             seen.add(id(node))
             stack.extend(parent for parent, _ in node.parents)
-    assert len(seen) / batch <= 116 / 18
+    return len(seen) / batch
+
+
+def test_toy_loss_graph_nodes_per_sample():
+    # one graph node per context GRU layer, transform rollout, context
+    # fusion, linear map, attention call, hop-diffusion conv and L1 loss; the
+    # composed forms built 17.6 nodes per sample here, the per-step context
+    # GRU 169 per batch, a reshape per time-context consumer 120, and a
+    # node per rollout cell with attention's token reshapes 116
+    assert _loss_graph_nodes_per_sample(TOY_CFG, 8, 18) <= 96 / 18
+
+
+def test_ref228_loss_graph_nodes_per_sample():
+    # 163 parameters and 29 op nodes at batch 1; a node per rollout cell with
+    # attention's token reshapes built 224
+    assert _loss_graph_nodes_per_sample(REF_CFG, 228, 1) <= 192
 
 
 @pytest.mark.parametrize("n, k, nnz", [(228, 8, 1824), (8, 2, 16)])
@@ -538,6 +550,101 @@ def test_transform_global_receptive_field(tiny_model):
             emb_proj, time_hist, time_fut,
         )
         assert not np.array_equal(out.data, base.data), position
+
+
+# ---------------------------------------------------------------------------
+# The transform rollout as one node, against the per-step form it replaced
+# (tests/oracles.py)
+
+def _rollout_case(rng, n_layers, lead, f=3, n=2):
+    layers = [
+        model_module._gru_layer(lambda s: T.param(rng.uniform(-0.5, 0.5, s)), f)
+        for _ in range(n_layers)
+    ]
+    x_last = T.param(rng.normal(size=lead + (n, f)))
+    h0 = [T.param(rng.normal(size=lead + (n, f))) for _ in layers]
+    return x_last, h0, layers
+
+
+def _rollout_inputs(x_last, h0, layers):
+    return [x_last, *h0, *(p for layer in layers for p in layer.named("gru").values())]
+
+
+@pytest.mark.parametrize("untracked", [None, "x_last", "h0", *GruLayerParams.__dataclass_fields__])
+@pytest.mark.parametrize("lead", [(), (2,), (2, 2)], ids=["no_batch", "batch", "two_batch_axes"])
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_rollout_node_matches_the_per_step_form_to_the_byte(n_layers, lead, untracked):
+    rng = np.random.default_rng(66)
+    x_last, h0, layers = _rollout_case(rng, n_layers, lead)
+    if untracked == "x_last":
+        x_last = Tensor(x_last.data)
+    elif untracked == "h0":
+        h0[-1] = Tensor(h0[-1].data)
+    elif untracked is not None:
+        setattr(layers[0], untracked, Tensor(getattr(layers[0], untracked).data))
+    inputs = _rollout_inputs(x_last, h0, layers)
+    c = Tensor(rng.normal(size=lead + (4,) + x_last.shape[-2:]))
+    out, grads = _out_and_grads(
+        lambda: model_module._rollout(x_last, h0, layers, 4), inputs, c
+    )
+    want, want_grads = _out_and_grads(lambda: oracles.rollout(x_last, h0, layers, 4), inputs, c)
+    assert out.shape == want.shape and out.tobytes() == want.tobytes()
+    for got, ref in zip(grads, want_grads):
+        if ref is None:
+            assert got is None
+        else:
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def test_rollout_node_keeps_its_inputs_as_its_only_parents():
+    # the cells' own nodes never join the graph
+    x_last, h0, layers = _rollout_case(np.random.default_rng(67), 2, (2,))
+    out = model_module._rollout(x_last, h0, layers, 3)
+    inputs = _rollout_inputs(x_last, h0, layers)
+    assert out.parents == tuple((t, i) for i, t in enumerate(inputs))
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_rollout_vjp_repeats_to_the_byte(n_layers):
+    rng = np.random.default_rng(68)
+    x_last, h0, layers = _rollout_case(rng, n_layers, (2,))
+    layers[-1].w_hu = Tensor(layers[-1].w_hu.data)  # untracked, so the vjp may skip its share
+    out = model_module._rollout(x_last, h0, layers, 3)
+    assert_vjp_repeats(out, rng.normal(size=out.shape))
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_rollout_gradients_match_finite_differences(n_layers):
+    rng = np.random.default_rng(69)
+    x_last, h0, layers = _rollout_case(rng, n_layers, (), f=2)
+    inputs = _rollout_inputs(x_last, h0, layers)
+    c = rng.normal(size=(3,) + x_last.shape)
+    T.backward(ops.sum_(ops.mul(model_module._rollout(x_last, h0, layers, 3), Tensor(c))))
+
+    def forward():
+        return (model_module._rollout(x_last, h0, layers, 3).data * c).sum()
+
+    for t in inputs:
+        assert grad_close(t.grad, numeric_grad(forward, t.data))
+
+
+def test_no_grad_rollout_builds_no_node_and_holds_no_more_than_the_per_step_form():
+    # the reference config's rollout on 228 nodes, as no-grad predict runs it
+    rng = np.random.default_rng(70)
+    x_last, h0, layers = _rollout_case(rng, 2, (1,), f=128, n=228)
+    held = []  # (bytes held by the result, peak bytes) of each form
+    for run in (model_module._rollout, oracles.rollout):
+        with T.no_grad():
+            tracemalloc.start()
+            try:
+                out = run(x_last, h0, layers, 12)
+                held.append(tracemalloc.get_traced_memory())
+            finally:
+                tracemalloc.stop()
+        assert out.parents == () and not out.requires_grad
+        del out
+    (node_held, node_peak), (per_step_held, per_step_peak) = held
+    assert node_held <= per_step_held and node_peak <= per_step_peak
 
 
 # ---------------------------------------------------------------------------
