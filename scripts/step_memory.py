@@ -61,7 +61,7 @@ def step_inputs(config: str, nodes: int, batch: int):
 def forward_loss(model: Forecaster, xs, target, t0s) -> T.Tensor:
     zero_grads(model.params.named())
     pred = forward_batch(model.cfg, model.params, model.ginputs, model.node_emb, xs, t0s)
-    return T.scale(T.l1_loss(pred, T.Tensor(target)), 1.0 / len(xs))
+    return T.l1_loss(pred, T.Tensor(target), 1.0 / len(xs))
 
 
 def minor_faults() -> int:

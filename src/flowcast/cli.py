@@ -172,7 +172,26 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 # eval
 
+def _horizons(text: str) -> list[int]:
+    """``--horizons``' comma-separated steps, each a distinct integer >= 1."""
+    horizons: list[int] = []
+    for item in (part.strip() for part in text.split(",")):
+        if not item:
+            continue
+        try:
+            h = int(item)
+        except ValueError:
+            raise ValueError(f"--horizons: {item!r} is not an integer") from None
+        if h < 1:
+            raise ValueError(f"--horizons: {item!r} is below 1")
+        if h in horizons:
+            raise ValueError(f"--horizons: {item!r} is given twice")
+        horizons.append(h)
+    return horizons
+
+
 def cmd_eval(args) -> int:
+    horizons = _horizons(args.horizons)
     model, _ = load_model(args.checkpoint)
     cfg = model.cfg
     meta = load_meta(args.meta if args.meta else f"{args.data}.meta")
@@ -195,7 +214,6 @@ def cmd_eval(args) -> int:
         print(f"no complete windows in split {args.split!r}", file=sys.stderr)
         return 1
 
-    horizons = [int(h) for h in args.horizons.split(",") if h.strip()]
     preds, truth = forecast(model, chosen, horizons)
     results = horizon_metrics(preds, truth, horizons, args.mask_eps)
 

@@ -64,6 +64,8 @@ __all__ = [
     "block_forward",
     "transform_layer",
     "forward_batch",
+    "WINDOW_BUDGET",
+    "windows_per_pass",
     "train",
     "forecast",
     "horizon_metrics",
@@ -560,6 +562,20 @@ def _check_windows_and_starts(xs: np.ndarray, t0s) -> None:
         raise ValueError(f"non-finite values in input sample {int(np.argmin(finite))}")
 
 
+# Feature entries of one (B, T, N, F) array that one forward pass may hold:
+# 4 MiB of float64. Prediction and training steps run their windows in
+# passes of this size; see :func:`windows_per_pass`.
+WINDOW_BUDGET = 2**19
+
+
+def windows_per_pass(cfg: ModelConfig, n_nodes: int) -> int:
+    """Windows one forward pass takes under :data:`WINDOW_BUDGET`, counting a
+    window as max(history, horizon) x nodes x width entries; at least one.
+    The reference config on 228 nodes gets 1, the toy config on 8 gets 341."""
+    per_window = max(cfg.history, cfg.horizon) * n_nodes * cfg.width
+    return max(1, WINDOW_BUDGET // per_window)
+
+
 def forward_batch(
     cfg: ModelConfig,
     params: ModelParams,
@@ -620,15 +636,19 @@ class Forecaster:
     def predict(self, xs: np.ndarray, t0s) -> np.ndarray:
         """Inference-only forward, (B, T_h, N, C) -> (B, T_p, N, C); no graph is built."""
         _check_windows_and_starts(xs, t0s)
-        # One window at a time: a no-grad window of the reference config on
-        # 228 nodes peaks at about 22 MB of arrays, and a batch of B at B times that.
+        # Consecutive chunks of windows_per_pass windows: a pass's arrays grow
+        # with its windows (a no-grad window of the reference config on 228
+        # nodes peaks at about 22 MB), while per-pass overhead dominates small
+        # graphs, so the reference config runs one window a pass and the toy
+        # config hundreds. A window's prediction does not depend on its chunk.
+        step = windows_per_pass(self.cfg, self.ginputs.graph.n_nodes)
         with T.no_grad():
             return np.concatenate([
                 forward_batch(
                     self.cfg, self.params, self.ginputs, self.node_emb,
-                    xs[b : b + 1], t0s[b : b + 1],
+                    xs[lo : lo + step], t0s[lo : lo + step],
                 ).data
-                for b in range(len(xs))
+                for lo in range(0, len(xs), step)
             ])
 
 
@@ -730,23 +750,39 @@ def _train_step(
     """One Adam step on ``batch``; returns its loss, the summed L1 error per
     window.
 
-    ``backward`` consumes the step's graph as it walks it, freeing each
-    node's saved arrays once its vjp has run. What it leaves, the
-    prediction and the loss, is referenced only from this frame, so it is
-    freed when the step returns, before the next step builds its graph.
+    The batch runs in consecutive micro-batches of :func:`windows_per_pass`
+    windows, so a step holds one pass's graph however large the batch. Each
+    micro-batch's loss is scaled by 1/len(batch), so the gradients its
+    backward adds into the parameters' ``.grad`` sum to the whole batch's.
+    A non-finite loss in any micro-batch raises before ``adam_step``, which
+    leaves the parameters and the Adam state untouched.
     """
     zero_grads(params)
+    step = windows_per_pass(model.cfg, model.ginputs.graph.n_nodes)
+    loss = 0.0
+    for lo in range(0, len(batch), step):
+        loss += _backprop(model, batch[lo : lo + step], 1.0 / len(batch))
+    adam_step(params, state, lr)
+    return loss
+
+
+def _backprop(model: Forecaster, windows: list[SampleWindow], scale: float) -> float:
+    """Build one pass's loss graph over ``windows``, its L1 sum times
+    ``scale``, and backpropagate it; returns the loss.
+
+    ``backward`` consumes the graph as it walks it, freeing each node's
+    saved arrays once its vjp has run. What it leaves, the prediction and
+    the loss, is referenced only from this frame, so it is freed before
+    the next pass builds its graph.
+    """
     pred = forward_batch(
         model.cfg, model.params, model.ginputs, model.node_emb,
-        np.stack([w.x for w in batch]), [w.t0 for w in batch],
+        np.stack([w.x for w in windows]), [w.t0 for w in windows],
     )
-    loss = T.scale(
-        T.l1_loss(pred, Tensor(np.stack([w.y for w in batch]))), 1.0 / len(batch)
-    )
+    loss = T.l1_loss(pred, Tensor(np.stack([w.y for w in windows])), scale)
     if not np.isfinite(loss.data):
         raise FloatingPointError("training loss became non-finite")
     T.backward(loss)
-    adam_step(params, state, lr)
     return float(loss.data)
 
 

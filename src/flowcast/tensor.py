@@ -31,7 +31,6 @@ __all__ = [
     "param",
     "no_grad",
     "add",
-    "scale",
     "backward",
     "l1_loss",
 ]
@@ -176,6 +175,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(_broadcast("add", np.add, a, b), (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
+# Not in __all__: the model passes its scale to l1_loss; tests/test_golden.py
+# builds its reference loss with this node.
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
     return _node(a.data * s, (a,), lambda g: (g * s,))
@@ -283,16 +284,18 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 # Objective
 
-def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Sum of absolute errors over all entries (a sum, not a mean), as one
-    node. An entry where pred equals target gets subgradient 0 (np.sign's
-    convention)."""
+def l1_loss(pred: Tensor, target: Tensor, scale: float = 1.0) -> Tensor:
+    """Sum of absolute errors over all entries (a sum, not a mean) times
+    ``scale``, as one node. An entry where pred equals target gets
+    subgradient 0 (np.sign's convention)."""
     if pred.shape != target.shape:
         raise ShapeError(f"l1_loss: shapes differ, {pred.shape} vs {target.shape}")
     diff = pred.data - target.data
+    scale = float(scale)
 
     def vjp(g):
-        grad = g * np.sign(diff)
+        # (g * scale) first, so the gradient has the bits of scale(l1_loss(...))
+        grad = (g * scale) * np.sign(diff)
         return grad, -grad
 
-    return _node(np.abs(diff).sum(), (pred, target), vjp)
+    return _node(np.abs(diff).sum() * scale, (pred, target), vjp)

@@ -480,6 +480,24 @@ def test_eval_all_masked_ring_reports_mae_and_rmse(toy_files, capsys):
 
 
 @pytest.mark.parametrize(
+    "horizons, message",
+    [
+        ("3,x", "--horizons: 'x' is not an integer"),
+        ("3,3", "--horizons: '3' is given twice"),
+        ("0,3", "--horizons: '0' is below 1"),
+    ],
+)
+def test_eval_rejects_bad_horizons_before_reading_any_file(tmp_path, capsys, horizons, message):
+    # neither file exists, so an error from reading one would name it instead
+    rc = main([
+        "eval", "--checkpoint", str(tmp_path / "missing.ckpt"),
+        "--data", str(tmp_path / "missing.csv"), "--horizons", horizons,
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "damage",
     ["truncate", "adam.m.input.w", "adam.v.input.w", "node.embeddings", "norm.std"],
 )

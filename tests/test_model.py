@@ -17,7 +17,7 @@ from flowcast import tensor as T
 from flowcast.attention import DegenerateAttentionError
 from flowcast.checkpoint import CheckpointError, load_arrays, save_arrays
 from flowcast.context import GruLayerParams
-from flowcast.data import assign_windows, make_windows
+from flowcast.data import SampleWindow, assign_windows, make_windows
 from flowcast.graph import RoadGraph, load_adjacency
 from flowcast.model import (
     CSV_HEADER,
@@ -41,6 +41,7 @@ from flowcast.model import (
     save_model,
     train,
     transform_layer,
+    windows_per_pass,
 )
 from flowcast.optim import AdamState, GradientError, adam_step, zero_grads
 from flowcast.synth import make_ring_dataset, ring_graph
@@ -924,6 +925,141 @@ def test_ref228_backward_peaks_within_15_mb_of_the_forward_graph():
         tracemalloc.stop()
     assert held > 100e6  # the graph this bound is about was built
     assert peak - held <= 15e6, (held / 1e6, (peak - held) / 1e6)
+
+
+# ---------------------------------------------------------------------------
+# Window budget: predict in chunks, training steps in micro-batches
+
+def test_windows_per_pass_of_the_toy_and_reference_configs():
+    # a window counts max(history, horizon) x nodes x width entries
+    assert windows_per_pass(load_config(TOY_CFG), 8) == 2**19 // (12 * 8 * 16) == 341
+    assert windows_per_pass(load_config(REF_CFG), 228) == 1
+    assert windows_per_pass(load_config(REF_CFG), 10_000) == 1
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """Count calls to ``flowcast.model``'s ``name``, which still runs."""
+    calls, fn = [], getattr(model_module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(model_module, name, counted)
+    return calls
+
+
+def _model_and_windows(config: Path, nodes: int, n: int, seed: int):
+    """A fresh model of ``config`` on a ring of ``nodes`` and ``n`` seeded windows."""
+    cfg = load_config(config)
+    rng = np.random.default_rng(seed)
+    model = Forecaster.new(cfg, ring_graph(nodes), rng.normal(size=(nodes, 64)) * 0.2)
+    windows = [
+        SampleWindow(
+            x=rng.normal(size=(cfg.history, nodes, 1)), y=rng.normal(size=(cfg.horizon, nodes, 1)),
+            t0=int(rng.integers(0, 7 * cfg.slots_per_day)),
+        )
+        for _ in range(n)
+    ]
+    return model, windows
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, None])
+def test_chunked_predict_is_byte_equal_to_per_window_predict(monkeypatch, chunk):
+    # 17 windows leave a partial last chunk of 3 and of 7; None is the
+    # default budget, which takes all 17 in one pass
+    model, windows = _model_and_windows(TOY_CFG, 8, 17, seed=71)
+    cfg = model.cfg
+    xs, t0s = np.stack([w.x for w in windows]), [w.t0 for w in windows]
+    per_window_entries = max(cfg.history, cfg.horizon) * 8 * cfg.width
+    monkeypatch.setattr(model_module, "WINDOW_BUDGET", per_window_entries)
+    per_window = model.predict(xs, t0s)
+    monkeypatch.undo()
+    if chunk is not None:
+        monkeypatch.setattr(model_module, "WINDOW_BUDGET", chunk * per_window_entries)
+    passes = _counting(monkeypatch, "forward_batch")
+    chunked = model.predict(xs, t0s)
+    size = chunk or 17
+    assert [len(args[4]) for args in passes] == [min(size, 17 - lo) for lo in range(0, 17, size)]
+    assert chunked.tobytes() == per_window.tobytes()
+
+
+def _step(monkeypatch, windows_budget, batch_seed: int):
+    """A toy ``_train_step`` on a batch of 6; returns its loss, the model
+    and the counted forward_batch, zero_grads and adam_step calls."""
+    model, windows = _model_and_windows(TOY_CFG, 8, 6, seed=batch_seed)
+    if windows_budget is not None:
+        monkeypatch.setattr(model_module, "WINDOW_BUDGET", windows_budget)
+    calls = {name: _counting(monkeypatch, name) for name in ("forward_batch", "zero_grads", "adam_step")}
+    params = model.params.named()
+    state = AdamState.for_params(params)
+    try:
+        loss = model_module._train_step(model, params, state, 1e-3, windows)
+    finally:
+        monkeypatch.undo()
+    return loss, model, {name: len(c) for name, c in calls.items()}
+
+
+def test_micro_batched_step_matches_the_whole_batch_step(monkeypatch):
+    whole_loss, whole, whole_calls = _step(monkeypatch, None, batch_seed=72)
+    micro_loss, micro, micro_calls = _step(monkeypatch, 1, batch_seed=72)
+    assert whole_calls == {"forward_batch": 1, "zero_grads": 1, "adam_step": 1}
+    assert micro_calls == {"forward_batch": 6, "zero_grads": 1, "adam_step": 1}
+    assert abs(micro_loss - whole_loss) <= 1e-12
+    for (name, w), m in zip(whole.params.named().items(), micro.params.named().values()):
+        assert np.max(np.abs(m.grad - w.grad)) <= 1e-12 * np.max(np.abs(w.grad)), name
+
+
+def test_non_finite_loss_in_a_later_micro_batch_leaves_the_model_untouched(monkeypatch):
+    model, windows = _model_and_windows(TOY_CFG, 8, 6, seed=73)
+    windows[-1].y[0, 0, 0] = np.inf  # only the last micro-batch's loss is non-finite
+    params = model.params.named()
+    state = AdamState.for_params(params)
+    before = {name: p.data.copy() for name, p in params.items()}
+    monkeypatch.setattr(model_module, "WINDOW_BUDGET", 1)
+    passes = _counting(monkeypatch, "forward_batch")
+    steps = _counting(monkeypatch, "adam_step")
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        model_module._train_step(model, params, state, 1e-3, windows)
+    assert len(passes) == 6 and not steps
+    assert state.step == 0
+    for name, p in params.items():
+        assert np.array_equal(p.data, before[name]), name
+        assert not state.m[name].any() and not state.v[name].any(), name
+
+
+def _traced_peak(run) -> int:
+    """tracemalloc peak of ``run()`` above what was held when it started."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_ref228_batch_4_step_peaks_within_1_3x_of_a_batch_1_step():
+    # the default budget runs the reference config one window a pass, so a
+    # batch holds one window's graph at a time
+    model, windows = _model_and_windows(REF_CFG, 228, 4, seed=74)
+    params = model.params.named()
+    state = AdamState.for_params(params)
+    peaks = [
+        _traced_peak(lambda: model_module._train_step(model, params, state, 1e-3, windows[:b]))
+        for b in (1, 4)
+    ]
+    assert peaks[0] > 100e6  # the graph this bound is about was built
+    assert peaks[1] <= 1.3 * peaks[0], [p / 1e6 for p in peaks]
+
+
+def test_ref228_predict_of_two_windows_peaks_as_one_window():
+    # a budget that put two reference windows in one pass would double the peak
+    model, windows = _model_and_windows(REF_CFG, 228, 2, seed=74)
+    xs, t0s = np.stack([w.x for w in windows]), [w.t0 for w in windows]
+    one = _traced_peak(lambda: model.predict(xs[:1], t0s[:1]))
+    two = _traced_peak(lambda: model.predict(xs, t0s))
+    assert two <= 1.1 * one, (one / 1e6, two / 1e6)
 
 
 def test_training_deterministic_same_seed():

@@ -610,6 +610,23 @@ def test_l1_loss_matches_elementwise_oracle():
     assert np.isclose(l1_loss(Tensor(p), Tensor(t)).data, expected, atol=1e-12)
 
 
+def test_l1_loss_scale_gives_the_scale_node_bits():
+    # the scale factor inside the node keeps the value and both gradients
+    # of the former l1_loss-then-scale chain byte for byte
+    rng = np.random.default_rng(32)
+    p_data, t_data = rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 4, 2))
+    grads = []
+    for build in (
+        lambda p, t: l1_loss(p, t, 1.0 / 3),
+        lambda p, t: T.scale(l1_loss(p, t), 1.0 / 3),
+    ):
+        p, t = T.param(p_data), T.param(t_data)
+        loss = build(p, t)
+        backward(loss)
+        grads.append((loss.data.tobytes(), p.grad.tobytes(), t.grad.tobytes()))
+    assert grads[0] == grads[1]
+
+
 def test_l1_loss_shape_mismatch():
     with pytest.raises(ShapeError):
         l1_loss(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3))))
