@@ -172,26 +172,33 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 # eval
 
-def _horizons(text: str) -> list[int]:
-    """``--horizons``' comma-separated steps, each a distinct integer >= 1."""
-    horizons: list[int] = []
+def _counts(flag: str, text: str, distinct: bool = False) -> list[int]:
+    """``flag``'s comma-separated items, each an integer >= 1, and each
+    given once when ``distinct``."""
+    counts: list[int] = []
     for item in (part.strip() for part in text.split(",")):
         if not item:
             continue
         try:
-            h = int(item)
+            n = int(item)
         except ValueError:
-            raise ValueError(f"--horizons: {item!r} is not an integer") from None
-        if h < 1:
-            raise ValueError(f"--horizons: {item!r} is below 1")
-        if h in horizons:
-            raise ValueError(f"--horizons: {item!r} is given twice")
-        horizons.append(h)
-    return horizons
+            raise ValueError(f"{flag}: {item!r} is not an integer") from None
+        if n < 1:
+            raise ValueError(f"{flag}: {item!r} is below 1")
+        if distinct and n in counts:
+            raise ValueError(f"{flag}: {item!r} is given twice")
+        counts.append(n)
+    return counts
+
+
+def _at_least_one(args, *names: str) -> None:
+    """Reject each integer option ``names`` below 1, naming its flag."""
+    for name in names:
+        _counts(f"--{name}", str(getattr(args, name)))
 
 
 def cmd_eval(args) -> int:
-    horizons = _horizons(args.horizons)
+    horizons = _counts("--horizons", args.horizons, distinct=True)
     model, _ = load_model(args.checkpoint)
     cfg = model.cfg
     meta = load_meta(args.meta if args.meta else f"{args.data}.meta")
@@ -238,7 +245,8 @@ def cmd_eval(args) -> int:
 # bench
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    sizes = _counts("--sizes", args.sizes)
+    _at_least_one(args, "dim", "repeats")
     rows = run_benchmark(
         sizes, dim=args.dim, repeats=args.repeats, budget=args.budget,
         seed=args.seed, log=print,
@@ -253,6 +261,7 @@ def cmd_bench(args) -> int:
 # synth
 
 def cmd_synth(args) -> int:
+    _at_least_one(args, "nodes", "steps", "period")
     dataset, graph = make_ring_dataset(
         n_nodes=args.nodes, steps=args.steps, period=args.period,
         noise=args.noise, seed=args.seed,

@@ -28,6 +28,7 @@ __all__ = [
     "temporal_encoding",
     "GruLayerParams",
     "gru_cell",
+    "gru_stack",
     "gru_sequence",
     "EmbeddingFormatError",
 ]
@@ -314,7 +315,7 @@ class GruLayerParams:
         return {f"{prefix}.{f.name}": getattr(self, f.name) for f in fields(self)}
 
 
-def _cell(x: np.ndarray, h: np.ndarray, w, out=None) -> tuple[np.ndarray, object]:
+def gru_cell(x: np.ndarray, h: np.ndarray, w, out=None) -> tuple[np.ndarray, object]:
     """One recurrence step on (..., N, F) arrays: H = U * H_prev + (1 - U) * C,
     with gates R = sigmoid(X W_xr + H_prev W_hr + b_r), U = sigmoid(X W_xu +
     H_prev W_hu + b_u) and candidate C = tanh(X W_xh + (R * H_prev) W_hh + b_h),
@@ -366,46 +367,58 @@ def _cell(x: np.ndarray, h: np.ndarray, w, out=None) -> tuple[np.ndarray, object
     return out, vjp
 
 
-def gru_cell(x_t: Tensor, h_prev: Tensor, layer: GruLayerParams) -> Tensor:
-    """One GRU step (:func:`_cell`) on (..., N, F) as one graph node, so a
-    training graph keeps six arrays per step instead of the arrays of about
-    20 elementwise and matmul nodes."""
-    if x_t.shape != h_prev.shape:
-        raise ShapeError(f"gru_cell: input {x_t.shape} vs hidden {h_prev.shape}")
-    params = tuple(getattr(layer, f.name) for f in fields(layer))
-    out, vjp = _cell(x_t.data, h_prev.data, [p.data for p in params])
-    return T._node(out, (x_t, h_prev) + params, vjp)
-
-
-def _gru_layer(x: Tensor, h0: Tensor, layer: GruLayerParams) -> Tensor:
-    """One GRU layer over a (..., T, N, F) sequence from state ``h0``, as one
-    graph node. Step t reads the view ``x[..., t, :, :]`` and writes its
-    state into the output's step t, which the next step reads, so no step
-    is copied. The backward is backpropagation through time over the steps'
-    cell vjps, kept only when the node is tracked, and sums each weight's
-    gradient from the last step to the first, as per-step cell nodes did."""
-    if h0.shape != x.shape[:-3] + x.shape[-2:]:
-        raise ShapeError(f"gru_sequence: input {x.shape} vs hidden {h0.shape}")
-    params = tuple(getattr(layer, f.name) for f in fields(layer))
-    inputs = (x, h0) + params
-    keep, w = T._tracks(inputs), [p.data for p in params]
-    seq, h, vjps = np.empty(x.shape), h0.data, []
-    for t in range(x.shape[-3]):
-        h, step = _cell(x.data[..., t, :, :], h, w, out=seq[..., t, :, :])
-        if keep:
-            vjps.append(step)
-        del step  # untracked, its gate arrays go before the next step's are made
+def gru_stack(
+    x: Tensor, h0: list[Tensor], layers: list[GruLayerParams], steps: int | None = None,
+    cell=gru_cell,
+) -> Tensor:
+    """Stacked GRU layers from states ``h0`` as one graph node, giving the top
+    layer's state at each step, (..., steps, N, F). Layer i reads layer i - 1's
+    new state; layer 0 reads step t of a (..., T, N, F) ``x`` for its T steps,
+    or, given ``steps``, the (..., N, F) step ``x`` and then the top state of
+    step t - 1. The top layer writes into the output, which later steps read.
+    :mod:`flowcast.model` passes the ``cell`` it looks up, so that a tracer
+    wrapping it there times the rollout's cells alone. The backward runs back
+    through time over the cells' vjps, kept only when the node is tracked,
+    adding each gradient's shares in the order per-step cell nodes did.
+    """
+    seq = steps is None
+    state, steps = (x.shape[:-3] + x.shape[-2:], x.shape[-3]) if seq else (x.shape, steps)
+    if not layers or len(h0) != len(layers) or any(h.shape != state for h in h0):
+        raise ShapeError(f"gru_stack: input {x.shape} vs hidden {[h.shape for h in h0]}")
+    inputs = (x, *h0, *(getattr(layer, f.name) for layer in layers for f in fields(layer)))
+    keep, n = T._tracks(inputs), len(layers)
+    w = [[getattr(layer, f.name).data for f in fields(layer)] for layer in layers]
+    out, h, vjps = np.empty(state[:-2] + (steps,) + state[-2:]), [t.data for t in h0], []
+    for t in range(steps):
+        below = x.data[..., t, :, :] if seq else (out[..., t - 1, :, :] if t else x.data)
+        for i in range(n):
+            below, step = cell(below, h[i], w[i], out=out[..., t, :, :] if i == n - 1 else None)
+            h[i] = below
+            if keep:
+                vjps.append(step)
+            del step  # untracked, its gate arrays go before the next cell's are made
 
     def vjp(g):
-        dx = np.empty(g.shape)
-        dx[..., -1, :, :], dh, *dw = vjps[-1](g[..., -1, :, :])
-        for t in range(len(vjps) - 2, -1, -1):
-            dx[..., t, :, :], dh, *step_dw = vjps[t](g[..., t, :, :] + dh)
-            for acc, d in zip(dw, step_dw):
-                acc += d
-        return dx, dh, *dw
+        # each state's gradient shares: the output's, then each reader's as it runs
+        dx, dw, shares = np.empty(x.shape) if seq else None, [None] * n, [[] for _ in h0]
+        for t in range(steps - 1, -1, -1):
+            shares[-1].insert(0, g[..., t, :, :])
+            for i in range(n - 1, -1, -1):
+                d, shares[i] = shares[i], []
+                d_in, d_h, *step_dw = vjps[t * n + i](sum(d[1:], d[0]))
+                if i or (t and not seq):  # layer i - 1's state, or the fed-back top state
+                    shares[i - 1].append(d_in)
+                elif seq:
+                    dx[..., t, :, :] = d_in
+                else:
+                    dx = d_in
+                shares[i].append(d_h)
+                for acc, s in zip(dw[i] or (), step_dw):
+                    acc += s  # from the last step to the first
+                dw[i] = dw[i] or step_dw
+        return (dx, *(d_h for d_h, in shares), *(s for layer_dw in dw for s in layer_dw))
 
-    return T._node(seq, inputs, vjp)
+    return T._node(out, inputs, vjp)
 
 
 def gru_sequence(
@@ -413,14 +426,14 @@ def gru_sequence(
 ) -> tuple[Tensor, list[Tensor]]:
     """Run stacked GRU layers over a (..., T, N, F) sequence, strictly causal.
 
-    Layer l consumes layer l-1's output sequence; each layer is one graph
-    node. Returns the top layer's outputs for every step plus each layer's
-    final (..., N, F) hidden state.
+    Layer l consumes layer l-1's output sequence; each layer is one
+    :func:`gru_stack` node. Returns the top layer's outputs for every step
+    plus each layer's final (..., N, F) hidden state.
     """
     if len(h0) != len(layers):
         raise ShapeError(f"{len(layers)} layers but {len(h0)} initial states")
     outs = [x]
     for h_init, layer in zip(h0, layers):
-        outs.append(_gru_layer(outs[-1], h_init, layer))
+        outs.append(gru_stack(outs[-1], [h_init], [layer]))
     # sliced once every layer has run, so no final's copy is held while one runs
     return outs[-1], [out[..., -1, :, :] for out in outs[1:]]

@@ -32,7 +32,7 @@ import numpy as np
 from . import tensor as T
 from .attention import AttentionParams, DegenerateAttentionError, multi_head_attention
 from .checkpoint import CheckpointError, load_arrays, save_arrays
-from .context import GruLayerParams, gru_cell, gru_sequence, temporal_encoding
+from .context import GruLayerParams, gru_cell, gru_sequence, gru_stack, temporal_encoding
 from .data import (
     Dataset,
     SampleWindow,
@@ -481,52 +481,6 @@ def block_forward(
     return T.add(ctx, _attend(name, ctx, None, block.attn)), finals
 
 
-def _rollout(
-    x_last: Tensor, h0: list[Tensor], layers: list[GruLayerParams], horizon: int
-) -> Tensor:
-    """``horizon`` steps of stacked GRU layers from states ``h0`` as one graph
-    node: step 0 reads ``x_last`` (..., N, F) and step t the top state of
-    step t - 1, which that step wrote into its slot of the (..., horizon, N,
-    F) output, so the cell's own array goes at once. The node keeps each
-    :func:`gru_cell` call's vjp when tracked, never the cell's node, and its
-    backward is backpropagation through time over them, summing each state's
-    and weight's shares in the order per-step cell nodes did.
-    """
-    if len(h0) != len(layers):
-        raise ShapeError(f"{len(layers)} layers but {len(h0)} initial states")
-    inputs = (x_last, *h0, *(getattr(layer, f.name) for layer in layers for f in fields(layer)))
-    keep = T._tracks(inputs)
-    seq = np.empty(x_last.shape[:-2] + (horizon,) + x_last.shape[-2:])
-    state = [Tensor(h.data, requires_grad=keep) for h in h0]
-    top, vjps = Tensor(x_last.data, requires_grad=keep), []
-    for t in range(horizon):
-        for i, layer in enumerate(layers):
-            cell = gru_cell(top if i == 0 else state[i - 1], state[i], layer)
-            vjps.append(cell.vjp)  # None when untracked
-            state[i] = Tensor(cell.data, requires_grad=keep)
-            del cell  # the top cell's array goes once it is copied into seq
-        seq[..., t, :, :] = state[-1].data
-        top = state[-1] = Tensor(seq[..., t, :, :], requires_grad=keep)
-
-    def vjp(g):
-        n = len(layers)
-        dh, dw = [None] * n, [None] * n
-        for t in range(horizon - 1, -1, -1):
-            d = g[..., t, :, :]
-            if t < horizon - 1:  # step t + 1 read the top state as input and as state
-                d = d + dx + dh[0] if n == 1 else d + dh[-1] + dx
-            for i in range(n - 1, -1, -1):
-                if i < n - 1:  # layer i + 1 read layer i's state as its input
-                    d = dx if t == horizon - 1 else dh[i] + dx
-                dx, dh[i], *step_dw = vjps[t * n + i](d)
-                for acc, s in zip(dw[i] or (), step_dw):
-                    acc += s  # from the last step to the first
-                dw[i] = dw[i] or step_dw
-        return (dx, *dh, *(w for layer_dw in dw for w in layer_dw))
-
-    return T._node(seq, inputs, vjp)
-
-
 def transform_layer(
     cfg: ModelConfig,
     params: ModelParams,
@@ -540,21 +494,24 @@ def transform_layer(
     """Bridge history to the horizon without decoding step by step.
 
     A GRU seeded with the encoder's final hidden states rolls ``horizon``
-    steps in one node, :func:`_rollout`, each step's output the next's
+    steps in one :func:`gru_stack` node, each step's output the next's
     input. The rollout (plus future static context) forms the queries;
     encoder features (plus historical static context) form keys and values
     of a cross attention. ``time_hist`` and ``time_fut`` are (..., T, 1, F).
     Returns (..., horizon, N, F) features.
     """
     tp = params.transform
-    rollout = _rollout(x_last, enc_finals, tp.gru, cfg.horizon)
+    rollout = gru_stack(x_last, enc_finals, tp.gru, cfg.horizon, gru_cell)
     q = _fuse(tp.q_fuse_w, tp.q_fuse_b, [rollout, emb_proj, time_fut])
     kv = _fuse(tp.kv_fuse_w, tp.kv_fuse_b, [enc, emb_proj, time_hist])
     return _attend("transform", q, kv, tp.attn)
 
 
 def _check_windows_and_starts(xs: np.ndarray, t0s) -> None:
-    """Reject non-finite windows by sample index, and a ``t0s`` not of their count."""
+    """Reject no windows, non-finite windows by sample index, and a ``t0s``
+    not of their count."""
+    if not len(xs):
+        raise ContractError("no windows given")
     if len(t0s) != len(xs):
         raise ContractError(f"t0s has length {len(t0s)} for {len(xs)} windows; need one per window")
     finite = np.isfinite(xs).reshape(len(xs), -1).all(axis=1)
@@ -589,7 +546,7 @@ def forward_batch(
 
     All horizon steps come from one pass; predictions are never consumed
     as inputs (the only recurrence is over internal features). Rejects
-    non-finite inputs by sample index, and a ``t0s`` not of length B.
+    B = 0, non-finite inputs by sample index, and a ``t0s`` not of length B.
     """
     _check_windows_and_starts(xs, t0s)
     emb_proj = _fuse(params.emb_w, params.emb_b, [Tensor(node_emb)])
@@ -675,12 +632,14 @@ def forecast(
 ) -> tuple[np.ndarray, np.ndarray]:
     """De-normalized predictions and truth of ``windows``, each (B, T_p, N, C),
     from one :meth:`Forecaster.predict` call. Rejects ``horizons`` outside
-    1..horizon before predicting."""
+    1..horizon and no ``windows`` before predicting."""
     if model.norm is None:
         raise ContractError("model has no normalization stats; train or load first")
     for h in horizons or []:
         if not 1 <= h <= model.cfg.horizon:
             raise ValueError(f"horizon {h} outside 1..{model.cfg.horizon}")
+    if not windows:
+        raise ContractError("no windows given")
     xs = np.stack([w.x for w in windows])
     pred = zscore_invert(model.predict(xs, [w.t0 for w in windows]), model.norm)
     return pred, zscore_invert(np.stack([w.y for w in windows]), model.norm)

@@ -6,12 +6,14 @@ skip-gram oracles are the per-step loops the library's vectorized forms
 replaced (``rng.choice`` with ``p``, nested pair lists, ``np.add.at``);
 the library must reproduce their output bit for bit. The GRU, fusion,
 attention and hop-conv oracles are the forms composed of autodiff ops that
-the fused single-node ``context.gru_cell``, ``model._fuse``,
-``attention.multi_head_attention`` / ``linear_attention`` and
-``graph.multi_hop_conv`` replaced; ``gru_sequence`` is the per-step form
-of the one-node-per-layer GRU, a slice per step, a fused cell per step and
-layer, and a concat, and ``rollout`` the per-step form of the one-node
-transform rollout ``model._rollout``. The full-depth BFS distance matrix and
+the fused single-node ``gru_cell_node`` (``context.gru_cell`` as one
+graph node), ``model._fuse``, ``attention.multi_head_attention`` /
+``linear_attention`` and ``graph.multi_hop_conv`` replaced;
+``gru_sequence`` is the per-step form of the one-node-per-layer GRU, a
+slice per step, a fused cell per step and layer, and a concat, and
+``gru_stack`` the per-step form of the stacked GRU node
+``context.gru_stack``, over a sequence or rolled out from one step as the
+transform rollout runs it. The full-depth BFS distance matrix and
 its float shells are the reference for ``graph.hop_shells``;
 ``graph_from_edges`` fills an adjacency from an edge list as
 ``graph.load_adjacency`` fills it from a file's lines.
@@ -19,6 +21,7 @@ its float shells are the reference for ``graph.hop_shells``;
 
 import math
 from collections import deque
+from dataclasses import fields
 
 import numpy as np
 
@@ -291,11 +294,18 @@ def gru_cell(x_t: Tensor, h_prev: Tensor, layer: GruLayerParams) -> Tensor:
     return T.add(ops.mul(u, h_prev), ops.mul(ops.sub(Tensor(1.0), u), h_cand))
 
 
+def gru_cell_node(x_t: Tensor, h_prev: Tensor, layer: GruLayerParams) -> Tensor:
+    """``context.gru_cell`` on (..., N, F) as one graph node."""
+    params = tuple(getattr(layer, f.name) for f in fields(layer))
+    out, vjp = context.gru_cell(x_t.data, h_prev.data, [p.data for p in params])
+    return T._node(out, (x_t, h_prev) + params, vjp)
+
+
 def gru_sequence(
     x: Tensor, h0: list[Tensor], layers: list[GruLayerParams]
 ) -> tuple[Tensor, list[Tensor]]:
     """Stacked GRU layers over a (..., T, N, F) sequence, one fused
-    ``context.gru_cell`` node per step and layer on per-step slices."""
+    ``gru_cell_node`` per step and layer on per-step slices."""
     if len(h0) != len(layers):
         raise ShapeError(f"{len(layers)} layers but {len(h0)} initial states")
     seq = [x[..., t, :, :] for t in range(x.shape[-3])]
@@ -304,33 +314,31 @@ def gru_sequence(
         h = h_init
         outs: list[Tensor] = []
         for x_t in seq:
-            h = context.gru_cell(x_t, h, layer)
+            h = gru_cell_node(x_t, h, layer)
             outs.append(h)
         seq = outs
         finals.append(h)
     return ops.reshape(ops.concat(seq, axis=-2), x.shape), finals
 
 
-def rollout(
-    x_last: Tensor, h0: list[Tensor], layers: list[GruLayerParams], horizon: int
+def gru_stack(
+    x: Tensor, h0: list[Tensor], layers: list[GruLayerParams], steps: int | None = None
 ) -> Tensor:
-    """Stacked GRU layers rolled ``horizon`` steps from states ``h0``, each
-    step's input the top state before it and the first step's ``x_last``,
-    as a fused ``context.gru_cell`` node per step and layer whose top states
-    join by a concat and a reshape into (..., horizon, N, F)."""
+    """Stacked GRU layers from states ``h0``, a fused ``gru_cell_node`` per
+    step and layer, each step's layer 0 reading a slice of a (..., T, N, F)
+    ``x``, or, given ``steps``, the (..., N, F) ``x`` first and then the
+    top state before it; the top states join by a concat and a reshape into
+    (..., steps, N, F)."""
     hidden = list(h0)
-    step_in = x_last
     generated: list[Tensor] = []
-    for _ in range(horizon):
-        layer_in = step_in
+    for t in range(x.shape[-3] if steps is None else steps):
+        layer_in = x[..., t, :, :] if steps is None else (generated[-1] if t else x)
         for i, layer in enumerate(layers):
-            hidden[i] = context.gru_cell(layer_in, hidden[i], layer)
+            hidden[i] = gru_cell_node(layer_in, hidden[i], layer)
             layer_in = hidden[i]
-        generated.append(hidden[-1])
-        step_in = hidden[-1]
-    return ops.reshape(
-        ops.concat(generated, axis=-2), x_last.shape[:-2] + (horizon,) + x_last.shape[-2:]
-    )
+        generated.append(layer_in)
+    top = generated[0].shape
+    return ops.reshape(ops.concat(generated, axis=-2), top[:-2] + (len(generated),) + top[-2:])
 
 
 def fuse(w: Tensor, b: Tensor, streams: list[Tensor]) -> Tensor:

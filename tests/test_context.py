@@ -14,7 +14,6 @@ from flowcast import tensor as T
 from flowcast.context import (
     EmbeddingFormatError,
     GruLayerParams,
-    gru_cell,
     gru_sequence,
     load_embeddings,
     node2vec_walks,
@@ -27,7 +26,7 @@ from flowcast.synth import ring_graph
 from flowcast.tensor import ShapeError, Tensor
 
 from gradcheck import assert_vjp_repeats, grad_close, numeric_grad
-from oracles import graph_from_edges
+from oracles import graph_from_edges, gru_cell_node
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +367,7 @@ def test_gru_cell_zero_params_halves_hidden():
     f = 4
     h = Tensor(rng.normal(size=(3, f)))
     layer = _gru_layer(rng, f, zero=True)
-    out = gru_cell(Tensor(np.zeros((3, f))), h, layer)
+    out = gru_cell_node(Tensor(np.zeros((3, f))), h, layer)
     assert np.allclose(out.data, 0.5 * h.data, atol=0)
 
 
@@ -376,7 +375,7 @@ def test_gru_cell_zero_params_zero_hidden():
     rng = np.random.default_rng(31)
     f = 4
     layer = _gru_layer(rng, f, zero=True)
-    out = gru_cell(Tensor(np.zeros((3, f))), Tensor(np.zeros((3, f))), layer)
+    out = gru_cell_node(Tensor(np.zeros((3, f))), Tensor(np.zeros((3, f))), layer)
     assert np.array_equal(out.data, np.zeros((3, f)))
 
 
@@ -386,7 +385,7 @@ def test_gru_cell_matches_reference():
     layer = _gru_layer(rng, f)
     x = rng.normal(size=(4, f))
     h = rng.normal(size=(4, f))
-    out = gru_cell(Tensor(x), Tensor(h), layer)
+    out = gru_cell_node(Tensor(x), Tensor(h), layer)
     assert np.max(np.abs(out.data - gru_reference(x, h, layer))) < 1e-12
 
 
@@ -398,10 +397,10 @@ def test_gru_cell_gradients():
     h = T.param(rng.normal(size=(2, f)))
     c = Tensor(rng.normal(size=(2, f)))
 
-    T.backward(ops.sum_(ops.mul(gru_cell(x, h, layer), c)))
+    T.backward(ops.sum_(ops.mul(gru_cell_node(x, h, layer), c)))
 
     def forward():
-        return (gru_cell(x, h, layer).data * c.data).sum()
+        return (gru_cell_node(x, h, layer).data * c.data).sum()
 
     for t in [x, h, *layer.named("gru").values()]:
         assert grad_close(t.grad, numeric_grad(forward, t.data))
@@ -424,7 +423,7 @@ def test_fused_gru_cell_matches_composed_cell(shape):
     x = T.param(rng.normal(size=shape))
     h = T.param(rng.normal(size=shape))
     c = Tensor(rng.normal(size=shape))
-    out, grads = _cell_grads(gru_cell, x, h, layer, c)
+    out, grads = _cell_grads(gru_cell_node, x, h, layer, c)
     want_out, want_grads = _cell_grads(oracles.gru_cell, x, h, layer, c)
     assert np.array_equal(out, want_out)
     for got, want in zip(grads, want_grads):
@@ -437,7 +436,7 @@ def test_fused_gru_cell_with_input_as_hidden_state_matches_composed_cell():
     layer = _gru_layer(rng, 4)
     h = T.param(rng.normal(size=(3, 4)))
     c = Tensor(rng.normal(size=(3, 4)))
-    out, grads = _cell_grads(gru_cell, h, h, layer, c)
+    out, grads = _cell_grads(gru_cell_node, h, h, layer, c)
     want_out, want_grads = _cell_grads(oracles.gru_cell, h, h, layer, c)
     assert np.array_equal(out, want_out)
     for got, want in zip(grads, want_grads):
@@ -455,7 +454,7 @@ def test_fused_gru_cell_with_an_untracked_input_matches_composed_cell(untracked)
     else:
         setattr(layer, untracked, Tensor(getattr(layer, untracked).data))
     c = Tensor(rng.normal(size=(2, 3, 4)))
-    out, grads = _cell_grads(gru_cell, x, h, layer, c)
+    out, grads = _cell_grads(gru_cell_node, x, h, layer, c)
     want_out, want_grads = _cell_grads(oracles.gru_cell, x, h, layer, c)
     assert np.array_equal(out, want_out)
     for t, got, want in zip([x, h, *layer.named("gru").values()], grads, want_grads):
@@ -470,8 +469,8 @@ def test_gru_cell_vjp_repeats_to_the_byte():
     layer = _gru_layer(rng, 3)
     x = T.param(rng.normal(size=(2, 3)))
     h = Tensor(rng.normal(size=(2, 3)))  # untracked, so the vjp may skip its share
-    inner = gru_cell(x, h, layer)
-    outer = gru_cell(inner, h, layer)
+    inner = gru_cell_node(x, h, layer)
+    outer = gru_cell_node(inner, h, layer)
     for node in (outer, inner):
         assert_vjp_repeats(node, rng.normal(size=node.shape))
 
@@ -482,7 +481,7 @@ def test_gru_cell_backward_frees_its_pre_activation_grads():
     layer = _gru_layer(rng, f)
     h = x = T.param(rng.normal(size=(64, f)))
     for _ in range(5):
-        h = gru_cell(x, h, layer)
+        h = gru_cell_node(x, h, layer)
     loss = ops.sum_(h)
     leaves = [x, *layer.named("gru").values()]
     tracemalloc.start()
@@ -501,7 +500,7 @@ def test_gru_cell_under_no_grad_builds_no_node():
     layer = _gru_layer(rng, 3)
     x = T.param(rng.normal(size=(2, 3)))
     with T.no_grad():
-        out = gru_cell(x, x, layer)
+        out = gru_cell_node(x, x, layer)
     assert out.parents == () and not out.requires_grad
 
 
@@ -513,8 +512,8 @@ def test_gru_sequence_t1_reduces_to_cell():
     h0 = [Tensor(np.zeros((n, f))) for _ in layers]
 
     outs, finals = gru_sequence(x, h0, layers)
-    step1 = gru_cell(x[0], h0[0], layers[0])
-    step2 = gru_cell(step1, h0[1], layers[1])
+    step1 = gru_cell_node(x[0], h0[0], layers[0])
+    step2 = gru_cell_node(step1, h0[1], layers[1])
     assert np.array_equal(outs.data[0], step2.data)
     assert np.array_equal(finals[0].data, step1.data)
     assert np.array_equal(finals[1].data, step2.data)

@@ -16,7 +16,7 @@ from flowcast import model as model_module
 from flowcast import tensor as T
 from flowcast.attention import DegenerateAttentionError
 from flowcast.checkpoint import CheckpointError, load_arrays, save_arrays
-from flowcast.context import GruLayerParams
+from flowcast.context import GruLayerParams, gru_stack
 from flowcast.data import SampleWindow, assign_windows, make_windows
 from flowcast.graph import RoadGraph, load_adjacency
 from flowcast.model import (
@@ -30,6 +30,7 @@ from flowcast.model import (
     block_forward,
     context_block,
     evaluate,
+    forecast,
     forward_batch,
     init_params,
     input_projection,
@@ -586,9 +587,9 @@ def test_rollout_node_matches_the_per_step_form_to_the_byte(n_layers, lead, untr
     inputs = _rollout_inputs(x_last, h0, layers)
     c = Tensor(rng.normal(size=lead + (4,) + x_last.shape[-2:]))
     out, grads = _out_and_grads(
-        lambda: model_module._rollout(x_last, h0, layers, 4), inputs, c
+        lambda: gru_stack(x_last, h0, layers, 4), inputs, c
     )
-    want, want_grads = _out_and_grads(lambda: oracles.rollout(x_last, h0, layers, 4), inputs, c)
+    want, want_grads = _out_and_grads(lambda: oracles.gru_stack(x_last, h0, layers, 4), inputs, c)
     assert out.shape == want.shape and out.tobytes() == want.tobytes()
     for got, ref in zip(grads, want_grads):
         if ref is None:
@@ -597,10 +598,48 @@ def test_rollout_node_matches_the_per_step_form_to_the_byte(n_layers, lead, untr
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("untracked", [None, "x", "h0", "w_xu"])
+def test_stacked_layers_over_a_sequence_match_the_per_step_form_to_the_byte(untracked):
+    # gru_sequence gives the node one layer at a time; two layers over a
+    # sequence take each layer's state as the next one's input, as the rollout does
+    rng = np.random.default_rng(71)
+    _, h0, layers = _rollout_case(rng, 2, (2,))
+    x = T.param(rng.normal(size=(2, 5) + h0[0].shape[-2:]))
+    if untracked == "x":
+        x = Tensor(x.data)
+    elif untracked == "h0":
+        h0[0] = Tensor(h0[0].data)
+    elif untracked is not None:
+        setattr(layers[1], untracked, Tensor(getattr(layers[1], untracked).data))
+    inputs = _rollout_inputs(x, h0, layers)
+    c = Tensor(rng.normal(size=x.shape))
+    out, grads = _out_and_grads(lambda: gru_stack(x, h0, layers), inputs, c)
+    want, want_grads = _out_and_grads(lambda: oracles.gru_stack(x, h0, layers), inputs, c)
+    assert out.shape == want.shape and out.tobytes() == want.tobytes()
+    for got, ref in zip(grads, want_grads):
+        if ref is None:
+            assert got is None
+        else:
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("case", ["no_layers", "fewer_states", "other_shape"])
+def test_gru_stack_rejects_states_that_do_not_fit_its_input(case):
+    x_last, h0, layers = _rollout_case(np.random.default_rng(72), 2, (2,))
+    if case == "no_layers":
+        h0, layers = [], []
+    elif case == "fewer_states":
+        h0 = h0[:1]
+    else:
+        h0[1] = Tensor(np.zeros(x_last.shape[1:]))
+    with pytest.raises(ShapeError, match="^gru_stack: input .* vs hidden"):
+        gru_stack(x_last, h0, layers, 3)
+
+
 def test_rollout_node_keeps_its_inputs_as_its_only_parents():
     # the cells' own nodes never join the graph
     x_last, h0, layers = _rollout_case(np.random.default_rng(67), 2, (2,))
-    out = model_module._rollout(x_last, h0, layers, 3)
+    out = gru_stack(x_last, h0, layers, 3)
     inputs = _rollout_inputs(x_last, h0, layers)
     assert out.parents == tuple((t, i) for i, t in enumerate(inputs))
 
@@ -610,7 +649,7 @@ def test_rollout_vjp_repeats_to_the_byte(n_layers):
     rng = np.random.default_rng(68)
     x_last, h0, layers = _rollout_case(rng, n_layers, (2,))
     layers[-1].w_hu = Tensor(layers[-1].w_hu.data)  # untracked, so the vjp may skip its share
-    out = model_module._rollout(x_last, h0, layers, 3)
+    out = gru_stack(x_last, h0, layers, 3)
     assert_vjp_repeats(out, rng.normal(size=out.shape))
 
 
@@ -620,10 +659,10 @@ def test_rollout_gradients_match_finite_differences(n_layers):
     x_last, h0, layers = _rollout_case(rng, n_layers, (), f=2)
     inputs = _rollout_inputs(x_last, h0, layers)
     c = rng.normal(size=(3,) + x_last.shape)
-    T.backward(ops.sum_(ops.mul(model_module._rollout(x_last, h0, layers, 3), Tensor(c))))
+    T.backward(ops.sum_(ops.mul(gru_stack(x_last, h0, layers, 3), Tensor(c))))
 
     def forward():
-        return (model_module._rollout(x_last, h0, layers, 3).data * c).sum()
+        return (gru_stack(x_last, h0, layers, 3).data * c).sum()
 
     for t in inputs:
         assert grad_close(t.grad, numeric_grad(forward, t.data))
@@ -634,7 +673,7 @@ def test_no_grad_rollout_builds_no_node_and_holds_no_more_than_the_per_step_form
     rng = np.random.default_rng(70)
     x_last, h0, layers = _rollout_case(rng, 2, (1,), f=128, n=228)
     held = []  # (bytes held by the result, peak bytes) of each form
-    for run in (model_module._rollout, oracles.rollout):
+    for run in (gru_stack, oracles.gru_stack):
         with T.no_grad():
             tracemalloc.start()
             try:
@@ -725,6 +764,23 @@ def test_predict_rejects_a_start_per_window_mismatch(tiny_model):
     xs = np.zeros((3, tiny_model.cfg.history, 3, 1))
     with pytest.raises(ContractError, match="^t0s has length 1 for 3 windows"):
         tiny_model.predict(xs, [5])
+
+
+def test_forward_batch_rejects_no_windows(tiny_model):
+    m = tiny_model
+    with pytest.raises(ContractError, match="^no windows given$"):
+        forward_batch(m.cfg, m.params, m.ginputs, m.node_emb, np.zeros((0, 2, 3, 1)), [])
+
+
+def test_predict_rejects_no_windows(tiny_model):
+    with pytest.raises(ContractError, match="^no windows given$"):
+        tiny_model.predict(np.zeros((0, tiny_model.cfg.history, 3, 1)), [])
+
+
+def test_forecast_rejects_no_windows(tiny_model):
+    tiny_model.norm = (0.0, 1.0)
+    with pytest.raises(ContractError, match="^no windows given$"):
+        forecast(tiny_model, [])
 
 
 def test_degenerate_attention_names_block_and_head(tiny_model):

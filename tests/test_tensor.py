@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from flowcast import tensor as T
 from flowcast.attention import AttentionParams, linear_attention, multi_head_attention
 from flowcast.checkpoint import CheckpointError, load_arrays, save_arrays
-from flowcast.context import GruLayerParams, _gru_layer, gru_cell
+from flowcast.context import GruLayerParams, gru_stack
 from flowcast.graph import hop_shells, hop_transitions, multi_hop_conv
 from flowcast.model import _fuse
 from flowcast.optim import AdamState, GradientError, adam_step, lr_at_epoch, zero_grads
@@ -28,6 +28,7 @@ from flowcast.tensor import ShapeError, Tensor, backward, l1_loss
 
 import ops
 from gradcheck import grad_close, numeric_grad
+from oracles import gru_cell_node
 
 
 def test_matmul_identity():
@@ -426,7 +427,7 @@ def test_parents_name_each_tracked_input_by_its_position():
     x_t, h_prev = T.param(rng.normal(size=(4, f))), Tensor(rng.normal(size=(4, f)))
     inputs = (x_t, h_prev) + tuple(weights.values())
     layer = GruLayerParams(**weights)
-    _assert_parents_index_inputs(gru_cell(x_t, h_prev, layer), inputs)
+    _assert_parents_index_inputs(gru_cell_node(x_t, h_prev, layer), inputs)
 
 
 def test_backward_leaves_an_untracked_operand_without_grad():
@@ -467,8 +468,9 @@ def _node_cases(rng):
         "transpose": lambda: ops.transpose(p(2, 3, 4)),
         "l1_loss": lambda: l1_loss(a, c(2, 3)),
         "fuse": lambda: _fuse(p(10, 4), p(4), [p(2, 3, 5, 1), c(5, 4), p(2, 3, 1, 5)]),
-        "gru_cell": lambda: gru_cell(p(2, 5, 3), c(2, 5, 3), gru),
-        "gru_layer": lambda: _gru_layer(p(2, 4, 5, 3), c(2, 5, 3), gru),
+        "gru_cell": lambda: gru_cell_node(p(2, 5, 3), c(2, 5, 3), gru),
+        "gru_layer": lambda: gru_stack(p(2, 4, 5, 3), [c(2, 5, 3)], [gru]),
+        "gru_rollout": lambda: gru_stack(c(2, 5, 3), [p(2, 5, 3), c(2, 5, 3)], [gru, gru], 3),
         "self_attention": lambda: multi_head_attention(p(2, 6, 4), None, attn),
         "cross_attention": lambda: multi_head_attention(p(2, 6, 4), c(2, 7, 4), attn),
         "linear_attention": lambda: linear_attention(p(5, 3), c(6, 3), p(6, 2)),

@@ -72,3 +72,8 @@ def test_forward_and_backward_record_every_forward_site(monkeypatch):
     recorded = {name for name, *_ in tracer.spans}
     assert "graph.build" in recorded
     assert FORWARD_SPANS <= recorded, FORWARD_SPANS - recorded
+    # the cell site times the transform rollout's cells, horizon x layers of
+    # them, and none of the context layers'
+    cells = [span for span in tracer.spans if span[0] == "context.gru_cell"]
+    assert len(cells) == cfg.horizon * cfg.gru_layers == 2
+    assert {tracer.spans[parent][0] for *_, parent in cells} == {"model.transform_layer"}
