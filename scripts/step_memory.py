@@ -19,6 +19,15 @@ For each step it prints:
 - ``maxrss``: the process's peak resident set so far, read before
   tracemalloc starts. It is cumulative, so run one step to read its own.
 
+Then a table of the forward graph's arrays per op, the function that built
+each node, as ``step_digest.py`` names them: the nodes, the bytes of their
+outputs, and the bytes their vjps close over. Each array is counted once,
+by its root buffer (the end of its ``.base`` chain), as the output of the
+node that made it, or else as saved by the first node, in forward order,
+whose vjp reaches it. Arrays that existed before the step (parameters, the
+hop transitions, node embeddings and the step's inputs) are left out and
+reported as one line, so the table's total is the forward figure's arrays.
+
 MB are 10^6 bytes, as in perfbench.
 """
 
@@ -28,9 +37,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import dataclasses  # noqa: E402
 import resource  # noqa: E402
 import sys  # noqa: E402
 import tracemalloc  # noqa: E402
+import types  # noqa: E402
+from collections import Counter  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 REPO = Path(__file__).resolve().parents[1]
@@ -64,6 +76,57 @@ def forward_loss(model: Forecaster, xs, target, t0s) -> T.Tensor:
     return T.l1_loss(pred, T.Tensor(target), 1.0 / len(xs))
 
 
+def _root(a: np.ndarray) -> np.ndarray:
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _arrays(obj, seen: set[int]):
+    """Arrays reachable from ``obj`` through closures, lists, tuples, tensors
+    and dataclasses, each object visited once over ``seen``."""
+    stack = [obj]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, T.Tensor):
+            stack.append(obj.data)
+        elif isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif dataclasses.is_dataclass(obj):
+            stack.extend(vars(obj).values())
+
+
+def graph_bytes(loss: T.Tensor, before) -> tuple[dict, int]:
+    """Per op: [nodes, output bytes, saved bytes] of the graph under ``loss``,
+    each root buffer counted once and those reachable from ``before`` not at
+    all; and the bytes left out that way."""
+    counted = {id(_root(a)): _root(a).nbytes for a in _arrays(before, set())}
+    skipped = sum(counted.values())
+    nodes = [n for n in T._topological_order(loss) if n.vjp is not None]
+    table: dict[str, list[int]] = {}
+    for n in nodes:
+        row = table.setdefault(n.vjp.__qualname__.split(".")[0], [0, 0, 0])
+        row[0] += 1
+        root = _root(n.data)
+        if id(root) not in counted:
+            counted[id(root)] = row[1] = row[1] + root.nbytes
+    for n in nodes:
+        row = table[n.vjp.__qualname__.split(".")[0]]
+        for a in _arrays(n.vjp, set()):
+            root = _root(a)
+            if id(root) not in counted:
+                counted[id(root)] = root.nbytes
+                row[2] += root.nbytes
+    return table, skipped
+
+
 def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
@@ -82,12 +145,29 @@ def measure(config: str, nodes: int, batch: int, warmup: int, steps: int) -> dic
         start = tracemalloc.get_traced_memory()[0]
         loss = forward_loss(model, *inputs)
         held = tracemalloc.get_traced_memory()[0] - start
+        table, skipped = graph_bytes(loss, (model, inputs))
         tracemalloc.reset_peak()
         T.backward(loss)
         peak = tracemalloc.get_traced_memory()[1] - start - held
     finally:
         tracemalloc.stop()
-    return {"forward": held / 1e6, "peak": peak / 1e6, "faults": faults, "maxrss": maxrss}
+    return {
+        "forward": held / 1e6, "peak": peak / 1e6, "faults": faults, "maxrss": maxrss,
+        "table": table, "skipped": skipped,
+    }
+
+
+def print_table(table: dict, skipped: int) -> None:
+    print(f"  {'op':<22} {'nodes':>5} {'output MB':>10} {'saved MB':>9}")
+    total = Counter()
+    for op, (count, out, saved) in sorted(table.items()):
+        print(f"  {op:<22} {count:>5} {out / 1e6:>10.1f} {saved / 1e6:>9.1f}")
+        total.update(nodes=count, out=out, saved=saved)
+    print(
+        f"  {'all':<22} {total['nodes']:>5} {total['out'] / 1e6:>10.1f} "
+        f"{total['saved'] / 1e6:>9.1f}   {(total['out'] + total['saved']) / 1e6:.1f} MB in all"
+    )
+    print(f"  (held before the step, not counted: {skipped / 1e6:.1f} MB)")
 
 
 def main() -> None:
@@ -107,6 +187,7 @@ def main() -> None:
             f"backward peak +{m['peak']:.1f} MB, {m['faults']:.0f} faults/step, "
             f"maxrss {m['maxrss']:.1f} MB"
         )
+        print_table(m["table"], m["skipped"])
 
 
 if __name__ == "__main__":

@@ -154,9 +154,10 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 
 
 def multi_head_attention(
-    x: Tensor, cross_kv: Tensor | None, params: AttentionParams
+    x: Tensor, cross_kv: Tensor | None, params: AttentionParams, residual: bool = False
 ) -> Tensor:
-    """Heads of linear attention, concatenated and output-projected.
+    """Heads of linear attention, concatenated and output-projected, plus
+    ``x`` itself when ``residual`` is set.
 
     ``x`` and ``cross_kv`` are (..., T, N, F) features; every (step, node)
     pair of a sample is one token, time-major, viewed as (..., T*N, F) inside
@@ -170,11 +171,18 @@ def multi_head_attention(
     The whole call is one graph node with a hand-written backward. Each
     head runs the numpy ops of ``linear_attention`` on its projections,
     so the output is the same to the bit as composing them. The node keeps
-    each head's :func:`_head_forward` arrays and the concatenated heads;
-    when no graph is built, it keeps none of them. The backward stacks the
-    heads' q gradients, and their k and v gradients, as column blocks, so
-    x meets ``[W_q]`` and the key/value source ``[W_k | W_v]`` in one
-    :func:`~flowcast.tensor._linear_grads` call each.
+    only each head's :func:`_head_forward` arrays, not the concatenated
+    heads; when no graph is built, it keeps none of them. The backward
+    rebuilds one head's output at a time from them with the forward's
+    product and division, and takes ``W_o``'s gradient and the head's
+    output gradient block by block, which gives the bits of the whole
+    products. It stacks the heads' q gradients, and their k and v
+    gradients, as column blocks, so x meets ``[W_q]`` and the key/value
+    source ``[W_k | W_v]`` in one :func:`~flowcast.tensor._linear_grads`
+    call each.
+    The residual is the node's first input, so ``backward`` sums x's share
+    from it before the attention's share, as an ``add`` node after the call
+    would; its output is the same to the bit as that ``add``'s.
     """
     width = params.w_o.shape[0]
     if x.shape[-1] != width:
@@ -193,7 +201,7 @@ def multi_head_attention(
         )
     d = widths[0]
     sources = (x,) if cross_kv is None else (x, cross_kv)
-    inputs = sources + (params.w_o, *w_qkv)
+    inputs = (x,) * residual + sources + (params.w_o, *w_qkv)
     keep = T._tracks(inputs)
 
     xt = x.data.reshape(x.shape[:-3] + (-1, width))  # (..., T*N, F) token views
@@ -212,21 +220,30 @@ def multi_head_attention(
         if keep:
             saved.append(head)
     out = cat @ params.w_o.data
+    if residual:
+        out += xt
+    del cat
 
     def vjp(g):
-        g_cat, g_o = T._linear_grads(cat, [params.w_o.data], g.reshape(out.shape))
+        g_tok, w_o = g.reshape(lead + xt.shape[-2:]), params.w_o.data
+        g_o = np.empty(w_o.shape)
         # head i's gradients at q, k and v are the column blocks i, i and heads + i
         g_q = np.empty(xt.shape[:-1] + (heads * d,))
         g_kv = np.empty(st.shape[:-1] + (2 * heads * d,))
         for i, head in enumerate(saved):
             at, at_v = slice(i * d, (i + 1) * d), slice((heads + i) * d, (heads + i + 1) * d)
-            g_q[..., at], g_kv[..., at], g_kv[..., at_v] = _head_backward(g_cat[..., at], head)
-        del g_cat
+            # head i's output, rebuilt as the forward made it, meets w_o's row
+            # block i; its gradient is g times that block's transpose
+            phi_q, _, _, summary, _, den = head
+            g_o[at] = T._rows(np.divide(phi_q @ summary, den)).T @ T._rows(g_tok)
+            g_head = g_tok @ w_o[at].T
+            g_q[..., at], g_kv[..., at], g_kv[..., at_v] = _head_backward(g_head, head)
         g_x, g_wq = T._linear_grads(xt, [w.data for w in w_qkv[:heads]], g_q)
         del g_q  # freed before the key/value products
         g_src, g_wkv = T._linear_grads(st, [w.data for w in w_qkv[heads:]], g_kv)
+        g_res = (T._unbroadcast(g, x.shape),) * residual
         if cross_kv is None:  # x's two shares add up in place
-            return (np.add(g_src, g_x, out=g_src).reshape(x.shape), *g_o, *g_wq, *g_wkv)
-        return (g_x.reshape(x.shape), g_src.reshape(source.shape), *g_o, *g_wq, *g_wkv)
+            return (*g_res, np.add(g_src, g_x, out=g_src).reshape(x.shape), g_o, *g_wq, *g_wkv)
+        return (*g_res, g_x.reshape(x.shape), g_src.reshape(source.shape), g_o, *g_wq, *g_wkv)
 
     return T._node(out.reshape(lead + x.shape[-3:]), inputs, vjp)

@@ -262,10 +262,13 @@ def cmd_bench(args) -> int:
 
 def cmd_synth(args) -> int:
     _at_least_one(args, "nodes", "steps", "period")
-    dataset, graph = make_ring_dataset(
-        n_nodes=args.nodes, steps=args.steps, period=args.period,
-        noise=args.noise, seed=args.seed,
-    )
+    try:
+        dataset, graph = make_ring_dataset(
+            n_nodes=args.nodes, steps=args.steps, period=args.period,
+            noise=args.noise, seed=args.seed,
+        )
+    except ValueError as err:  # the counts are checked above; noise is what is left
+        raise ValueError(f"--noise: {err}") from None
     paths = write_dataset_files(args.out, dataset, graph)
     for name, path in paths.items():
         print(f"{name} -> {path}")

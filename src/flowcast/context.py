@@ -322,7 +322,8 @@ def gru_cell(x: np.ndarray, h: np.ndarray, w, out=None) -> tuple[np.ndarray, obj
     ``w`` holding the weights in the field order of :class:`GruLayerParams`.
 
     Returns H, written into ``out`` when given, and its vjp (to X, H_prev,
-    then each weight), which keeps X, H_prev, R, U, C and R * H_prev. The
+    then each weight), which keeps X, H_prev, R, U and C; it rebuilds
+    R * H_prev with the forward's one multiply, so the bits hold. The
     forward runs the composed cell's numpy ops in order, adding in place
     where it made a new array, so H is the same to the bit. The backward
     holds the gate gradients as the column blocks [r | u | c] of one array,
@@ -340,8 +341,7 @@ def gru_cell(x: np.ndarray, h: np.ndarray, w, out=None) -> tuple[np.ndarray, obj
 
     r = T._sigmoid(affine(w_xr, w_hr, b_r, h))
     u = T._sigmoid(affine(w_xu, w_hu, b_u, h))
-    rh = r * h
-    cand = np.tanh(affine(w_xh, w_hh, b_h, rh))
+    cand = np.tanh(affine(w_xh, w_hh, b_h, r * h))
     out = np.multiply(u, h, out=out)
     out += (1.0 - u) * cand
 
@@ -353,7 +353,7 @@ def gru_cell(x: np.ndarray, h: np.ndarray, w, out=None) -> tuple[np.ndarray, obj
         a_r, a_u, a_c = T._cols(gates, [f] * 3)
         one_minus_u = 1.0 - u
         np.multiply(g * one_minus_u, 1.0 - cand * cand, out=a_c)
-        d_rh, g_hh = T._linear_grads(rh, [w_hh], a_c)
+        d_rh, g_hh = T._linear_grads(r * h, [w_hh], a_c)
         np.multiply(d_rh * h * r, 1.0 - r, out=a_r)
         np.multiply(g * (h - cand) * u, one_minus_u, out=a_u)
         dx, (g_xr, g_xu, g_xh) = T._linear_grads(x, [w_xr, w_xu, w_xh], gates)

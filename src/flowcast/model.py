@@ -382,8 +382,9 @@ def output_projection(params: ModelParams, feats: Tensor) -> Tensor:
     return _fuse(params.out_w, params.out_b, [feats])
 
 
-def _fuse(w: Tensor, b: Tensor, streams: list[Tensor]) -> Tensor:
-    """``concat(streams, axis=-1) @ w + b`` without the concat.
+def _fuse(w: Tensor, b: Tensor, streams: list[Tensor], residual: bool = False) -> Tensor:
+    """``concat(streams, axis=-1) @ w + b`` without the concat, plus stream 0
+    itself when ``residual`` is set.
 
     Stream i meets its own block of ``w``, the rows from the summed widths
     of the streams before it, and the products add up by broadcasting, so
@@ -393,8 +394,10 @@ def _fuse(w: Tensor, b: Tensor, streams: list[Tensor]) -> Tensor:
 
     One graph node with a hand-written backward that keeps nothing beyond
     its inputs. The forward adds ``b + s_0 @ W_0``, then each ``s_i @ W_i``
-    in place in stream order, the values and order of a chain of ``add``
-    nodes, so its output is the same to the bit.
+    in place in stream order, then the residual, the values and order of a
+    chain of ``add`` nodes, so its output is the same to the bit. The
+    residual is the node's first input, so ``backward`` sums stream 0's
+    share from it before the product's share, as that chain did.
     """
     f = w.shape[1]
     cuts = np.cumsum([0] + [s.shape[-1] for s in streams])
@@ -406,21 +409,24 @@ def _fuse(w: Tensor, b: Tensor, streams: list[Tensor]) -> Tensor:
         out = b.data + streams[0].data @ blocks[0]
         for s, block in zip(streams[1:], blocks[1:]):
             out += s.data @ block
+        if residual:
+            out += streams[0].data
     except ValueError:
         raise ShapeError(
             f"fuse: streams {[s.shape for s in streams]} do not fit weight {w.shape}"
         ) from None
 
     def vjp(g):
-        grads = [np.empty(w.shape), T._unbroadcast(g, b.shape)]
+        g_w = np.empty(w.shape)
+        grads = [g] * residual + [g_w, T._unbroadcast(g, b.shape)]
         for s, block, at in zip(streams, blocks, rows):
             # as matmul under add: the product's share of g, then its two factors
             g_s = T._unbroadcast(g, s.shape[:-1] + (f,))
-            g_x, (grads[0][at],) = T._linear_grads(s.data, [block], g_s)
+            g_x, (g_w[at],) = T._linear_grads(s.data, [block], g_s)
             grads.append(g_x)
         return grads
 
-    return T._node(out, (w, b, *streams), vjp)
+    return T._node(out, (streams[0],) * residual + (w, b, *streams), vjp)
 
 
 def context_block(
@@ -438,6 +444,9 @@ def context_block(
     feature stream. ``xh`` is (..., T, N, F), ``emb_proj`` (N, F) and
     ``time_proj`` (..., T, 1, F). Returns (..., T, N, F) features plus the
     GRU's final hidden states.
+
+    The residual is added inside the one :func:`_fuse` node, so the graph
+    holds the block's output and no separate fused array or ``add`` node.
     """
     steps, n = xh.shape[-3:-1]
     if time_proj.shape[-3] != steps:
@@ -450,16 +459,16 @@ def context_block(
         )
     spatial = multi_hop_conv(xh, ginputs.trans, block.hop_w, block.hop_out)
     temporal, finals = gru_sequence(xh, h0, block.gru)
-    fused = _fuse(
-        block.fuse_w, block.fuse_b, [xh, spatial, temporal, emb_proj, time_proj]
-    )
-    return T.add(fused, xh), finals
+    streams = [xh, spatial, temporal, emb_proj, time_proj]
+    return _fuse(block.fuse_w, block.fuse_b, streams, residual=True), finals
 
 
-def _attend(block: str, x: Tensor, cross_kv: Tensor | None, attn: AttentionParams) -> Tensor:
+def _attend(
+    block: str, x: Tensor, cross_kv: Tensor | None, attn: AttentionParams, residual: bool = False
+) -> Tensor:
     """:func:`multi_head_attention`, whose degenerate-normalizer error names ``block``."""
     try:
-        return multi_head_attention(x, cross_kv, attn)
+        return multi_head_attention(x, cross_kv, attn, residual)
     except DegenerateAttentionError as err:
         raise DegenerateAttentionError(f"{block} {err}") from err
 
@@ -474,11 +483,11 @@ def block_forward(
     h0: list[Tensor],
 ) -> tuple[Tensor, list[Tensor]]:
     """The encoder or decoder: :func:`context_block` from GRU states ``h0``,
-    then self attention with a residual connection; a degenerate-normalizer
-    error names ``name``. Returns (..., T, N, F) features plus the GRU's
-    final hidden states."""
+    then self attention with a residual connection, added inside the
+    attention node; a degenerate-normalizer error names ``name``. Returns
+    (..., T, N, F) features plus the GRU's final hidden states."""
     ctx, finals = context_block(block, xh, emb_proj, time_proj, ginputs, h0)
-    return T.add(ctx, _attend(name, ctx, None, block.attn)), finals
+    return _attend(name, ctx, None, block.attn, residual=True), finals
 
 
 def transform_layer(

@@ -33,7 +33,10 @@ def make_ring_dataset(
     seed: int = 0,
 ) -> tuple[Dataset, RoadGraph]:
     """Sinusoidal node signals, phase-lagged around the ring, diffused one
-    and two hops downstream, with ``noise`` x signal-std Gaussian noise."""
+    and two hops downstream, with ``noise`` x signal-std Gaussian noise.
+    A non-finite or negative ``noise`` is a ValueError."""
+    if not (np.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be a finite number >= 0, got {noise!r}")
     graph = ring_graph(n_nodes)
     rng = np.random.default_rng(seed)
 

@@ -5,9 +5,9 @@ array plus an optional gradient and a backpointer into the computation
 graph. Operations build the graph eagerly; :func:`backward` walks it in
 reverse topological order and accumulates gradients into ``.grad`` of the
 leaves (parameters and other tensors with no vjp) only. A pass consumes
-the graph it walks: each node drops its vjp and parents once its vjp has
-run, so the arrays they held are freed while the pass goes on, and a
-graph is built again to be backpropagated again.
+the graph it walks: each node drops its vjp and parents as its vjp runs,
+so the arrays they held are freed while the pass goes on, and a graph is
+built again to be backpropagated again.
 
 Every op, plain or fused, records one node through :func:`_node` with a
 single vector-Jacobian product that maps the node's output gradient to one
@@ -30,7 +30,6 @@ __all__ = [
     "ShapeError",
     "param",
     "no_grad",
-    "add",
     "backward",
     "l1_loss",
 ]
@@ -159,21 +158,8 @@ def _linear_grads(x: np.ndarray, ws, g: np.ndarray) -> tuple[np.ndarray, list[np
     return g @ w.T, _cols(_rows(x).T @ _rows(g), [w_i.shape[-1] for w_i in ws])
 
 
-def _broadcast(op: str, fn, a: Tensor, b: Tensor) -> np.ndarray:
-    """``fn(a.data, b.data)``, with numpy's shape failure as a ShapeError."""
-    try:
-        return fn(a.data, b.data)
-    except ValueError:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are incompatible") from None
-
-
 # ---------------------------------------------------------------------------
 # Elementwise
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    sa, sb = a.shape, b.shape
-    return _node(_broadcast("add", np.add, a, b), (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
-
 
 # Not in __all__: the model passes its scale to l1_loss; tests/test_golden.py
 # builds its reference loss with this node.
@@ -225,17 +211,47 @@ def backward(loss: Tensor) -> None:
     vjp's array is adopted as-is while it is a node's only contribution
     and copied once before the first in-place add.
 
-    The pass consumes the graph: once a node's vjp has run, the node drops
-    its vjp and parents, which frees the arrays the vjp closed over and
-    every output no pending vjp still reads. A consumed node's vjp raises
-    :class:`GraphConsumedError`, so a second pass over the same graph fails
-    instead of treating its nodes as leaves.
+    The pass consumes the graph: a node drops its vjp and parents as its vjp
+    is called, and the pass drops the node, so its output goes during its
+    own vjp unless that vjp or the caller still reads it; once the vjp has
+    run, the arrays it closed over go too, and every output no pending vjp
+    still reads. A consumed node's vjp raises :class:`GraphConsumedError`,
+    so a second pass over the same graph fails instead of treating its
+    nodes as leaves.
     """
     if loss.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
+    topo = _topological_order(loss)
 
-    # Iterative topological sort: training graphs are far deeper than the
-    # interpreter's recursion limit.
+    # Gradients flow through pass-local scratch storage and are committed
+    # into a leaf's .grad once, so a pass adds ∂loss/∂leaf exactly once.
+    # Only buffers in ``owned`` (ids whose buffer this pass allocated) are
+    # added into in place: a vjp may return its g, or one array for two
+    # inputs. Popping drops the list's reference to a node, and no local
+    # outlives its step, so a consumed node is freed once nothing else holds
+    # it; ids are looked up only for nodes still in ``topo``, so a freed
+    # node's id, if reused, never is.
+    flow: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    owned: set[int] = set()
+    while topo:
+        node = topo.pop()
+        g = flow.pop(id(node))
+        if node.vjp is None:
+            node.grad = g if node.grad is None else node.grad + g
+            continue
+        vjp, parents = node.vjp, node.parents
+        node.vjp, node.parents = _consumed, ()
+        del node
+        _accumulate(flow, owned, parents, vjp(g))
+        del vjp, parents
+
+
+def _topological_order(loss: Tensor) -> list[Tensor]:
+    """Every node reachable from ``loss``, each after all its parents.
+
+    Iterative: training graphs are far deeper than the interpreter's
+    recursion limit.
+    """
     topo: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
@@ -251,34 +267,21 @@ def backward(loss: Tensor) -> None:
         for parent, _ in node.parents:
             if id(parent) not in visited:
                 stack.append((parent, False))
+    return topo
 
-    # Gradients flow through pass-local scratch storage and are committed
-    # into a leaf's .grad once, so a pass adds ∂loss/∂leaf exactly once.
-    # Only buffers in ``owned`` (ids whose buffer this pass allocated) are
-    # added into in place: a vjp may return its g, or one array for two
-    # inputs. Popping drops the list's reference to a node, so a consumed
-    # node is freed once nothing else holds it; ids are looked up only for
-    # nodes still in ``topo``, so a freed node's id, if reused, never is.
-    flow: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    owned: set[int] = set()
-    while topo:
-        node = topo.pop()
-        g = flow.pop(id(node))
-        if node.vjp is None:
-            node.grad = g if node.grad is None else node.grad + g
-            continue
-        grads = node.vjp(g)
-        for parent, i in node.parents:
-            contrib, pid = grads[i], id(parent)
-            acc = flow.get(pid)
-            if acc is None:
-                flow[pid] = contrib
-            elif pid in owned:
-                acc += contrib
-            else:
-                flow[pid] = acc + contrib
-                owned.add(pid)
-        node.vjp, node.parents = _consumed, ()
+
+def _accumulate(flow: dict, owned: set, parents, grads) -> None:
+    """Sum each parent's entry of ``grads`` into its accumulator in ``flow``."""
+    for parent, i in parents:
+        contrib, pid = grads[i], id(parent)
+        acc = flow.get(pid)
+        if acc is None:
+            flow[pid] = contrib
+        elif pid in owned:
+            acc += contrib
+        else:
+            flow[pid] = acc + contrib
+            owned.add(pid)
 
 
 # ---------------------------------------------------------------------------

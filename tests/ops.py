@@ -4,16 +4,24 @@ The forecaster runs its fixed formulas (GRU cell, context fusion,
 attention, L1 loss) as single fused nodes, and its quadratic attention
 reference in plain numpy, so :mod:`flowcast.tensor` carries none of these
 generic ops: the linear-algebra ones (``matmul``, ``transpose``), the
-elementwise ones, ``sum_``, ``softmax``, and the layout ones (``concat``,
-``reshape``). They record their nodes
-through the library's own ``_node`` and broadcasting helpers, so
-:func:`backward` differentiates a composed oracle the same way as the
-model.
+elementwise ones (``add`` included: the model adds its residuals inside
+the nodes that produce them), ``sum_``, ``softmax``, and the layout ones
+(``concat``, ``reshape``). They record their nodes through the library's
+own ``_node`` and ``_unbroadcast``, so :func:`backward` differentiates a
+composed oracle the same way as the model.
 """
 
 import numpy as np
 
-from flowcast.tensor import ShapeError, Tensor, _broadcast, _node, _sigmoid, _unbroadcast
+from flowcast.tensor import ShapeError, Tensor, _node, _sigmoid, _unbroadcast
+
+
+def _broadcast(op: str, fn, a: Tensor, b: Tensor) -> np.ndarray:
+    """``fn(a.data, b.data)``, with numpy's shape failure as a ShapeError."""
+    try:
+        return fn(a.data, b.data)
+    except ValueError:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are incompatible") from None
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -36,6 +44,13 @@ def transpose(a: Tensor) -> Tensor:
     if a.data.ndim < 2:
         raise ShapeError(f"transpose needs a tensor of rank >= 2, got {a.shape}")
     return _node(np.swapaxes(a.data, -1, -2).copy(), (a,), lambda g: (g.swapaxes(-1, -2),))
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    sa, sb = a.shape, b.shape
+    return _node(_broadcast("add", np.add, a, b), (a, b), lambda g: (
+        _unbroadcast(g, sa), _unbroadcast(g, sb),
+    ))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:

@@ -284,14 +284,14 @@ def gru_cell(x_t: Tensor, h_prev: Tensor, layer: GruLayerParams) -> Tensor:
     """One recurrence step on (..., N, F): H = U * H_prev + (1 - U) * tanh-candidate."""
     if x_t.shape != h_prev.shape:
         raise ShapeError(f"gru_cell: input {x_t.shape} vs hidden {h_prev.shape}")
-    r = ops.sigmoid(T.add(T.add(ops.matmul(x_t, layer.w_xr), ops.matmul(h_prev, layer.w_hr)),
+    r = ops.sigmoid(ops.add(ops.add(ops.matmul(x_t, layer.w_xr), ops.matmul(h_prev, layer.w_hr)),
                           layer.b_r))
-    u = ops.sigmoid(T.add(T.add(ops.matmul(x_t, layer.w_xu), ops.matmul(h_prev, layer.w_hu)),
+    u = ops.sigmoid(ops.add(ops.add(ops.matmul(x_t, layer.w_xu), ops.matmul(h_prev, layer.w_hu)),
                           layer.b_u))
-    h_cand = ops.tanh(T.add(
-        T.add(ops.matmul(x_t, layer.w_xh), ops.matmul(ops.mul(r, h_prev), layer.w_hh)), layer.b_h
+    h_cand = ops.tanh(ops.add(
+        ops.add(ops.matmul(x_t, layer.w_xh), ops.matmul(ops.mul(r, h_prev), layer.w_hh)), layer.b_h
     ))
-    return T.add(ops.mul(u, h_prev), ops.mul(ops.sub(Tensor(1.0), u), h_cand))
+    return ops.add(ops.mul(u, h_prev), ops.mul(ops.sub(Tensor(1.0), u), h_cand))
 
 
 def gru_cell_node(x_t: Tensor, h_prev: Tensor, layer: GruLayerParams) -> Tensor:
@@ -351,7 +351,7 @@ def fuse(w: Tensor, b: Tensor, streams: list[Tensor]) -> Tensor:
     """
     out, lo = b, 0
     for stream in streams:
-        out = T.add(out, ops.matmul(stream, w[lo : lo + stream.shape[-1]]))
+        out = ops.add(out, ops.matmul(stream, w[lo : lo + stream.shape[-1]]))
         lo += stream.shape[-1]
     return out
 

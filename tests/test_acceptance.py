@@ -127,7 +127,7 @@ def test_criterion_3_gradient_suite():
     y = T.param(rng.uniform(0.5, 1.5, (3, 3)))
     w = Tensor(rng.uniform(-1, 1, (3, 3)))
     for op in (
-        lambda: T.add(x, y), lambda: ops.sub(x, y), lambda: ops.mul(x, y),
+        lambda: ops.add(x, y), lambda: ops.sub(x, y), lambda: ops.mul(x, y),
         lambda: ops.div(x, y), lambda: ops.sigmoid(x), lambda: ops.tanh(x),
         lambda: ops.exp(x), lambda: T.scale(x, -1.7), lambda: ops.absolute(x),
         lambda: ops.concat([x, y], axis=1), lambda: ops.reshape(x, (9, 1)),

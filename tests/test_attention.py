@@ -495,6 +495,46 @@ def test_mha_inference_peak_memory_stays_near_its_output():
     assert peak <= 3 * out.data.nbytes
 
 
+@pytest.mark.parametrize("residual", [False, True])
+def test_tracked_mha_keeps_each_heads_arrays_but_not_the_concatenated_heads(residual):
+    # per head phi(q), phi(k) and v, the summary, normalizer and denominators;
+    # the backward rebuilds each head's output from them, so keeping the
+    # concatenated heads would add (M, heads * d) floats
+    rng = np.random.default_rng(78)
+    heads, d, width = 4, 8, 32
+    params = AttentionParams(
+        *([T.param(rng.uniform(-0.1, 0.1, (width, d))) for _ in range(heads)] for _ in "qkv"),
+        w_o=T.param(rng.uniform(-0.1, 0.1, (width, width))),
+    )
+    x = T.param(rng.normal(size=(1, 16, 128, width)))
+    m = 16 * 128
+    tracemalloc.start()
+    try:
+        out = multi_head_attention(x, None, params, residual)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    per_head = (3 * m * d + m + d * d + d) * 8
+    assert held <= out.data.nbytes + heads * per_head + 16384  # and the arrays' objects
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("cross", [False, True], ids=["self", "cross"])
+def test_fused_mha_with_residual_matches_an_add_after_it_to_the_bit(cross, batch):
+    # the residual is the node's first input, so x sums the add's share
+    # before the attention's, as an add node after the call did
+    rng = np.random.default_rng(79)
+    x, kv, params, inputs = _mha_case(rng, cross, batch)
+    c = Tensor(rng.normal(size=x.shape))
+    out, grads = _out_and_grads(lambda: multi_head_attention(x, kv, params, True), inputs, c)
+    want, want_grads = _out_and_grads(
+        lambda: ops.add(x, multi_head_attention(x, kv, params)), inputs, c
+    )
+    assert out.tobytes() == want.tobytes()
+    for got, ref in zip(grads, want_grads):
+        assert got.tobytes() == ref.tobytes()
+
+
 def test_fused_mha_vjp_repeats_to_the_byte():
     rng = np.random.default_rng(72)
     x, kv, params, inputs = _mha_case(rng, True, 2)

@@ -115,6 +115,15 @@ def test_synth_rejects_a_count_below_one_before_writing(tmp_path, capsys, flag):
     assert not (tmp_path / "ring").exists()
 
 
+@pytest.mark.parametrize("noise", ["nan", "inf", "-0.5"])
+def test_synth_rejects_a_non_finite_or_negative_noise_before_writing(tmp_path, capsys, noise):
+    rc = main(["synth", "--out", str(tmp_path / "ring"), "--noise", noise, "--steps", "50"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --noise: ") and err.count("\n") == 1
+    assert not (tmp_path / "ring").exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 

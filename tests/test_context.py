@@ -15,6 +15,7 @@ from flowcast.context import (
     EmbeddingFormatError,
     GruLayerParams,
     gru_sequence,
+    gru_stack,
     load_embeddings,
     node2vec_walks,
     save_embeddings,
@@ -495,6 +496,28 @@ def test_gru_cell_backward_frees_its_pre_activation_grads():
     assert held <= sum(t.grad.nbytes for t in leaves) + 4096
 
 
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_tracked_gru_stack_keeps_three_gate_arrays_per_cell(n_layers):
+    # each cell's vjp keeps R, U and C and rebuilds R * H_prev, which would
+    # add a fourth (n, f) array per cell; X and H_prev are the input's steps
+    # and states the graph holds anyway (a lower layer's, kept by the layer
+    # above, count once)
+    rng = np.random.default_rng(46)
+    f, n, steps = 32, 64, 6
+    layers = [_gru_layer(rng, f) for _ in range(n_layers)]
+    x = T.param(rng.normal(size=(steps, n, f)))
+    h0 = [Tensor(np.zeros((n, f))) for _ in layers]
+    tracemalloc.start()
+    try:
+        out = gru_stack(x, h0, layers)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    state = n * f * 8
+    cells = steps * n_layers
+    assert held <= out.data.nbytes + (n_layers - 1) * steps * state + cells * (3 * state + 2048)
+
+
 def test_gru_cell_under_no_grad_builds_no_node():
     rng = np.random.default_rng(44)
     layer = _gru_layer(rng, 3)
@@ -587,7 +610,7 @@ def _sequence_run(run, x, h0, layers, c):
     out, finals = run(x, h0, layers)
     loss = ops.sum_(ops.mul(out, c[0]))
     for final, c_l in zip(finals, c[1:]):
-        loss = T.add(loss, ops.sum_(ops.mul(final, c_l)))
+        loss = ops.add(loss, ops.sum_(ops.mul(final, c_l)))
     T.backward(loss)
     return [out.data, *(f.data for f in finals)], [t.grad for t in inputs]
 

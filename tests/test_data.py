@@ -223,6 +223,17 @@ def test_synth_files_round_trip(tmp_path):
     assert np.array_equal(loaded_graph.adjacency, graph.adjacency)
 
 
+@pytest.mark.parametrize("noise", [float("nan"), float("inf"), -0.1])
+def test_synth_rejects_a_non_finite_or_negative_noise(noise):
+    with pytest.raises(ValueError, match="noise must be a finite number >= 0"):
+        make_ring_dataset(n_nodes=5, steps=40, noise=noise)
+
+
+def test_synth_accepts_zero_noise():
+    ds, _ = make_ring_dataset(n_nodes=5, steps=40, noise=0.0)
+    assert np.all(np.isfinite(ds.readings))
+
+
 # ---------------------------------------------------------------------------
 # Normalization
 

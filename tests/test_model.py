@@ -78,13 +78,13 @@ def _projected_statics(model, steps_hist, steps_fut, t0=0):
     from flowcast.context import temporal_encoding
 
     p, cfg = model.params, model.cfg
-    emb_proj = T.add(ops.matmul(Tensor(model.node_emb), p.emb_w), p.emb_b)
+    emb_proj = ops.add(ops.matmul(Tensor(model.node_emb), p.emb_w), p.emb_b)
     hist = temporal_encoding(t0, steps_hist, cfg.slots_per_day, cfg.start_weekday)
     fut = temporal_encoding(
         t0 + steps_hist, steps_fut, cfg.slots_per_day, cfg.start_weekday
     )
-    time_hist = T.add(ops.matmul(Tensor(hist[:, None, :]), p.time_w), p.time_b)
-    time_fut = T.add(ops.matmul(Tensor(fut[:, None, :]), p.time_w), p.time_b)
+    time_hist = ops.add(ops.matmul(Tensor(hist[:, None, :]), p.time_w), p.time_b)
+    time_fut = ops.add(ops.matmul(Tensor(fut[:, None, :]), p.time_w), p.time_b)
     return emb_proj, time_hist, time_fut
 
 
@@ -290,6 +290,35 @@ def test_context_block_shape(tiny_model):
     assert len(finals) == 1 and finals[0].shape == (3, 4)
 
 
+def _graph_ops(root: Tensor) -> set[str]:
+    """Names of the functions that built the nodes reachable from ``root``."""
+    seen, stack, names = set(), [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node.vjp is not None:
+            seen.add(id(node))
+            names.add(node.vjp.__qualname__.split(".")[0])
+            stack.extend(parent for parent, _ in node.parents)
+    return names
+
+
+def test_blocks_add_their_residuals_inside_the_nodes_that_produce_them(tiny_model):
+    # an add node would keep the fused or attended array without its residual
+    # in the graph, beside the sum; the residual is each node's first input
+    m = tiny_model
+    statics = [Tensor(t.data) for t in _projected_statics(m, 2, 2)[:2]]
+    xh = T.param(np.random.default_rng(4).normal(size=(2, 3, 4)))
+    h0 = [Tensor(np.zeros((3, 4)))]
+    ctx, _ = context_block(m.params.encoder, xh, *statics, m.ginputs, h0)
+    assert _graph_ops(ctx) == {"_fuse", "multi_hop_conv", "gru_stack"}
+    assert ctx.vjp.__qualname__.startswith("_fuse.") and ctx.parents[0] == (xh, 0)
+    out, _ = block_forward("encoder", m.params.encoder, xh, *statics, m.ginputs, h0)
+    assert _graph_ops(out) == {"_fuse", "multi_hop_conv", "gru_stack", "multi_head_attention"}
+    (ctx, i), (query, j) = out.parents[:2]
+    assert out.vjp.__qualname__.startswith("multi_head_attention.")
+    assert ctx is query and (i, j) == (0, 1)
+
+
 def test_context_block_zeroed_fusion_is_residual(tiny_model):
     m = tiny_model
     m.params.encoder.fuse_w.data = np.zeros_like(m.params.encoder.fuse_w.data)
@@ -391,6 +420,26 @@ def test_fused_fuse_matches_composed_chain(kind, batch):
         assert grad_close(g, numeric_grad(forward, t.data))
 
 
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("kind", ["block", "transform"])
+def test_fused_fuse_with_residual_matches_an_add_after_it_to_the_bit(kind, batch):
+    # the residual is the node's first input, so stream 0 sums the add's
+    # share before the product's, as the add node after the fusion did
+    rng = np.random.default_rng(66)
+    w, b, streams = _fuse_inputs(rng, kind, batch)
+    inputs = [w, b, *streams]
+    c = Tensor(rng.normal(size=streams[0].shape))
+    out, grads = _out_and_grads(
+        lambda: model_module._fuse(w, b, streams, residual=True), inputs, c
+    )
+    want, want_grads = _out_and_grads(
+        lambda: ops.add(model_module._fuse(w, b, streams), streams[0]), inputs, c
+    )
+    assert out.tobytes() == want.tobytes()
+    for got, ref in zip(grads, want_grads):
+        assert got.tobytes() == ref.tobytes()
+
+
 def test_fused_fuse_vjp_repeats_to_the_byte():
     rng = np.random.default_rng(61)
     w, b, streams = _fuse_inputs(rng, "block", 2)
@@ -437,7 +486,7 @@ def _loss_graph_nodes_per_sample(config: Path, n: int, batch: int) -> float:
     model = Forecaster.new(cfg, ring_graph(n), rng.normal(size=(n, 64)))
     xs = rng.normal(size=(batch, cfg.history, n, cfg.channels))
     pred = forward_batch(cfg, model.params, model.ginputs, model.node_emb, xs, range(batch))
-    loss = T.scale(l1_loss(pred, Tensor(np.zeros(pred.shape))), 1.0 / batch)
+    loss = l1_loss(pred, Tensor(np.zeros(pred.shape)), 1.0 / batch)  # as _train_step builds it
     seen, stack = set(), [loss]
     while stack:
         node = stack.pop()
@@ -451,15 +500,16 @@ def test_toy_loss_graph_nodes_per_sample():
     # one graph node per context GRU layer, transform rollout, context
     # fusion, linear map, attention call, hop-diffusion conv and L1 loss; the
     # composed forms built 17.6 nodes per sample here, the per-step context
-    # GRU 169 per batch, a reshape per time-context consumer 120, and a
-    # node per rollout cell with attention's token reshapes 116
-    assert _loss_graph_nodes_per_sample(TOY_CFG, 8, 18) <= 96 / 18
+    # GRU 169 per batch, a reshape per time-context consumer 120, a node per
+    # rollout cell with attention's token reshapes 116, and the residuals as
+    # their own add nodes 96
+    assert _loss_graph_nodes_per_sample(TOY_CFG, 8, 18) <= 91 / 18
 
 
 def test_ref228_loss_graph_nodes_per_sample():
-    # 163 parameters and 29 op nodes at batch 1; a node per rollout cell with
-    # attention's token reshapes built 224
-    assert _loss_graph_nodes_per_sample(REF_CFG, 228, 1) <= 192
+    # 163 parameters and 25 op nodes at batch 1; a node per rollout cell with
+    # attention's token reshapes built 224, and the residuals as add nodes 192
+    assert _loss_graph_nodes_per_sample(REF_CFG, 228, 1) <= 187
 
 
 @pytest.mark.parametrize("n, k, nnz", [(228, 8, 1824), (8, 2, 16)])
@@ -839,15 +889,15 @@ def test_single_shot_inference_is_pointwise_on_features(tiny_model):
     full = m.predict(x[None], [0])[0]
     with T.no_grad():
         p = m.params
-        emb_proj = T.add(ops.matmul(Tensor(m.node_emb), p.emb_w), p.emb_b)
+        emb_proj = ops.add(ops.matmul(Tensor(m.node_emb), p.emb_w), p.emb_b)
         from flowcast.context import temporal_encoding
 
         hist = temporal_encoding(0, m.cfg.history, m.cfg.slots_per_day, 0)
         fut = temporal_encoding(
             m.cfg.history, m.cfg.horizon, m.cfg.slots_per_day, 0
         )
-        time_hist = T.add(ops.matmul(Tensor(hist[:, None, :]), p.time_w), p.time_b)
-        time_fut = T.add(ops.matmul(Tensor(fut[:, None, :]), p.time_w), p.time_b)
+        time_hist = ops.add(ops.matmul(Tensor(hist[:, None, :]), p.time_w), p.time_b)
+        time_fut = ops.add(ops.matmul(Tensor(fut[:, None, :]), p.time_w), p.time_b)
         xh = input_projection(p, Tensor(x))
         h0 = [Tensor(np.zeros((3, 4)))]
         enc, finals = block_forward("encoder", p.encoder, xh, emb_proj, time_hist, m.ginputs, h0)
@@ -859,7 +909,7 @@ def test_single_shot_inference_is_pointwise_on_features(tiny_model):
             "decoder", p.decoder, dec_in, emb_proj, time_fut, m.ginputs, finals
         )
         for t in range(m.cfg.horizon):
-            step = T.add(ops.matmul(feats[t], p.out_w), p.out_b)
+            step = ops.add(ops.matmul(feats[t], p.out_w), p.out_b)
             assert np.array_equal(step.data, full[t])
 
 
@@ -981,6 +1031,43 @@ def test_ref228_backward_peaks_within_15_mb_of_the_forward_graph():
         tracemalloc.stop()
     assert held > 100e6  # the graph this bound is about was built
     assert peak - held <= 15e6, (held / 1e6, (peak - held) / 1e6)
+
+
+@pytest.fixture(scope="module")
+def ref228_step_bytes():
+    """Bytes a reference-config batch-1 step's forward graph and loss hold,
+    and the step's peak over forward and backward, both above what was held
+    before the forward (tracemalloc)."""
+    cfg = load_config(REF_CFG)
+    rng = np.random.default_rng(0)
+    model = Forecaster.new(cfg, ring_graph(228), rng.normal(size=(228, 64)))
+    xs = rng.normal(size=(1, cfg.history, 228, cfg.channels))
+    target = Tensor(rng.normal(size=(1, cfg.horizon, 228, cfg.channels)))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loss = l1_loss(forward_batch(cfg, model.params, model.ginputs, model.node_emb, xs, [5]), target)
+        held = tracemalloc.get_traced_memory()[0] - start
+        backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return held, peak
+
+
+def test_ref228_forward_graph_holds_at_most_130_mb(ref228_step_bytes):
+    # each node keeps only what its vjp reads: the GRU cells no R * H_prev,
+    # attention no concatenated heads, and no add node a residual's operands;
+    # with them the graph held 164.8 MB
+    held, _ = ref228_step_bytes
+    assert 100e6 < held <= 130e6, held / 1e6
+
+
+def test_ref228_step_peaks_at_most_150_mb(ref228_step_bytes):
+    # forward graph plus backward's peak above it; 178.0 MB with the arrays
+    # above, and a node's output kept through its own vjp
+    _, peak = ref228_step_bytes
+    assert peak <= 150e6, peak / 1e6
 
 
 # ---------------------------------------------------------------------------

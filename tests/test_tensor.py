@@ -108,7 +108,7 @@ def test_binary_broadcast_gradients():
     bias = T.param(rng.uniform(-1, 1, (4,)))
     c = Tensor(rng.uniform(-1, 1, (5, 4)))
 
-    loss = ops.sum_(ops.mul(T.add(x, bias), c))
+    loss = ops.sum_(ops.mul(ops.add(x, bias), c))
     backward(loss)
     num_x = numeric_grad(lambda: ((x.data + bias.data) * c.data).sum(), x.data)
     num_b = numeric_grad(lambda: ((x.data + bias.data) * c.data).sum(), bias.data)
@@ -167,7 +167,7 @@ def test_concat_shape_mismatch():
         ops.concat([Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2, 1)))], axis=0)
 
 
-@pytest.mark.parametrize("op", [T.add, ops.sub, ops.mul, ops.div])
+@pytest.mark.parametrize("op", [ops.add, ops.sub, ops.mul, ops.div])
 def test_elementwise_shape_error_names_op_and_both_shapes(op):
     with pytest.raises(ShapeError, match=rf"{op.__name__}: .*\(2, 3\).*\(4,\)"):
         op(Tensor(np.ones((2, 3))), Tensor(np.ones(4)))
@@ -192,7 +192,7 @@ def test_backward_sets_grad_on_leaves_only():
     w = T.param(rng.normal(size=(3, 2)))
     b = T.param(rng.normal(size=2))
     hidden = ops.tanh(ops.matmul(Tensor(rng.normal(size=(4, 3))), w))
-    loss = ops.sum_(T.add(hidden, b))
+    loss = ops.sum_(ops.add(hidden, b))
     backward(loss)
     assert w.grad is not None and b.grad is not None
     assert hidden.grad is None and loss.grad is None
@@ -208,7 +208,7 @@ def test_slice_gradient_scatters():
 
 def test_overlapping_slices_accumulate():
     x = T.param(np.arange(12.0).reshape(3, 4))
-    backward(T.add(ops.sum_(x[0:2]), ops.sum_(x[1:3])))
+    backward(ops.add(ops.sum_(x[0:2]), ops.sum_(x[1:3])))
     assert np.array_equal(x.grad, np.array([[1.0] * 4, [2.0] * 4, [1.0] * 4]))
 
 
@@ -227,7 +227,7 @@ def test_advanced_index_is_rejected(idx):
 
 def test_basic_indices_still_accumulate():
     x = T.param(np.arange(24.0).reshape(2, 3, 4))
-    backward(T.add(T.add(ops.sum_(x[0]), ops.sum_(x[..., 1:3])), ops.sum_(x[:, 2, None, ::2])))
+    backward(ops.add(ops.add(ops.sum_(x[0]), ops.sum_(x[..., 1:3])), ops.sum_(x[:, 2, None, ::2])))
     expected = np.zeros((2, 3, 4))
     expected[0] += 1
     expected[..., 1:3] += 1
@@ -260,9 +260,9 @@ def test_in_place_accumulation_leaves_shared_gradients_alone(dense, shared_first
     q = T.param(rng.normal(size=(3, 4)))
     c = Tensor(rng.normal(size=(3, 4)))
     d = Tensor(rng.normal(size=(3, 4) if dense else 4))
-    shared = ops.sum_(ops.mul(T.add(p, q), c))
+    shared = ops.sum_(ops.mul(ops.add(p, q), c))
     other = ops.sum_(ops.mul(p if dense else p[1], d))
-    backward(T.add(shared, other) if shared_first else T.add(other, shared))
+    backward(ops.add(shared, other) if shared_first else ops.add(other, shared))
     assert np.array_equal(q.grad, c.data)
     expected = c.data.copy()
     if dense:
@@ -356,7 +356,7 @@ def test_second_backward_on_a_consumed_graph_raises():
 def test_shared_subexpression_gradient():
     # y = (w * w) + w  =>  dy/dw = 2w + 1
     w = T.param(np.array([3.0]))
-    backward(ops.sum_(T.add(ops.mul(w, w), w)))
+    backward(ops.sum_(ops.add(ops.mul(w, w), w)))
     assert np.allclose(w.grad, [7.0], atol=0)
 
 
@@ -366,7 +366,7 @@ def test_operations_do_not_mutate_inputs():
     b = Tensor(rng.uniform(-1, 1, (3, 3)))
     a_before, b_before = a.data.copy(), b.data.copy()
     ops.matmul(a, b)
-    T.add(a, b)
+    ops.add(a, b)
     ops.mul(a, b)
     ops.softmax(a, axis=0)
     ops.tanh(a)
@@ -459,7 +459,7 @@ def _node_cases(rng):
     trans = hop_transitions(hop_shells(ring_graph(5), 2))
     return {
         "matmul": lambda: ops.matmul(c(2, 3, 4), p(4, 5)),
-        "add": lambda: T.add(p(2, 3), c(3)),
+        "add": lambda: ops.add(p(2, 3), c(3)),
         "scale": lambda: T.scale(a, 0.5),
         "concat": lambda: ops.concat([p(2, 1), c(2, 2), p(2, 3)], axis=1),
         "reshape": lambda: ops.reshape(a, (3, 2)),
@@ -588,7 +588,7 @@ def test_deep_graph_does_not_recurse():
     x = T.param(np.array([1.0]))
     y = x
     for _ in range(5000):
-        y = T.add(y, x)
+        y = ops.add(y, x)
     backward(ops.sum_(y))
     assert x.grad[0] == 5001.0
 
