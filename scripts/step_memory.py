@@ -28,6 +28,12 @@ whose vjp reaches it. Arrays that existed before the step (parameters, the
 hop transitions, node embeddings and the step's inputs) are left out and
 reported as one line, so the table's total is the forward figure's arrays.
 
+Last, a ``predict`` line: tracemalloc's peak during one no-grad
+``Forecaster.predict`` of 40 toy or 1 reference window, drawn as
+``step_digest.py`` draws its predicted windows, and maxrss after an
+untraced ``predict`` of them, which runs on the fresh model before any
+training step, so it reads the inference live set alone.
+
 MB are 10^6 bytes, as in perfbench.
 """
 
@@ -55,19 +61,23 @@ from flowcast.model import Forecaster, forward_batch, load_config  # noqa: E402
 from flowcast.optim import zero_grads  # noqa: E402
 from flowcast.synth import ring_graph  # noqa: E402
 
-# (name, config, ring nodes, batch), as in step_digest.py
-STEPS = {"toy": ("configs/toy.cfg", 8, 18), "ref228": ("configs/pemsd7.cfg", 228, 1)}
+# (name, config, ring nodes, batch, windows predicted), as in step_digest.py
+# but for one reference window predicted, a pass's worth
+STEPS = {"toy": ("configs/toy.cfg", 8, 18, 40), "ref228": ("configs/pemsd7.cfg", 228, 1, 1)}
 
 
-def step_inputs(config: str, nodes: int, batch: int):
-    """A fresh model and one batch, drawn as ``step_digest.py`` draws them."""
+def step_inputs(config: str, nodes: int, batch: int, predicted: int):
+    """A fresh model, one batch (windows, targets, starts) and ``predicted``
+    windows with their starts, drawn as ``step_digest.py`` draws them."""
     cfg = load_config(REPO / config)
     rng = np.random.default_rng(0)
     model = Forecaster.new(cfg, ring_graph(nodes), rng.normal(size=(nodes, 64)))
     xs = rng.normal(size=(batch, cfg.history, nodes, cfg.channels))
     target = rng.normal(size=(batch, cfg.horizon, nodes, cfg.channels))
     t0s = rng.integers(0, 7 * cfg.slots_per_day, size=batch)
-    return model, xs, target, t0s
+    windows = rng.normal(size=(predicted, cfg.history, nodes, cfg.channels))
+    starts = rng.integers(0, 7 * cfg.slots_per_day, size=predicted)
+    return model, (xs, target, t0s), (windows, starts)
 
 
 def forward_loss(model: Forecaster, xs, target, t0s) -> T.Tensor:
@@ -131,15 +141,33 @@ def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def measure(config: str, nodes: int, batch: int, warmup: int, steps: int) -> dict:
-    model, *inputs = step_inputs(config, nodes, batch)
+def maxrss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+
+
+def predict_peak(model: Forecaster, windows) -> float:
+    """tracemalloc's peak during ``model.predict(*windows)``, in MB above
+    what was held when it started."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        model.predict(*windows)
+        return (tracemalloc.get_traced_memory()[1] - start) / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def measure(config: str, nodes: int, batch: int, predicted: int, warmup: int, steps: int) -> dict:
+    model, inputs, windows = step_inputs(config, nodes, batch, predicted)
+    model.predict(*windows)
+    predict = {"maxrss": maxrss_mb(), "peak": predict_peak(model, windows)}
     for _ in range(warmup):
         T.backward(forward_loss(model, *inputs))
     before = minor_faults()
     for _ in range(steps):
         T.backward(forward_loss(model, *inputs))
     faults = (minor_faults() - before) / steps
-    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+    maxrss = maxrss_mb()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -153,7 +181,7 @@ def measure(config: str, nodes: int, batch: int, warmup: int, steps: int) -> dic
         tracemalloc.stop()
     return {
         "forward": held / 1e6, "peak": peak / 1e6, "faults": faults, "maxrss": maxrss,
-        "table": table, "skipped": skipped,
+        "table": table, "skipped": skipped, "predict": predict,
     }
 
 
@@ -180,14 +208,19 @@ def main() -> None:
     if unknown:
         parser.error(f"unknown steps {sorted(unknown)}; choose from {', '.join(STEPS)}")
     for name in args.steps or STEPS:
-        config, nodes, batch = STEPS[name]
-        m = measure(config, nodes, batch, args.warmup, args.count)
+        config, nodes, batch, predicted = STEPS[name]
+        m = measure(config, nodes, batch, predicted, args.warmup, args.count)
         print(
             f"{name} (batch {batch}): forward {m['forward']:.1f} MB, "
             f"backward peak +{m['peak']:.1f} MB, {m['faults']:.0f} faults/step, "
             f"maxrss {m['maxrss']:.1f} MB"
         )
         print_table(m["table"], m["skipped"])
+        print(
+            f"{name} predict ({predicted} window{'s' * (predicted > 1)}, no grad): "
+            f"peak {m['predict']['peak']:.1f} MB, "
+            f"maxrss {m['predict']['maxrss']:.1f} MB"
+        )
 
 
 if __name__ == "__main__":

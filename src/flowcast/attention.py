@@ -114,13 +114,15 @@ def _head_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, out=None):
     return np.divide(num, den, out=out), (phi_q, phi_k, v, summary, normalizer, den)
 
 
-def _head_backward(g: np.ndarray, saved) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _head_backward(
+    g: np.ndarray, saved, num: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients at one head's q, k and v from its output gradient ``g``,
     by the chain rule through :func:`_head_forward`'s steps (the shifts
-    are constants)."""
+    are constants). ``num`` is the forward's ``phi(q) @ S``, which the
+    caller rebuilds from ``saved``."""
     phi_q, phi_k, v, summary, normalizer, den = saved
     nr = normalizer.reshape(normalizer.shape + (1,))
-    num = phi_q @ summary
     g_num = g / den
     g_den = T._unbroadcast(-g * num / (den * den), den.shape)
     g_phi_q = T._unbroadcast(g_num @ _swap(summary), phi_q.shape)
@@ -150,7 +152,8 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """
     _check_qkv(q, k, v)
     out, saved = _head_forward(q.data, k.data, v.data)
-    return T._node(out, (q, k, v), lambda g: _head_backward(g, saved))
+    phi_q, _, _, summary, _, _ = saved
+    return T._node(out, (q, k, v), lambda g: _head_backward(g, saved, phi_q @ summary))
 
 
 def multi_head_attention(
@@ -176,8 +179,9 @@ def multi_head_attention(
     rebuilds one head's output at a time from them with the forward's
     product and division, and takes ``W_o``'s gradient and the head's
     output gradient block by block, which gives the bits of the whole
-    products. It stacks the heads' q gradients, and their k and v
-    gradients, as column blocks, so x meets ``[W_q]`` and the key/value
+    products, and hands the rebuilt ``phi(q) @ S`` on to
+    :func:`_head_backward`. It stacks the heads' q gradients, and their k
+    and v gradients, as column blocks, so x meets ``[W_q]`` and the key/value
     source ``[W_k | W_v]`` in one :func:`~flowcast.tensor._linear_grads`
     call each.
     The residual is the node's first input, so ``backward`` sums x's share
@@ -235,9 +239,11 @@ def multi_head_attention(
             # head i's output, rebuilt as the forward made it, meets w_o's row
             # block i; its gradient is g times that block's transpose
             phi_q, _, _, summary, _, den = head
-            g_o[at] = T._rows(np.divide(phi_q @ summary, den)).T @ T._rows(g_tok)
+            num = phi_q @ summary
+            g_o[at] = T._rows(np.divide(num, den)).T @ T._rows(g_tok)
             g_head = g_tok @ w_o[at].T
-            g_q[..., at], g_kv[..., at], g_kv[..., at_v] = _head_backward(g_head, head)
+            g_q[..., at], g_kv[..., at], g_kv[..., at_v] = _head_backward(g_head, head, num)
+            del num  # freed before the next head's products and the input gradients'
         g_x, g_wq = T._linear_grads(xt, [w.data for w in w_qkv[:heads]], g_q)
         del g_q  # freed before the key/value products
         g_src, g_wkv = T._linear_grads(st, [w.data for w in w_qkv[heads:]], g_kv)

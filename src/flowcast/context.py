@@ -175,6 +175,7 @@ def skipgram_train(
             # (tiny vocabularies) must not receive a proportionally huge
             # step, or the stale-weight updates compound and diverge.
             grad_u = coef_pos * v_pos + np.einsum("bnk,bnd->bd", coef_neg, v_neg)
+            del v_pos, v_neg  # freed before the output rows' buffers are made
             grad_in = _scatter_rows(bins, c, grad_u)
             cnt_in = np.bincount(c, minlength=n_nodes)
             hit = cnt_in > 0
@@ -185,7 +186,7 @@ def skipgram_train(
             grad_rows = np.empty((targets.size, dim))
             np.multiply(coef_pos, u, out=grad_rows[: idx.size])
             np.multiply(
-                coef_neg, u[:, None, :], out=grad_rows[idx.size :].reshape(v_neg.shape)
+                coef_neg, u[:, None, :], out=grad_rows[idx.size :].reshape(neg.shape + (dim,))
             )
             grad_out = _scatter_rows(bins, targets, grad_rows)
             cnt_out = np.bincount(targets, minlength=n_nodes)
@@ -202,14 +203,16 @@ def _walk_pairs(
     """(center, context) node pairs: every position of each walk is a center,
     and its contexts are the other positions within ``window`` of it in the
     same walk. Pairs run center by center, contexts in walk order.
-    ``flat`` is the walks concatenated."""
+    ``flat`` is the walks concatenated. The pairs are int32: they only
+    index node rows."""
     lengths = np.array([len(w) for w in walks])
     start = np.repeat(np.cumsum(lengths) - lengths, lengths)  # of each position's walk
     stop = start + np.repeat(lengths, lengths)
     offsets = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
     ctx = np.arange(flat.size)[:, None] + offsets  # (positions, 2 * window)
     keep = (ctx >= start[:, None]) & (ctx < stop[:, None])
-    return np.broadcast_to(flat[:, None], ctx.shape)[keep], flat[ctx[keep]]
+    nodes = flat.astype(np.int32)
+    return np.broadcast_to(nodes[:, None], ctx.shape)[keep], nodes[ctx[keep]]
 
 
 def _scatter_rows(

@@ -510,9 +510,10 @@ def transform_layer(
     Returns (..., horizon, N, F) features.
     """
     tp = params.transform
+    kv = _fuse(tp.kv_fuse_w, tp.kv_fuse_b, [enc, emb_proj, time_hist])
     rollout = gru_stack(x_last, enc_finals, tp.gru, cfg.horizon, gru_cell)
     q = _fuse(tp.q_fuse_w, tp.q_fuse_b, [rollout, emb_proj, time_fut])
-    kv = _fuse(tp.kv_fuse_w, tp.kv_fuse_b, [enc, emb_proj, time_hist])
+    del rollout  # under no_grad, freed before the attention runs
     return _attend("transform", q, kv, tp.attn)
 
 
@@ -565,15 +566,18 @@ def forward_batch(
     time_hist, time_fut = time_proj[:, : cfg.history], time_proj[:, cfg.history :]
 
     xh = input_projection(params, Tensor(xs))
-    # zero initial GRU states, passed without a name so they are freed once the encoder returns
+    x_last = xh[:, cfg.history - 1]
+    # Each stage's output is dropped after its last reader, as are the zero
+    # initial GRU states, passed without a name. A graph holds what backward
+    # reads anyway; under no_grad each (B, T, N, F) array, 2.8 MB a window
+    # on 228 nodes, is freed once read, so a ref228 window peaks at 16.1 MB.
     enc, enc_finals = block_forward(
         "encoder", params.encoder, xh, emb_proj, time_hist, ginputs,
         [Tensor(np.zeros(xh.shape[:-3] + xh.shape[-2:])) for _ in range(cfg.gru_layers)],
     )
-    dec_in = transform_layer(
-        cfg, params, enc, enc_finals, xh[:, cfg.history - 1],
-        emb_proj, time_hist, time_fut,
-    )
+    del xh
+    dec_in = transform_layer(cfg, params, enc, enc_finals, x_last, emb_proj, time_hist, time_fut)
+    del enc
     dec_feats, _ = block_forward(
         "decoder", params.decoder, dec_in, emb_proj, time_fut, ginputs, enc_finals
     )
@@ -604,7 +608,7 @@ class Forecaster:
         _check_windows_and_starts(xs, t0s)
         # Consecutive chunks of windows_per_pass windows: a pass's arrays grow
         # with its windows (a no-grad window of the reference config on 228
-        # nodes peaks at about 22 MB), while per-pass overhead dominates small
+        # nodes peaks at about 16 MB), while per-pass overhead dominates small
         # graphs, so the reference config runs one window a pass and the toy
         # config hundreds. A window's prediction does not depend on its chunk.
         step = windows_per_pass(self.cfg, self.ginputs.graph.n_nodes)

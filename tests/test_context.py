@@ -205,6 +205,21 @@ def test_draws_on_a_cdf_step_pick_what_choice_picks(monkeypatch):
     )
 
 
+def test_skipgram_on_the_toy_ring_peaks_under_7_mb():
+    # int32 (center, context) pairs and each batch's gathered output rows
+    # dropped once read: 6.3 MB; int64 pairs and rows kept to the end of
+    # the batch read 8.3 MB
+    walks = node2vec_walks(ring_graph(8))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        skipgram_train(walks, n_nodes=8)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7e6, peak / 1e6
+
+
 # ---------------------------------------------------------------------------
 # Embedding file I/O
 

@@ -1205,6 +1205,15 @@ def test_ref228_predict_of_two_windows_peaks_as_one_window():
     assert two <= 1.1 * one, (one / 1e6, two / 1e6)
 
 
+def test_ref228_no_grad_window_peaks_under_17_mb():
+    # forward_batch drops each stage's output after its last reader: 16.1 MB;
+    # one (1, 12, 228, 128) output kept to the end adds 2.8 MB, and the input
+    # projection and the encoder output kept through the decoder read 21.7 MB
+    model, windows = _model_and_windows(REF_CFG, 228, 1, seed=74)
+    peak = _traced_peak(lambda: model.predict(windows[0].x[None], [windows[0].t0]))
+    assert peak <= 17e6, peak / 1e6
+
+
 def test_training_deterministic_same_seed():
     cfg, prepared, graph, node_emb = _prepared_ring(epochs=1, batch_size=32)
     model_a, hist_a = train(cfg, prepared, graph, node_emb, mask_eps=1e-6)
