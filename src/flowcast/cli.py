@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,7 @@ from .bench import CSV_HEADER as BENCH_HEADER
 from .bench import DEFAULT_BUDGET, run_benchmark
 from .context import load_embeddings, node2vec_walks, save_embeddings, skipgram_train
 from .data import (
+    DatasetMeta,
     assign_windows,
     load_dataset,
     load_meta,
@@ -72,6 +74,7 @@ def write_manifest(path: Path, payload: dict) -> None:
 # embed
 
 def cmd_embed(args) -> int:
+    _at_least_one(args, "walks", "window", "negatives", "epochs")
     graph = load_adjacency(args.graph)
     walks = node2vec_walks(
         graph, p=args.p, q=args.q, walk_len=args.length,
@@ -104,11 +107,17 @@ def _config_overrides(pairs: list[str]) -> dict:
     return overrides
 
 
-def cmd_train(args) -> int:
-    cfg = load_config(args.config, _config_overrides(args.set))
+def _check_mask_eps(args) -> None:
+    """Reject a ``--mask-eps`` at which MAPE would count zero readings or read NaN."""
+    if not (math.isfinite(args.mask_eps) and args.mask_eps > 0):
+        raise ValueError(f"--mask-eps: {args.mask_eps!r} is not a finite value above 0")
+
+
+def _meta_of(args, cfg) -> DatasetMeta:
+    """The meta file ``--meta`` (else ``<data>.meta``), which must share the
+    config's calendar, since the time one-hots follow the config."""
     meta_path = args.meta if args.meta else f"{args.data}.meta"
     meta = load_meta(meta_path)
-    # the time one-hots follow the config, so the data must share its calendar
     try:
         layout = (meta.slots_per_day, meta.start_weekday)
     except ValueError as err:  # a window that does not tile a day
@@ -118,7 +127,13 @@ def cmd_train(args) -> int:
             f"{meta_path}: {layout[0]} slots a day from weekday {layout[1]}, but the "
             f"config has {cfg.slots_per_day} slots a day from weekday {cfg.start_weekday}"
         )
-    dataset, graph = load_dataset(args.data, args.graph, meta)
+    return meta
+
+
+def cmd_train(args) -> int:
+    _check_mask_eps(args)
+    cfg = load_config(args.config, _config_overrides(args.set))
+    dataset, graph = load_dataset(args.data, args.graph, _meta_of(args, cfg))
 
     if args.embeddings:
         node_emb = load_embeddings(args.embeddings, graph.n_nodes)
@@ -198,28 +213,24 @@ def _at_least_one(args, *names: str) -> None:
 
 
 def cmd_eval(args) -> int:
+    _check_mask_eps(args)
     horizons = _counts("--horizons", args.horizons, distinct=True)
     model, _ = load_model(args.checkpoint)
     cfg = model.cfg
-    meta = load_meta(args.meta if args.meta else f"{args.data}.meta")
+    meta = _meta_of(args, cfg)
     if meta.n_nodes != model.ginputs.graph.n_nodes:
-        print(
-            f"checkpoint was trained on {model.ginputs.graph.n_nodes} nodes, "
-            f"data has {meta.n_nodes}",
-            file=sys.stderr,
+        raise ValueError(
+            f"checkpoint was trained on {model.ginputs.graph.n_nodes} nodes, data has {meta.n_nodes}"
         )
-        return 1
     readings = load_readings(args.data, meta.n_nodes, meta.channels)
     if model.norm is None:
-        print("checkpoint carries no normalization stats", file=sys.stderr)
-        return 1
+        raise ValueError("checkpoint carries no normalization stats")
     normalized = zscore_apply(readings, model.norm)
     windows = make_windows(normalized, cfg.history, cfg.horizon)
     split_idx = assign_windows(windows, split_boundaries(readings.shape[0]))
     chosen = [windows[i] for i in split_idx[args.split]]
     if not chosen:
-        print(f"no complete windows in split {args.split!r}", file=sys.stderr)
-        return 1
+        raise ValueError(f"no complete windows in split {args.split!r}")
 
     preds, truth = forecast(model, chosen, horizons)
     results = horizon_metrics(preds, truth, horizons, args.mask_eps)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .data import _check_finite_cells
+from .data import _read_table
 from .graph import RoadGraph
 from .tensor import ShapeError, Tensor
 
@@ -123,12 +123,14 @@ def skipgram_train(
     """Train node embeddings on walk co-occurrences; returns (N, dim).
 
     Nodes that never co-occur (isolated) keep their random initialization.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed. A count below 1 raises ValueError.
     """
     if not walks:
         raise ValueError("no walks given; run node2vec_walks first")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    sizes = dict(dim=dim, window=window, negatives=negatives, epochs=epochs, batch=batch)
+    for name, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if n_nodes is None:
         n_nodes = max(max(w) for w in walks) + 1
 
@@ -152,7 +154,9 @@ def skipgram_train(
     bins = np.arange(n_nodes * dim).reshape(n_nodes, dim)
     batch_no = 0
     for _ in range(epochs):
-        order = rng.permutation(n_pairs)
+        # the order rng.permutation(n_pairs) draws, held as int32
+        order = np.arange(n_pairs, dtype=np.int32)
+        rng.shuffle(order)
         for lo in range(0, n_pairs, batch):
             idx = order[lo : lo + batch]
             cur_lr = lr * max(1e-4, 1.0 - batch_no / total_batches)
@@ -251,29 +255,9 @@ def load_embeddings(path, n_nodes: int, dim: int = EMBED_DIM) -> np.ndarray:
     text that is not UTF-8 raises :class:`EmbeddingFormatError`.
     """
     path = Path(path)
-    rows = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                values = raw.split()
-                if not values:
-                    continue
-                if len(values) != dim:
-                    raise EmbeddingFormatError(
-                        f"{path}:{lineno}: expected {dim} columns, found {len(values)}"
-                    )
-                try:
-                    rows.append([float(v) for v in values])
-                except ValueError as err:
-                    raise EmbeddingFormatError(f"{path}:{lineno}: {err}") from None
-    except UnicodeDecodeError as err:
-        raise EmbeddingFormatError(f"{path}: not UTF-8 text: {err}") from None
-    emb = np.asarray(rows, dtype=np.float64)
-    _check_finite_cells(path, emb, None, EmbeddingFormatError)
-    if len(rows) != n_nodes:
-        raise EmbeddingFormatError(
-            f"{path}: expected {n_nodes} rows, found {len(rows)}"
-        )
+    emb = _read_table(path, None, dim, EmbeddingFormatError)
+    if len(emb) != n_nodes:
+        raise EmbeddingFormatError(f"{path}: expected {n_nodes} rows, found {len(emb)}")
     return emb
 
 
@@ -438,5 +422,5 @@ def gru_sequence(
     outs = [x]
     for h_init, layer in zip(h0, layers):
         outs.append(gru_stack(outs[-1], [h_init], [layer]))
-    # sliced once every layer has run, so no final's copy is held while one runs
-    return outs[-1], [out[..., -1, :, :] for out in outs[1:]]
+    # copied once every layer has run, so no final's copy is held while one runs
+    return outs[-1], [T._slice(out, np.s_[..., -1, :, :]) for out in outs[1:]]

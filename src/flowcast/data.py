@@ -156,14 +156,12 @@ def load_meta(path) -> DatasetMeta:
     return DatasetMeta(**values)
 
 
-def load_readings(path, n_nodes: int, channels: int = 1) -> np.ndarray:
-    """Parse a headerless readings file: one time step per line,
-    ``n_nodes * channels`` comma-separated values (channel blocks).
-
-    A malformed line or a non-finite value raises :class:`DataFormatError`
-    naming ``path:line``, and text that is not UTF-8 one naming ``path``."""
-    path = Path(path)
-    expected = n_nodes * channels
+def _read_table(path, sep, width: int, error) -> np.ndarray:
+    """The non-blank lines of a text file of numbers as a (lines, width)
+    array, each line split on ``sep`` (``None``: whitespace) into ``width``
+    cells. A line of another width, a non-numeric cell or a non-finite
+    value raises ``error`` naming ``path:line``, and text that is not UTF-8
+    one naming ``path``."""
     rows = []
     try:
         with open(path, encoding="utf-8") as fh:
@@ -171,23 +169,34 @@ def load_readings(path, n_nodes: int, channels: int = 1) -> np.ndarray:
                 line = raw.strip()
                 if not line:
                     continue
-                cells = line.split(",")
-                if len(cells) != expected:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: expected {expected} values, found {len(cells)}"
-                    )
+                cells = line.split(sep)
+                if len(cells) != width:
+                    raise error(f"{path}:{lineno}: expected {width} values, found {len(cells)}")
                 try:
                     rows.append([float(c) for c in cells])
                 except ValueError:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: non-numeric cell in {line[:40]!r}..."
-                    ) from None
+                    for cell in map(str.strip, cells):
+                        try:
+                            float(cell)
+                        except ValueError:
+                            raise error(f"{path}:{lineno}: non-numeric value {cell!r}") from None
     except UnicodeDecodeError:
-        raise DataFormatError(f"{path}: not UTF-8 text") from None
-    if not rows:
+        raise error(f"{path}: not UTF-8 text") from None
+    table = np.asarray(rows, dtype=np.float64).reshape(len(rows), width)
+    _check_finite_cells(path, table, sep, error)
+    return table
+
+
+def load_readings(path, n_nodes: int, channels: int = 1) -> np.ndarray:
+    """Parse a headerless readings file: one time step per line,
+    ``n_nodes * channels`` comma-separated values (channel blocks).
+
+    A malformed line or a non-finite value raises :class:`DataFormatError`
+    naming ``path:line``, and text that is not UTF-8 one naming ``path``."""
+    path = Path(path)
+    flat = _read_table(path, ",", n_nodes * channels, DataFormatError)
+    if not len(flat):
         raise DataFormatError(f"{path}: empty readings file")
-    flat = np.asarray(rows, dtype=np.float64)
-    _check_finite_cells(path, flat, ",", DataFormatError)
     # channel blocks: first n_nodes columns are channel 0, and so on
     return flat.reshape(-1, channels, n_nodes).transpose(0, 2, 1)
 

@@ -406,7 +406,8 @@ def _fuse(w: Tensor, b: Tensor, streams: list[Tensor], residual: bool = False) -
     try:
         if w.shape[0] != cuts[-1] or min(s.data.ndim for s in streams) < 2:
             raise ValueError
-        out = b.data + streams[0].data @ blocks[0]
+        out = streams[0].data @ blocks[0]
+        out += b.data  # b + s_0 @ W_0 to the bit, in the product's buffer
         for s, block in zip(streams[1:], blocks[1:]):
             out += s.data @ block
         if residual:
@@ -562,11 +563,12 @@ def forward_batch(
     emb_proj = _fuse(params.emb_w, params.emb_b, [Tensor(node_emb)])
     hot = temporal_encoding(t0s, cfg.history + cfg.horizon, cfg.slots_per_day, cfg.start_weekday)
     # one time-slot row per (sample, step), shared by every node
-    time_proj = _fuse(params.time_w, params.time_b, [Tensor(hot[..., None, :])])
-    time_hist, time_fut = time_proj[:, : cfg.history], time_proj[:, cfg.history :]
-
+    time_hist, time_fut = (
+        _fuse(params.time_w, params.time_b, [Tensor(part[..., None, :])])
+        for part in (hot[:, : cfg.history], hot[:, cfg.history :])
+    )
+    x_last = input_projection(params, Tensor(xs[:, cfg.history - 1]))
     xh = input_projection(params, Tensor(xs))
-    x_last = xh[:, cfg.history - 1]
     # Each stage's output is dropped after its last reader, as are the zero
     # initial GRU states, passed without a name. A graph holds what backward
     # reads anyway; under no_grad each (B, T, N, F) array, 2.8 MB a window

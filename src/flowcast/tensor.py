@@ -88,16 +88,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def __getitem__(self, idx):
-        # A slice's gradient is assigned at ``idx``, which keeps one of a
-        # repeated entry's gradients, so only basic indices pass.
-        for i in idx if isinstance(idx, tuple) else (idx,):
-            if isinstance(i, (list, np.ndarray, bool, np.bool_)):
-                raise IndexError(
-                    f"unsupported index {i!r}: index a Tensor with ints, slices and Ellipsis"
-                )
-        return _slice(self, idx)
-
 
 def param(data) -> Tensor:
     """Learnable tensor: participates in gradient computation."""
@@ -177,6 +167,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+# A copy of a.data[idx]; its gradient is assigned at idx, so take basic indices only.
 def _slice(a: Tensor, idx) -> Tensor:
     def vjp(g):
         grad = np.zeros(a.shape)

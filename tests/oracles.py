@@ -308,7 +308,7 @@ def gru_sequence(
     ``gru_cell_node`` per step and layer on per-step slices."""
     if len(h0) != len(layers):
         raise ShapeError(f"{len(layers)} layers but {len(h0)} initial states")
-    seq = [x[..., t, :, :] for t in range(x.shape[-3])]
+    seq = [T._slice(x, np.s_[..., t, :, :]) for t in range(x.shape[-3])]
     finals: list[Tensor] = []
     for h_init, layer in zip(h0, layers):
         h = h_init
@@ -332,7 +332,10 @@ def gru_stack(
     hidden = list(h0)
     generated: list[Tensor] = []
     for t in range(x.shape[-3] if steps is None else steps):
-        layer_in = x[..., t, :, :] if steps is None else (generated[-1] if t else x)
+        if steps is None:
+            layer_in = T._slice(x, np.s_[..., t, :, :])
+        else:
+            layer_in = generated[-1] if t else x
         for i, layer in enumerate(layers):
             hidden[i] = gru_cell_node(layer_in, hidden[i], layer)
             layer_in = hidden[i]
@@ -351,7 +354,7 @@ def fuse(w: Tensor, b: Tensor, streams: list[Tensor]) -> Tensor:
     """
     out, lo = b, 0
     for stream in streams:
-        out = ops.add(out, ops.matmul(stream, w[lo : lo + stream.shape[-1]]))
+        out = ops.add(out, ops.matmul(stream, T._slice(w, np.s_[lo : lo + stream.shape[-1]])))
         lo += stream.shape[-1]
     return out
 

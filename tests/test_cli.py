@@ -88,6 +88,16 @@ def test_embed_has_no_dim_flag(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--walks", "--window", "--negatives", "--epochs"])
+def test_embed_rejects_a_count_below_one_before_reading(tmp_path, capsys, flag):
+    # the graph file does not exist, so an error from reading it would name it
+    out = tmp_path / "e.txt"
+    rc = main(["embed", "--graph", str(tmp_path / "missing.csv"), "--out", str(out), flag, "0"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {flag}: '0' is below 1\n"
+    assert not out.exists()
+
+
 def test_embed_missing_graph_file(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     rc = main(["embed", "--graph", str(missing), "--out", str(tmp_path / "e.txt")])
@@ -227,6 +237,46 @@ def test_train_refuses_a_meta_whose_time_layout_disagrees(tmp_path, capsys, peri
     out = capsys.readouterr()
     assert rc == 1 and not (tmp_path / "run").exists()
     assert out.err == f"error: {data / 'readings.csv.meta'}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("eps", ["nan", "inf", "-1", "0"])
+def test_a_mask_eps_that_is_not_finite_and_positive_is_rejected_before_reading(
+    tmp_path, capsys, command, eps
+):
+    # no file exists, so an error from reading one would name it instead
+    missing = [str(tmp_path / name) for name in ("a.cfg", "a.csv", "a.ckpt")]
+    files = {"train": ["--config", missing[0], "--graph", missing[1], "--out", missing[2]],
+             "eval": ["--checkpoint", missing[2]]}[command]
+    rc = main([command, "--data", missing[1], *files, "--mask-eps", eps])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: --mask-eps: {float(eps)!r} is not a finite value above 0\n"
+    )
+
+
+def test_eval_refuses_a_meta_whose_calendar_disagrees(toy_files, capsys):
+    # the checkpoint's one-hots run 96 slots a day from a Monday; the meta's
+    # 5-minute windows make 288 from a Wednesday
+    paths, _, tmp_path = toy_files
+    cfg = ModelConfig(
+        width=8, heads=2, head_dim=4, hops=1, gru_layers=1, history=4,
+        horizon=4, channels=1, slots_per_day=96, seed=0,
+    )
+    model = Forecaster.new(cfg, ring_graph(5), np.zeros((5, 64)))
+    model.norm = (0.0, 1.0)
+    ckpt = tmp_path / "toy.ckpt"
+    save_model(ckpt, model)
+    meta = tmp_path / "wednesday.meta"
+    meta.write_text("n_nodes = 5\nwindow_minutes = 5\nstart_time = 2012-05-02\n")
+    rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(paths["readings"]),
+               "--meta", str(meta)])
+    out = capsys.readouterr()
+    assert rc == 1 and out.out == ""
+    assert out.err == (
+        f"error: {meta}: 288 slots a day from weekday 2, but the config has 96 slots "
+        "a day from weekday 0\n"
+    )
 
 
 def test_train_all_masked_validation_still_checkpoints(toy_files):
@@ -557,9 +607,8 @@ def test_eval_node_count_mismatch(toy_files, tmp_path, capsys):
         "eval", "--checkpoint", str(out_dir / "model.ckpt"),
         "--data", str(other_paths["readings"]),
     ])
-    assert rc != 0
-    err = capsys.readouterr().err
-    assert "5" in err and "7" in err
+    assert rc == 1
+    assert capsys.readouterr().err == "error: checkpoint was trained on 5 nodes, data has 7\n"
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,14 @@ def test_draws_on_a_cdf_step_pick_what_choice_picks(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("name", ["dim", "window", "negatives", "epochs", "batch"])
+def test_skipgram_rejects_a_count_below_one(name):
+    # window 0 finds no pairs and epochs 0 trains none, so either would hand
+    # back the untrained random initialisation
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
+        skipgram_train([[0, 1, 0]], **{name: 0})
+
+
 def test_skipgram_on_the_toy_ring_peaks_under_7_mb():
     # int32 (center, context) pairs and each batch's gathered output rows
     # dropped once read: 6.3 MB; int64 pairs and rows kept to the end of
@@ -255,7 +263,8 @@ def test_load_embeddings_column_count_error(tmp_path):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("0.5 1\nabc 3\n", r"emb\.txt:2: .*'abc'"),
+        ("0.5 1\nabc 3\n", r"emb\.txt:2: non-numeric value 'abc'$"),
+        ("0.5 1\n\n2 3 4\n", r"emb\.txt:3: expected 2 values, found 3$"),
         ("1 nan\n0 0\n", r"emb\.txt:1: non-finite value 'nan'"),
         ("0 0\n\n-inf 2\n", r"emb\.txt:3: non-finite value '-inf'"),
     ],
@@ -550,7 +559,7 @@ def test_gru_sequence_t1_reduces_to_cell():
     h0 = [Tensor(np.zeros((n, f))) for _ in layers]
 
     outs, finals = gru_sequence(x, h0, layers)
-    step1 = gru_cell_node(x[0], h0[0], layers[0])
+    step1 = gru_cell_node(T._slice(x, 0), h0[0], layers[0])
     step2 = gru_cell_node(step1, h0[1], layers[1])
     assert np.array_equal(outs.data[0], step2.data)
     assert np.array_equal(finals[0].data, step1.data)

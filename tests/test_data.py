@@ -76,14 +76,14 @@ def test_three_line_file_round_trip(tmp_path):
 def test_ragged_row_reports_line(tmp_path):
     path = tmp_path / "readings.csv"
     path.write_text("1,2\n3\n")
-    with pytest.raises(DataFormatError, match=":2"):
+    with pytest.raises(DataFormatError, match=r"readings\.csv:2: expected 2 values, found 1$"):
         load_readings(path, 2, 1)
 
 
 def test_non_numeric_cell_reports_line(tmp_path):
     path = tmp_path / "readings.csv"
-    path.write_text("1,2\n3,oops\n")
-    with pytest.raises(DataFormatError, match=":2"):
+    path.write_text("1,2\n3, oops\n")
+    with pytest.raises(DataFormatError, match=r"readings\.csv:2: non-numeric value 'oops'$"):
         load_readings(path, 2, 1)
 
 

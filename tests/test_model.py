@@ -479,21 +479,26 @@ def test_fused_fuse_rejects_streams_that_do_not_fit():
         model_module._fuse(w, b, [streams[0], Tensor(np.ones((5, 3))), streams[2]])
 
 
-def _loss_graph_nodes_per_sample(config: Path, n: int, batch: int) -> float:
-    """Graph nodes of a training loss, per sample, on an n-node ring."""
+def _loss_graph(config: Path, n: int, batch: int) -> list[Tensor]:
+    """Every node of a training loss on an n-node ring."""
     cfg = load_config(config)
     rng = np.random.default_rng(65)
     model = Forecaster.new(cfg, ring_graph(n), rng.normal(size=(n, 64)))
     xs = rng.normal(size=(batch, cfg.history, n, cfg.channels))
     pred = forward_batch(cfg, model.params, model.ginputs, model.node_emb, xs, range(batch))
     loss = l1_loss(pred, Tensor(np.zeros(pred.shape)), 1.0 / batch)  # as _train_step builds it
-    seen, stack = set(), [loss]
+    seen, stack = {}, [loss]
     while stack:
         node = stack.pop()
         if id(node) not in seen:
-            seen.add(id(node))
+            seen[id(node)] = node
             stack.extend(parent for parent, _ in node.parents)
-    return len(seen) / batch
+    return list(seen.values())
+
+
+def _loss_graph_nodes_per_sample(config: Path, n: int, batch: int) -> float:
+    """Graph nodes of a training loss, per sample, on an n-node ring."""
+    return len(_loss_graph(config, n, batch)) / batch
 
 
 def test_toy_loss_graph_nodes_per_sample():
@@ -501,15 +506,32 @@ def test_toy_loss_graph_nodes_per_sample():
     # fusion, linear map, attention call, hop-diffusion conv and L1 loss; the
     # composed forms built 17.6 nodes per sample here, the per-step context
     # GRU 169 per batch, a reshape per time-context consumer 120, a node per
-    # rollout cell with attention's token reshapes 116, and the residuals as
-    # their own add nodes 96
-    assert _loss_graph_nodes_per_sample(TOY_CFG, 8, 18) <= 91 / 18
+    # rollout cell with attention's token reshapes 116, the residuals as
+    # their own add nodes 96, and slices of the projected time one-hots and
+    # inputs 91
+    assert _loss_graph_nodes_per_sample(TOY_CFG, 8, 18) <= 90 / 18
 
 
 def test_ref228_loss_graph_nodes_per_sample():
-    # 163 parameters and 25 op nodes at batch 1; a node per rollout cell with
-    # attention's token reshapes built 224, and the residuals as add nodes 192
-    assert _loss_graph_nodes_per_sample(REF_CFG, 228, 1) <= 187
+    # 163 parameters and 23 op nodes at batch 1; a node per rollout cell with
+    # attention's token reshapes built 224, the residuals as add nodes 192,
+    # and slices of the projected time one-hots and inputs 187
+    assert _loss_graph_nodes_per_sample(REF_CFG, 228, 1) <= 186
+
+
+@pytest.mark.parametrize("config, n", [(TOY_CFG, 8), (REF_CFG, 228)], ids=["toy", "ref228"])
+def test_the_loss_graphs_only_slices_are_the_encoder_gru_finals(config, n):
+    # the time one-hots and the rollout's first input are projected from
+    # numpy slices; each encoder GRU layer's final state is a copied slice
+    cfg = load_config(config)
+    nodes = _loss_graph(config, n, 2)
+    slices = [t for t in nodes if t.vjp and t.vjp.__qualname__.startswith("_slice.")]
+    layers = [parent for t in slices for parent, _ in t.parents]
+    assert len(slices) == len({id(layer) for layer in layers}) == cfg.gru_layers
+    for final, layer in zip(slices, layers):
+        assert layer.vjp.__qualname__.startswith("gru_stack.")
+        assert layer.shape == (2, cfg.history, n, cfg.width)
+        assert np.array_equal(final.data, layer.data[:, -1])
 
 
 @pytest.mark.parametrize("n, k, nnz", [(228, 8, 1824), (8, 2, 16)])
@@ -902,14 +924,14 @@ def test_single_shot_inference_is_pointwise_on_features(tiny_model):
         h0 = [Tensor(np.zeros((3, 4)))]
         enc, finals = block_forward("encoder", p.encoder, xh, emb_proj, time_hist, m.ginputs, h0)
         dec_in = transform_layer(
-            m.cfg, p, enc, finals, xh[m.cfg.history - 1], emb_proj, time_hist,
+            m.cfg, p, enc, finals, T._slice(xh, m.cfg.history - 1), emb_proj, time_hist,
             time_fut,
         )
         feats, _ = block_forward(
             "decoder", p.decoder, dec_in, emb_proj, time_fut, m.ginputs, finals
         )
         for t in range(m.cfg.horizon):
-            step = ops.add(ops.matmul(feats[t], p.out_w), p.out_b)
+            step = ops.add(ops.matmul(T._slice(feats, t), p.out_w), p.out_b)
             assert np.array_equal(step.data, full[t])
 
 
