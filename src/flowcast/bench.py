@@ -69,6 +69,14 @@ def crosscheck_kernels(dim: int, seed: int = 0) -> None:
 # least this long, so sub-millisecond kernels are not timed from one call.
 MIN_SAMPLE_S = 0.02
 
+# Every case runs round-robin this long before any is calibrated or timed.
+# A multi-threaded BLAS whose second core sat idle for ~10 s runs each
+# product about 16 ms slow for the first second (2-core VM, OpenBLAS
+# 0.3.31): 1024 x 16 x 1024 took 16.0 ms, then 0.9 ms. Timed cold, the
+# quadratic kernel's small-M samples carry that constant and its scaling
+# reads ~5x instead of ~23x for 4x the tokens.
+WARMUP_S = 1.5
+
 
 def _time_calls(fn, q, k, v, number: int) -> float:
     """Seconds per call, averaged over ``number`` back-to-back calls."""
@@ -112,7 +120,10 @@ def run_benchmark(
     """Median-of-repeats timings plus a separate traced-memory pass.
 
     Each of the ``repeats`` samples is the per-call mean of back-to-back
-    calls lasting at least ``MIN_SAMPLE_S`` in all.
+    calls lasting at least ``MIN_SAMPLE_S`` in all. The cases run for
+    ``WARMUP_S`` before calibration, and the samples are taken in rounds,
+    one per (size, kernel) case each, so a slow spell of the host lands on
+    every case alike instead of on whichever case was being timed.
 
     Quadratic runs whose M^2 exceeds ``budget`` are skipped (with a log
     line), never failed: the point of the budget is to keep the quadratic
@@ -120,11 +131,13 @@ def run_benchmark(
     """
     crosscheck_kernels(dim, seed)
     rng = np.random.default_rng(seed)
-    rows: list[BenchRow] = []
+    cases = []
     for m in sizes:
-        q = Tensor(rng.uniform(-1, 1, (m, dim)))
-        k = Tensor(rng.uniform(-1, 1, (m, dim)))
-        v = Tensor(rng.normal(size=(m, dim)))
+        qkv = tuple(
+            Tensor(x) for x in (rng.uniform(-1, 1, (m, dim)),
+                                rng.uniform(-1, 1, (m, dim)),
+                                rng.normal(size=(m, dim)))
+        )
         for variant, fn in _VARIANTS.items():
             if variant == "quadratic" and m * m > budget:
                 if log:
@@ -133,13 +146,21 @@ def run_benchmark(
                         f"({m * m} entries) exceeds budget {budget}"
                     )
                 continue
-            number = _calls_per_sample(fn, q, k, v)
-            times = sorted(_time_calls(fn, q, k, v, number) for _ in range(repeats))
-            median = times[len(times) // 2]
-            rows.append(
-                BenchRow(m, variant, median, _peak_bytes(fn, q, k, v))
-            )
-            if log:
-                log(f"m={m} {variant}: {median * 1e3:.3f} ms, "
-                    f"{rows[-1].bytes / 1e6:.1f} MB peak")
+            cases.append((m, variant, fn, qkv))
+    deadline = time.perf_counter() + WARMUP_S
+    while cases and time.perf_counter() < deadline:
+        for _, _, fn, qkv in cases:
+            _time_calls(fn, *qkv, 1)
+    numbers = [_calls_per_sample(fn, *qkv) for _, _, fn, qkv in cases]
+    times = [[] for _ in cases]
+    for _ in range(repeats):
+        for samples, (_, _, fn, qkv), number in zip(times, cases, numbers):
+            samples.append(_time_calls(fn, *qkv, number))
+    rows: list[BenchRow] = []
+    for samples, (m, variant, fn, qkv) in zip(times, cases):
+        median = sorted(samples)[len(samples) // 2]
+        rows.append(BenchRow(m, variant, median, _peak_bytes(fn, *qkv)))
+        if log:
+            log(f"m={m} {variant}: {median * 1e3:.3f} ms, "
+                f"{rows[-1].bytes / 1e6:.1f} MB peak")
     return rows

@@ -263,6 +263,7 @@ def test_load_embeddings_column_count_error(tmp_path):
 @pytest.mark.parametrize(
     "text, message",
     [
+        ("0.5 1\nabc 3\n", r"emb\.txt:2: .*'abc'"),
         ("0.5 1\nabc 3\n", r"emb\.txt:2: non-numeric value 'abc'$"),
         ("0.5 1\n\n2 3 4\n", r"emb\.txt:3: expected 2 values, found 3$"),
         ("1 nan\n0 0\n", r"emb\.txt:1: non-finite value 'nan'"),
