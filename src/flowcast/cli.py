@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import json
-import math
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +22,7 @@ from .bench import DEFAULT_BUDGET, run_benchmark
 from .context import load_embeddings, node2vec_walks, save_embeddings, skipgram_train
 from .data import (
     DatasetMeta,
+    _check_mask_eps,
     assign_windows,
     load_dataset,
     load_meta,
@@ -107,12 +107,6 @@ def _config_overrides(pairs: list[str]) -> dict:
     return overrides
 
 
-def _check_mask_eps(args) -> None:
-    """Reject a ``--mask-eps`` at which MAPE would count zero readings or read NaN."""
-    if not (math.isfinite(args.mask_eps) and args.mask_eps > 0):
-        raise ValueError(f"--mask-eps: {args.mask_eps!r} is not a finite value above 0")
-
-
 def _meta_of(args, cfg) -> DatasetMeta:
     """The meta file ``--meta`` (else ``<data>.meta``), which must share the
     config's calendar, since the time one-hots follow the config."""
@@ -131,7 +125,7 @@ def _meta_of(args, cfg) -> DatasetMeta:
 
 
 def cmd_train(args) -> int:
-    _check_mask_eps(args)
+    _check_mask_eps(args.mask_eps, "--mask-eps")
     cfg = load_config(args.config, _config_overrides(args.set))
     dataset, graph = load_dataset(args.data, args.graph, _meta_of(args, cfg))
 
@@ -213,7 +207,7 @@ def _at_least_one(args, *names: str) -> None:
 
 
 def cmd_eval(args) -> int:
-    _check_mask_eps(args)
+    _check_mask_eps(args.mask_eps, "--mask-eps")
     horizons = _counts("--horizons", args.horizons, distinct=True)
     model, _ = load_model(args.checkpoint)
     cfg = model.cfg

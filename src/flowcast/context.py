@@ -358,26 +358,26 @@ def gru_stack(
     x: Tensor, h0: list[Tensor], layers: list[GruLayerParams], steps: int | None = None,
     cell=gru_cell,
 ) -> Tensor:
-    """Stacked GRU layers from states ``h0`` as one graph node, giving the top
-    layer's state at each step, (..., steps, N, F). Layer i reads layer i - 1's
-    new state; layer 0 reads step t of a (..., T, N, F) ``x`` for its T steps,
-    or, given ``steps``, the (..., N, F) step ``x`` and then the top state of
-    step t - 1. The top layer writes into the output, which later steps read.
+    """Stacked GRU layers from states ``h0`` as one graph node over a
+    (..., T_x, N, F) sequence ``x``, giving the top layer's state at each of
+    ``steps`` steps (T_x if not given, never fewer), (..., steps, N, F).
+    Layer i reads layer i - 1's new state; layer 0 reads step t of ``x`` while
+    t < T_x, then the top state of step t - 1, written into the output.
     :mod:`flowcast.model` passes the ``cell`` it looks up, so that a tracer
     wrapping it there times the rollout's cells alone. The backward runs back
     through time over the cells' vjps, kept only when the node is tracked,
     adding each gradient's shares in the order per-step cell nodes did.
     """
-    seq = steps is None
-    state, steps = (x.shape[:-3] + x.shape[-2:], x.shape[-3]) if seq else (x.shape, steps)
-    if not layers or len(h0) != len(layers) or any(h.shape != state for h in h0):
+    t_x = x.shape[-3] if len(x.shape) > 2 else 0  # so a rank below 3 is rejected
+    steps, state = t_x if steps is None else steps, x.shape[:-3] + x.shape[-2:]
+    if not (0 < t_x <= steps and layers and [h.shape for h in h0] == [state] * len(layers)):
         raise ShapeError(f"gru_stack: input {x.shape} vs hidden {[h.shape for h in h0]}")
     inputs = (x, *h0, *(getattr(layer, f.name) for layer in layers for f in fields(layer)))
     keep, n = T._tracks(inputs), len(layers)
     w = [[getattr(layer, f.name).data for f in fields(layer)] for layer in layers]
     out, h, vjps = np.empty(state[:-2] + (steps,) + state[-2:]), [t.data for t in h0], []
     for t in range(steps):
-        below = x.data[..., t, :, :] if seq else (out[..., t - 1, :, :] if t else x.data)
+        below = x.data[..., t, :, :] if t < t_x else out[..., t - 1, :, :]
         for i in range(n):
             below, step = cell(below, h[i], w[i], out=out[..., t, :, :] if i == n - 1 else None)
             h[i] = below
@@ -387,18 +387,16 @@ def gru_stack(
 
     def vjp(g):
         # each state's gradient shares: the output's, then each reader's as it runs
-        dx, dw, shares = np.empty(x.shape) if seq else None, [None] * n, [[] for _ in h0]
+        dx, dw, shares = np.empty(x.shape), [None] * n, [[] for _ in h0]
         for t in range(steps - 1, -1, -1):
             shares[-1].insert(0, g[..., t, :, :])
             for i in range(n - 1, -1, -1):
                 d, shares[i] = shares[i], []
                 d_in, d_h, *step_dw = vjps[t * n + i](sum(d[1:], d[0]))
-                if i or (t and not seq):  # layer i - 1's state, or the fed-back top state
+                if i or t >= t_x:  # layer i - 1's state, or the fed-back top state
                     shares[i - 1].append(d_in)
-                elif seq:
-                    dx[..., t, :, :] = d_in
                 else:
-                    dx = d_in
+                    dx[..., t, :, :] = d_in
                 shares[i].append(d_h)
                 for acc, s in zip(dw[i] or (), step_dw):
                     acc += s  # from the last step to the first

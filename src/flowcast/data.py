@@ -304,8 +304,9 @@ def metrics(
 
     MAPE averages |error/truth| only where |truth| >= mask_eps; zeros in
     flow data would otherwise blow the percentage up. When every entry is
-    masked, MAPE is NaN and a RuntimeWarning says so.
+    masked, MAPE is NaN and a RuntimeWarning says so. A bad ``mask_eps`` raises ValueError.
     """
+    _check_mask_eps(mask_eps)
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
@@ -323,6 +324,12 @@ def metrics(
         return mae, rmse, math.nan
     mape = float(np.mean(np.abs(diff[mask] / truth[mask]))) * 100.0
     return mae, rmse, mape
+
+
+def _check_mask_eps(mask_eps: float, name: str = "mask_eps") -> None:
+    """Reject a bound at which MAPE would count zero readings or read NaN."""
+    if not (math.isfinite(mask_eps) and mask_eps > 0):
+        raise ValueError(f"{name}: {mask_eps!r} is not a finite value above 0")
 
 
 def save_predictions(path, rows: Iterable[tuple[int, int, int, float, float]]) -> None:

@@ -36,6 +36,7 @@ from .context import GruLayerParams, gru_cell, gru_sequence, gru_stack, temporal
 from .data import (
     Dataset,
     SampleWindow,
+    _check_mask_eps,
     _key_value_lines,
     assign_windows,
     make_windows,
@@ -123,8 +124,8 @@ class ModelConfig:
                 if not (_is_finite_real(value) and value > 0):
                     raise ConfigError(f"{f.name} must be finite and positive, got {value!r}")
             elif f.name in _LIST_FIELDS:
-                if not (isinstance(value, list) and all(map(_is_int, value))):
-                    raise ConfigError(f"{f.name} must be a list of integers, got {value!r}")
+                if not (isinstance(value, list) and all(_is_int(v) and v >= 0 for v in value)):
+                    raise ConfigError(f"{f.name} must be a list of integers >= 0, got {value!r}")
             elif not _is_int(value):
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
             elif f.name == "seed" and value < 0:
@@ -504,11 +505,11 @@ def transform_layer(
     """Bridge history to the horizon without decoding step by step.
 
     A GRU seeded with the encoder's final hidden states rolls ``horizon``
-    steps in one :func:`gru_stack` node, each step's output the next's
-    input. The rollout (plus future static context) forms the queries;
-    encoder features (plus historical static context) form keys and values
-    of a cross attention. ``time_hist`` and ``time_fut`` are (..., T, 1, F).
-    Returns (..., horizon, N, F) features.
+    steps from the (..., 1, N, F) step ``x_last`` in one :func:`gru_stack`
+    node, each step's output the next's input. The rollout (plus future
+    static context) forms the queries; encoder features (plus historical
+    static context) form keys and values of a cross attention. ``time_hist``
+    and ``time_fut`` are (..., T, 1, F). Returns (..., horizon, N, F) features.
     """
     tp = params.transform
     kv = _fuse(tp.kv_fuse_w, tp.kv_fuse_b, [enc, emb_proj, time_hist])
@@ -567,7 +568,7 @@ def forward_batch(
         _fuse(params.time_w, params.time_b, [Tensor(part[..., None, :])])
         for part in (hot[:, : cfg.history], hot[:, cfg.history :])
     )
-    x_last = input_projection(params, Tensor(xs[:, cfg.history - 1]))
+    x_last = input_projection(params, Tensor(xs[:, cfg.history - 1 : cfg.history]))
     xh = input_projection(params, Tensor(xs))
     # Each stage's output is dropped after its last reader, as are the zero
     # initial GRU states, passed without a name. A graph holds what backward
@@ -776,8 +777,9 @@ def train(
     (see :func:`prepare_dataset`). Raises :class:`TrainingDiverged` on a
     non-finite loss or a numeric failure inside a step (a degenerate
     attention normalizer, a non-finite gradient), keeping the last good
-    checkpoint on disk.
+    checkpoint on disk. A bad ``mask_eps`` fails before training starts.
     """
+    _check_mask_eps(mask_eps)
     if dataset.norm is None or not dataset.splits:
         raise ContractError("dataset is not prepared; call prepare_dataset first")
     windows = make_windows(dataset.readings, cfg.history, cfg.horizon)
@@ -866,9 +868,9 @@ def save_model(path, model: Forecaster, state: AdamState | None = None) -> None:
     save_arrays(path, arrays)
 
 
-def load_model(path, graph: RoadGraph | None = None) -> tuple[Forecaster, AdamState | None]:
-    """The model, and its Adam state if saved, from a checkpoint. A missing entry, a
-    wrong shape, a non-finite value or an out-of-range scalar is a CheckpointError."""
+def load_model(path) -> tuple[Forecaster, AdamState | None]:
+    """The model, its saved sensor graph and its Adam state if saved, from a checkpoint.
+    A missing entry, a wrong shape, a non-finite value or a bad scalar is a CheckpointError."""
     arrays = load_arrays(path)
 
     def entry(key: str) -> np.ndarray:
@@ -905,9 +907,8 @@ def load_model(path, graph: RoadGraph | None = None) -> tuple[Forecaster, AdamSt
     except ConfigError as err:
         raise CheckpointError(f"{path}: bad cfg entries: {err}") from None
 
-    if graph is None:
-        n = max((entry("graph.adjacency").shape or (0,))[0], 1)  # a graph has a node
-        graph = RoadGraph(array("graph.adjacency", (n, n), low=0.0))
+    n = max((entry("graph.adjacency").shape or (0,))[0], 1)  # a graph has a node
+    graph = RoadGraph(array("graph.adjacency", (n, n), low=0.0))
     # every parameter starts as a zero-byte stand-in of its shape, then takes its entry
     params = _params(cfg, lambda shape: Tensor(np.broadcast_to(0.0, shape), requires_grad=True))
     model = Forecaster(

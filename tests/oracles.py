@@ -12,8 +12,8 @@ graph node), ``model._fuse``, ``attention.multi_head_attention`` /
 ``gru_sequence`` is the per-step form of the one-node-per-layer GRU, a
 slice per step, a fused cell per step and layer, and a concat, and
 ``gru_stack`` the per-step form of the stacked GRU node
-``context.gru_stack``, over a sequence or rolled out from one step as the
-transform rollout runs it. The full-depth BFS distance matrix and
+``context.gru_stack``, over a sequence and then rolled out past its end as
+the transform rollout runs it. The full-depth BFS distance matrix and
 its float shells are the reference for ``graph.hop_shells``;
 ``graph_from_edges`` fills an adjacency from an edge list as
 ``graph.load_adjacency`` fills it from a file's lines.
@@ -325,17 +325,14 @@ def gru_stack(
     x: Tensor, h0: list[Tensor], layers: list[GruLayerParams], steps: int | None = None
 ) -> Tensor:
     """Stacked GRU layers from states ``h0``, a fused ``gru_cell_node`` per
-    step and layer, each step's layer 0 reading a slice of a (..., T, N, F)
-    ``x``, or, given ``steps``, the (..., N, F) ``x`` first and then the
-    top state before it; the top states join by a concat and a reshape into
+    step and layer, each step's layer 0 reading a slice of the (..., T_x, N, F)
+    ``x`` while t < T_x and then the top state before it, for ``steps`` steps
+    (T_x if not given); the top states join by a concat and a reshape into
     (..., steps, N, F)."""
     hidden = list(h0)
     generated: list[Tensor] = []
     for t in range(x.shape[-3] if steps is None else steps):
-        if steps is None:
-            layer_in = T._slice(x, np.s_[..., t, :, :])
-        else:
-            layer_in = generated[-1] if t else x
+        layer_in = T._slice(x, np.s_[..., t, :, :]) if t < x.shape[-3] else generated[-1]
         for i, layer in enumerate(layers):
             hidden[i] = gru_cell_node(layer_in, hidden[i], layer)
             layer_in = hidden[i]

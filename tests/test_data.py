@@ -400,6 +400,13 @@ def test_metrics_all_masked_error():
     assert (mae, rmse) == (1.0, 1.0) and math.isnan(mape)
 
 
+@pytest.mark.parametrize("mask_eps", [math.nan, math.inf, 0.0, -1.0])
+def test_metrics_rejects_a_mask_eps_that_is_not_finite_and_above_0(mask_eps):
+    # nan read MAPE nan with a warning, and 0 or -1 read inf
+    with pytest.raises(ValueError, match=r"^mask_eps: .* is not a finite value above 0$"):
+        metrics(np.ones(4), np.array([0.0, 2.0, 3.0, 0.0]), mask_eps=mask_eps)
+
+
 def test_metrics_shape_mismatch():
     with pytest.raises(ValueError):
         metrics(np.zeros((2, 2)), np.zeros((2, 3)))

@@ -118,6 +118,7 @@ def test_config_rejects_nonpositive_counts(sizes):
         ({"lr_decay_epochs": [1.5]}, "lr_decay_epochs"),
         ({"seed": -1, "width": 8, "heads": 2, "head_dim": 4, "hops": 1}, "seed"),
         ({"lr": 10**400}, "lr"),
+        ({"lr_decay_epochs": [-3, 2]}, "lr_decay_epochs"),
     ],
 )
 def test_config_rejects_bad_values_naming_the_key(values, key):
@@ -578,7 +579,7 @@ def test_transform_output_shape(tiny_model):
     enc_tokens = Tensor(rng.normal(size=(2, 3, 4)))
     finals = [Tensor(rng.normal(size=(3, 4)))]
     out = transform_layer(
-        m.cfg, m.params, enc_tokens, finals, Tensor(rng.normal(size=(3, 4))),
+        m.cfg, m.params, enc_tokens, finals, Tensor(rng.normal(size=(1, 3, 4))),
         emb_proj, time_hist, time_fut,
     )
     assert out.shape == (2, 3, 4)
@@ -598,7 +599,7 @@ def test_transform_convexity_collapse():
     emb_proj, time_hist, time_fut = _projected_statics(m, 2, 2)
     out = transform_layer(
         m.cfg, m.params, Tensor(rng.normal(size=(2, 3, 4))),
-        [Tensor(rng.normal(size=(3, 4)))], Tensor(rng.normal(size=(3, 4))),
+        [Tensor(rng.normal(size=(3, 4)))], Tensor(rng.normal(size=(1, 3, 4))),
         emb_proj, time_hist, time_fut,
     )
     expected_value_row = tp.kv_fuse_b.data @ tp.attn.w_v[0].data
@@ -610,7 +611,7 @@ def test_transform_global_receptive_field(tiny_model):
     rng = np.random.default_rng(9)
     emb_proj, time_hist, time_fut = _projected_statics(m, 2, 2)
     finals = [Tensor(rng.normal(size=(3, 4)))]
-    x_last = Tensor(rng.normal(size=(3, 4)))
+    x_last = Tensor(rng.normal(size=(1, 3, 4)))
     enc_tokens = rng.normal(size=(2, 3, 4))
     base = transform_layer(
         m.cfg, m.params, Tensor(enc_tokens), finals, x_last,
@@ -630,12 +631,12 @@ def test_transform_global_receptive_field(tiny_model):
 # The transform rollout as one node, against the per-step form it replaced
 # (tests/oracles.py)
 
-def _rollout_case(rng, n_layers, lead, f=3, n=2):
+def _rollout_case(rng, n_layers, lead, f=3, n=2, t_x=1):
     layers = [
         model_module._gru_layer(lambda s: T.param(rng.uniform(-0.5, 0.5, s)), f)
         for _ in range(n_layers)
     ]
-    x_last = T.param(rng.normal(size=lead + (n, f)))
+    x_last = T.param(rng.normal(size=lead + (t_x, n, f)))
     h0 = [T.param(rng.normal(size=lead + (n, f))) for _ in layers]
     return x_last, h0, layers
 
@@ -648,26 +649,29 @@ def _rollout_inputs(x_last, h0, layers):
 @pytest.mark.parametrize("lead", [(), (2,), (2, 2)], ids=["no_batch", "batch", "two_batch_axes"])
 @pytest.mark.parametrize("n_layers", [1, 2])
 def test_rollout_node_matches_the_per_step_form_to_the_byte(n_layers, lead, untracked):
-    rng = np.random.default_rng(66)
-    x_last, h0, layers = _rollout_case(rng, n_layers, lead)
-    if untracked == "x_last":
-        x_last = Tensor(x_last.data)
-    elif untracked == "h0":
-        h0[-1] = Tensor(h0[-1].data)
-    elif untracked is not None:
-        setattr(layers[0], untracked, Tensor(getattr(layers[0], untracked).data))
-    inputs = _rollout_inputs(x_last, h0, layers)
-    c = Tensor(rng.normal(size=lead + (4,) + x_last.shape[-2:]))
-    out, grads = _out_and_grads(
-        lambda: gru_stack(x_last, h0, layers, 4), inputs, c
-    )
-    want, want_grads = _out_and_grads(lambda: oracles.gru_stack(x_last, h0, layers, 4), inputs, c)
-    assert out.shape == want.shape and out.tobytes() == want.tobytes()
-    for got, ref in zip(grads, want_grads):
-        if ref is None:
-            assert got is None
-        else:
-            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    # from one step, as the transform runs it, and from two, where layer 0
+    # switches from reading x to reading the fed-back top state at step 2
+    for t_x in (1, 2):
+        rng = np.random.default_rng(66)
+        x_last, h0, layers = _rollout_case(rng, n_layers, lead, t_x=t_x)
+        if untracked == "x_last":
+            x_last = Tensor(x_last.data)
+        elif untracked == "h0":
+            h0[-1] = Tensor(h0[-1].data)
+        elif untracked is not None:
+            setattr(layers[0], untracked, Tensor(getattr(layers[0], untracked).data))
+        inputs = _rollout_inputs(x_last, h0, layers)
+        c = Tensor(rng.normal(size=lead + (4,) + x_last.shape[-2:]))
+        out, grads = _out_and_grads(lambda: gru_stack(x_last, h0, layers, 4), inputs, c)
+        want, want_grads = _out_and_grads(
+            lambda: oracles.gru_stack(x_last, h0, layers, 4), inputs, c
+        )
+        assert out.shape == want.shape and out.tobytes() == want.tobytes()
+        for got, ref in zip(grads, want_grads):
+            if ref is None:
+                assert got is None
+            else:
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("untracked", [None, "x", "h0", "w_xu"])
@@ -695,15 +699,21 @@ def test_stacked_layers_over_a_sequence_match_the_per_step_form_to_the_byte(untr
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("case", ["no_layers", "fewer_states", "other_shape"])
+@pytest.mark.parametrize(
+    "case", ["no_layers", "fewer_states", "other_shape", "fewer_steps_than_input", "rank_2_input"]
+)
 def test_gru_stack_rejects_states_that_do_not_fit_its_input(case):
     x_last, h0, layers = _rollout_case(np.random.default_rng(72), 2, (2,))
     if case == "no_layers":
         h0, layers = [], []
     elif case == "fewer_states":
         h0 = h0[:1]
-    else:
-        h0[1] = Tensor(np.zeros(x_last.shape[1:]))
+    elif case == "other_shape":
+        h0[1] = Tensor(np.zeros(h0[1].shape[1:]))
+    elif case == "fewer_steps_than_input":
+        x_last = Tensor(np.zeros((2, 4) + x_last.shape[-2:]))  # 4 steps given, 3 run
+    else:  # one (N, F) step, with states of its shape
+        x_last, h0 = Tensor(x_last.data[0, 0]), [Tensor(h.data[0]) for h in h0]
     with pytest.raises(ShapeError, match="^gru_stack: input .* vs hidden"):
         gru_stack(x_last, h0, layers, 3)
 
@@ -730,7 +740,7 @@ def test_rollout_gradients_match_finite_differences(n_layers):
     rng = np.random.default_rng(69)
     x_last, h0, layers = _rollout_case(rng, n_layers, (), f=2)
     inputs = _rollout_inputs(x_last, h0, layers)
-    c = rng.normal(size=(3,) + x_last.shape)
+    c = rng.normal(size=(3,) + x_last.shape[-2:])
     T.backward(ops.sum_(ops.mul(gru_stack(x_last, h0, layers, 3), Tensor(c))))
 
     def forward():
@@ -924,7 +934,7 @@ def test_single_shot_inference_is_pointwise_on_features(tiny_model):
         h0 = [Tensor(np.zeros((3, 4)))]
         enc, finals = block_forward("encoder", p.encoder, xh, emb_proj, time_hist, m.ginputs, h0)
         dec_in = transform_layer(
-            m.cfg, p, enc, finals, T._slice(xh, m.cfg.history - 1), emb_proj, time_hist,
+            m.cfg, p, enc, finals, T._slice(xh, np.s_[m.cfg.history - 1 :]), emb_proj, time_hist,
             time_fut,
         )
         feats, _ = block_forward(
@@ -1011,6 +1021,17 @@ def test_training_applies_lr_schedule():
     assert lrs[0] == pytest.approx(1e-2)
     assert lrs[1] == pytest.approx(1e-3)
     assert lrs[2] == pytest.approx(1e-4)
+
+
+@pytest.mark.parametrize("mask_eps", [math.nan, math.inf, 0.0, -1.0])
+def test_train_rejects_a_mask_eps_that_is_not_finite_and_above_0(tmp_path, mask_eps, monkeypatch):
+    cfg, prepared, graph, node_emb = _prepared_ring(steps=120, epochs=1, batch_size=64)
+    monkeypatch.setattr(model_module, "_train_step", lambda *args, **kwargs: pytest.fail(
+        "train stepped before checking mask_eps"
+    ))
+    with pytest.raises(ValueError, match=r"^mask_eps: .* is not a finite value above 0$"):
+        train(cfg, prepared, graph, node_emb, tmp_path / "model.ckpt", mask_eps=mask_eps)
+    assert not (tmp_path / "model.ckpt").exists()
 
 
 def _train_peak_bytes(epochs: int) -> int:
@@ -1389,7 +1410,7 @@ def test_model_checkpoint_round_trip(tmp_path, tiny_model):
 
     path = tmp_path / "model.ckpt"
     save_model(path, m, state)
-    loaded, loaded_state = load_model(path, m.ginputs.graph)
+    loaded, loaded_state = load_model(path)
 
     assert loaded.cfg == m.cfg
     assert loaded.norm == m.norm
@@ -1432,7 +1453,7 @@ def test_load_model_takes_each_parameter_from_the_checkpoint(tmp_path, tiny_mode
 
 @pytest.mark.parametrize(
     "entry",
-    ["adam.m.input.w", "adam.v.decoder.fuse.b", "node.embeddings", "norm.std"],
+    ["adam.m.input.w", "adam.v.decoder.fuse.b", "node.embeddings", "norm.std", "graph.adjacency"],
 )
 def test_load_model_missing_entry_names_it(tmp_path, tiny_model, entry):
     tiny_model.norm = (1.0, 2.0)
@@ -1442,7 +1463,7 @@ def test_load_model_missing_entry_names_it(tmp_path, tiny_model, entry):
     del arrays[entry]
     save_arrays(path, arrays)
     with pytest.raises(CheckpointError, match=f"missing entry {entry}"):
-        load_model(path, tiny_model.ginputs.graph)
+        load_model(path)
 
 
 @pytest.mark.parametrize(
@@ -1462,7 +1483,7 @@ def test_load_model_rejects_a_bad_integer_entry_naming_it(tmp_path, tiny_model, 
     arrays[entry] = np.asarray(value, dtype=np.float64)
     save_arrays(path, arrays)
     with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: bad {entry} "):
-        load_model(path, tiny_model.ginputs.graph)
+        load_model(path)
 
 
 def test_load_model_wraps_a_config_error(tmp_path, tiny_model):
@@ -1472,7 +1493,7 @@ def test_load_model_wraps_a_config_error(tmp_path, tiny_model):
     arrays["cfg.heads"] = np.asarray([3.0])  # width is no longer heads x head_dim
     save_arrays(path, arrays)
     with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: bad cfg entries: width"):
-        load_model(path, tiny_model.ginputs.graph)
+        load_model(path)
 
 
 def test_checkpoint_shape_mismatch_reports_dims(tmp_path, tiny_model):
@@ -1482,7 +1503,7 @@ def test_checkpoint_shape_mismatch_reports_dims(tmp_path, tiny_model):
     arrays["param.input.w"] = np.zeros((2, 4))  # wrong channel count
     save_arrays(path, arrays)
     with pytest.raises(CheckpointError, match=r"\(1, 4\).*\(2, 4\)"):
-        load_model(path, tiny_model.ginputs.graph)
+        load_model(path)
 
 
 def _ring_adjacency_with(i, j, weight):
@@ -1512,6 +1533,7 @@ def _ring_adjacency_with(i, j, weight):
         ({"param.input.w": np.full((1, 4), np.nan)}, "param.input.w"),
         ({"adam.m.input.w": np.zeros((4, 1))}, "adam.m.input.w"),
         ({"adam.v.input.w": -np.ones((1, 4))}, "adam.v.input.w"),
+        ({"cfg.lr_decay_epochs": [-3.0, 2.0]}, "cfg entries: lr_decay_epochs"),
     ],
 )
 def test_load_model_rejects_each_bad_entry_naming_it(tmp_path, tiny_model, changes, entry):

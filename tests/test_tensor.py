@@ -460,7 +460,7 @@ def _node_cases(rng):
         "fuse": lambda: _fuse(p(10, 4), p(4), [p(2, 3, 5, 1), c(5, 4), p(2, 3, 1, 5)]),
         "gru_cell": lambda: gru_cell_node(p(2, 5, 3), c(2, 5, 3), gru),
         "gru_layer": lambda: gru_stack(p(2, 4, 5, 3), [c(2, 5, 3)], [gru]),
-        "gru_rollout": lambda: gru_stack(c(2, 5, 3), [p(2, 5, 3), c(2, 5, 3)], [gru, gru], 3),
+        "gru_rollout": lambda: gru_stack(c(2, 1, 5, 3), [p(2, 5, 3), c(2, 5, 3)], [gru, gru], 3),
         "self_attention": lambda: multi_head_attention(p(2, 6, 4), None, attn),
         "cross_attention": lambda: multi_head_attention(p(2, 6, 4), c(2, 7, 4), attn),
         "linear_attention": lambda: linear_attention(p(5, 3), c(6, 3), p(6, 2)),
