@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
+import inspect
 import json
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from .data import (
     load_meta,
     load_readings,
     make_windows,
+    metrics,
     save_predictions,
     split_boundaries,
     zscore_apply,
@@ -282,6 +284,16 @@ def cmd_synth(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _library_flags(parser, fn, *flags: str) -> None:
+    """Add each flag ``"name"`` or ``"name=param"`` as ``--name``, defaulted and typed
+    as ``fn``'s parameter ``param`` (if not given, ``name`` with ``_`` for ``-``)."""
+    signature = inspect.signature(fn).parameters
+    for flag in flags:
+        name, _, param = flag.partition("=")
+        default = signature[param or name.replace("-", "_")].default
+        parser.add_argument(f"--{name}", type=type(default), default=default)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flowcast",
@@ -293,14 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="compute node embeddings from the road graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--q", type=float, default=1.0)
-    p.add_argument("--walks", type=int, default=10)
-    p.add_argument("--length", type=int, default=80)
-    p.add_argument("--window", type=int, default=10)
-    p.add_argument("--negatives", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    _library_flags(p, node2vec_walks, "p", "q", "walks=walks_per_node", "length=walk_len")
+    _library_flags(p, skipgram_train, "window", "negatives", "epochs", "seed")
     p.set_defaults(fn=cmd_embed)
 
     p = sub.add_parser("train", help="train a forecaster")
@@ -310,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings")
     p.add_argument("--meta", help="defaults to <data>.meta")
     p.add_argument("--out", required=True)
-    p.add_argument("--mask-eps", type=float, default=1.0)
+    _library_flags(p, train, "mask-eps")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override a config value")
     p.set_defaults(fn=cmd_train)
@@ -321,28 +327,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--meta", help="defaults to <data>.meta")
     p.add_argument("--split", choices=["train", "val", "test"], default="test")
     p.add_argument("--horizons", default="3,6,12")
-    p.add_argument("--mask-eps", type=float, default=1.0)
+    _library_flags(p, metrics, "mask-eps")
     p.add_argument("--out", help="write per-horizon metrics CSV here")
     p.add_argument("--predictions", help="write t_abs,node,channel,pred,truth CSV here")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("bench", help="compare attention kernel complexity")
     p.add_argument("--sizes", default="1024,4096")
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--repeats", type=int, default=5)
+    _library_flags(p, run_benchmark, "dim", "repeats", "seed")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="max M*M entries the quadratic kernel may allocate")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("synth", help="generate the synthetic ring dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--nodes", type=int, default=8)
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--period", type=int, default=96)
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    _library_flags(p, make_ring_dataset, "nodes=n_nodes", "steps", "period", "noise", "seed")
     p.set_defaults(fn=cmd_synth)
     return parser
 

@@ -180,10 +180,7 @@ def skipgram_train(
             # step, or the stale-weight updates compound and diverge.
             grad_u = coef_pos * v_pos + np.einsum("bnk,bnd->bd", coef_neg, v_neg)
             del v_pos, v_neg  # freed before the output rows' buffers are made
-            grad_in = _scatter_rows(bins, c, grad_u)
-            cnt_in = np.bincount(c, minlength=n_nodes)
-            hit = cnt_in > 0
-            w_in[hit] -= cur_lr * grad_in[hit] / cnt_in[hit, None]
+            _mean_step(w_in, bins, c, grad_u, cur_lr)
 
             # each target row takes its positive terms first, then its negatives
             targets = np.concatenate([o, neg.ravel()])
@@ -192,10 +189,7 @@ def skipgram_train(
             np.multiply(
                 coef_neg, u[:, None, :], out=grad_rows[idx.size :].reshape(neg.shape + (dim,))
             )
-            grad_out = _scatter_rows(bins, targets, grad_rows)
-            cnt_out = np.bincount(targets, minlength=n_nodes)
-            hit = cnt_out > 0
-            w_out[hit] -= cur_lr * grad_out[hit] / cnt_out[hit, None]
+            _mean_step(w_out, bins, targets, grad_rows, cur_lr)
     if not np.all(np.isfinite(w_in)):
         raise FloatingPointError("skip-gram training produced non-finite embeddings")
     return w_in
@@ -219,17 +213,15 @@ def _walk_pairs(
     return np.broadcast_to(nodes[:, None], ctx.shape)[keep], nodes[ctx[keep]]
 
 
-def _scatter_rows(
-    bins: np.ndarray, targets: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    """Sums of ``rows`` grouped by ``targets``, shaped like ``bins``.
-
-    ``bins[t, d]`` is the flat bin of node t's column d. np.bincount adds
-    each bin's entries in row order, as np.add.at does, so the sums are the
-    same to the bit.
-    """
+def _mean_step(w: np.ndarray, bins, targets, rows, lr: float) -> None:
+    """Step each row of ``w`` that ``targets`` hits, in place, by ``lr`` times
+    the mean of the gradient ``rows`` aimed at it. ``bins[t, d]`` is the flat
+    bin of node t's column d; np.bincount adds each bin's entries in row
+    order, as np.add.at does, so the sums are the same to the bit."""
     sums = np.bincount(bins[targets].ravel(), weights=rows.ravel(), minlength=bins.size)
-    return sums.reshape(bins.shape)
+    cnt = np.bincount(targets, minlength=w.shape[0])
+    hit = cnt > 0
+    w[hit] -= lr * sums.reshape(bins.shape)[hit] / cnt[hit, None]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -33,6 +33,9 @@ __all__ = [
     "save_predictions",
 ]
 
+SPLIT_FRACTIONS = (0.7, 0.1, 0.2)  # train / val / test shares of the raw steps
+MASK_EPS = 1.0  # the smallest |truth| that MAPE divides by
+
 
 class DataFormatError(ValueError):
     """Readings or meta file could not be parsed."""
@@ -242,10 +245,11 @@ def zscore_invert(data: np.ndarray, stats: tuple[float, float]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Windowing and splits
 
-def make_windows(
-    readings: np.ndarray, history: int = 12, horizon: int = 12
-) -> list[SampleWindow]:
-    """All stride-1 windows: x covers [t0, t0+history), y the next horizon."""
+def make_windows(readings: np.ndarray, history: int, horizon: int) -> list[SampleWindow]:
+    """All stride-1 windows: x covers [t0, t0+history), y the next horizon (each >= 1)."""
+    for name, steps in (("history", history), ("horizon", horizon)):
+        if steps < 1:
+            raise ValueError(f"{name} must be >= 1, got {steps}")
     total = readings.shape[0]
     span = history + horizon
     if total < span:
@@ -261,9 +265,11 @@ def make_windows(
 
 
 def split_boundaries(
-    total_steps: int, fractions: tuple[float, float, float] = (0.7, 0.1, 0.2)
+    total_steps: int, fractions: tuple[float, float, float] = SPLIT_FRACTIONS
 ) -> dict[str, range]:
     """Contiguous raw-index ranges for train/val/test, floor-rounded."""
+    if len(fractions) != 3 or not all(0.0 <= f <= 1.0 for f in fractions):
+        raise ValueError(f"fractions must be three values in [0, 1], got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {fractions}")
     train_end = int(fractions[0] * total_steps)
@@ -298,7 +304,7 @@ def assign_windows(
 # Metrics
 
 def metrics(
-    pred: np.ndarray, truth: np.ndarray, mask_eps: float = 1.0
+    pred: np.ndarray, truth: np.ndarray, mask_eps: float = MASK_EPS
 ) -> tuple[float, float, float]:
     """(MAE, RMSE, MAPE%) over de-normalized values.
 

@@ -32,8 +32,10 @@ import numpy as np
 from . import tensor as T
 from .attention import AttentionParams, DegenerateAttentionError, multi_head_attention
 from .checkpoint import CheckpointError, load_arrays, save_arrays
-from .context import GruLayerParams, gru_cell, gru_sequence, gru_stack, temporal_encoding
+from .context import EMBED_DIM, GruLayerParams, gru_cell, gru_sequence, gru_stack, temporal_encoding
 from .data import (
+    MASK_EPS,
+    SPLIT_FRACTIONS,
     Dataset,
     SampleWindow,
     _check_mask_eps,
@@ -128,10 +130,10 @@ class ModelConfig:
                     raise ConfigError(f"{f.name} must be a list of integers >= 0, got {value!r}")
             elif not _is_int(value):
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            elif f.name == "seed" and value < 0:
-                raise ConfigError(f"seed must be >= 0, got {value}")
-            elif value < 1 and f.name not in ("start_weekday", "seed"):
-                raise ConfigError(f"{f.name} must be >= 1, got {value}")
+            elif f.name == "start_weekday" and not 0 <= value <= 6:
+                raise ConfigError(f"start_weekday must be in 0..6, got {value}")
+            elif value < (low := 0 if f.name in ("start_weekday", "seed") else 1):
+                raise ConfigError(f"{f.name} must be >= {low}, got {value}")
         if self.width != self.heads * self.head_dim:
             raise ConfigError(
                 f"width {self.width} != heads {self.heads} x head_dim {self.head_dim}"
@@ -267,7 +269,7 @@ class ModelParams:
     in_b: Tensor
     out_w: Tensor             # (F, C)
     out_b: Tensor
-    emb_w: Tensor             # (64, F)
+    emb_w: Tensor             # (EMBED_DIM, F)
     emb_b: Tensor
     time_w: Tensor             # (slots_per_day + 7, F)
     time_b: Tensor
@@ -326,7 +328,7 @@ def _params(cfg: ModelConfig, make) -> ModelParams:
     return ModelParams(
         in_w=make((cfg.channels, f)), in_b=make((f,)),
         out_w=make((f, cfg.channels)), out_b=make((cfg.channels,)),
-        emb_w=make((64, f)), emb_b=make((f,)),
+        emb_w=make((EMBED_DIM, f)), emb_b=make((f,)),
         time_w=make((cfg.time_enc_width, f)), time_b=make((f,)),
         encoder=_block(make, cfg),
         decoder=_block(make, cfg),
@@ -629,7 +631,7 @@ class Forecaster:
 # Dataset preparation, training, evaluation
 
 def prepare_dataset(
-    dataset: Dataset, fractions: tuple[float, float, float] = (0.7, 0.1, 0.2)
+    dataset: Dataset, fractions: tuple[float, float, float] = SPLIT_FRACTIONS
 ) -> Dataset:
     """Fit z-score stats on the training span only, normalize everything,
     and record the raw-index split ranges."""
@@ -680,7 +682,7 @@ def evaluate(
     model: Forecaster,
     windows: list[SampleWindow],
     horizons: list[int] | None = None,
-    mask_eps: float = 1.0,
+    mask_eps: float = MASK_EPS,
 ) -> dict[str, tuple[float, float, float]]:
     """De-normalized :func:`horizon_metrics` of the model on ``windows``."""
     return horizon_metrics(*forecast(model, windows, horizons), horizons, mask_eps)
@@ -768,7 +770,7 @@ def train(
     node_emb: np.ndarray,
     checkpoint_path: Path | None = None,
     log_fn=None,
-    mask_eps: float = 1.0,
+    mask_eps: float = MASK_EPS,
 ) -> tuple[Forecaster, list[EpochLog]]:
     """Mini-batch Adam on the summed-L1 objective with step-decayed LR.
 

@@ -40,10 +40,10 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
 
     Parameters with no gradient (never touched by the loss) are treated as
     having zero gradient so the moment decay still advances uniformly.
-    A non-finite gradient raises before anything changes, the step count included.
+    A bad learning rate or a non-finite gradient raises before anything changes.
     """
-    if lr <= 0:
-        raise ValueError(f"learning rate must be positive, got {lr}")
+    if not (np.isfinite(lr) and lr > 0):
+        raise ValueError(f"learning rate must be finite and above 0, got {lr}")
     for name, p in params.items():
         if p.grad is not None and not np.all(np.isfinite(p.grad)):
             raise GradientError(f"non-finite gradient in parameter '{name}'")
@@ -64,7 +64,7 @@ def zero_grads(params: dict[str, Tensor]) -> None:
         p.grad = None
 
 
-def lr_at_epoch(epoch: int, initial: float, decay_epochs, factor: float = 0.1) -> float:
+def lr_at_epoch(epoch: int, initial: float, decay_epochs, factor: float) -> float:
     """Learning rate for ``epoch`` (0-based): ``initial`` scaled by
     ``factor`` once for every decay epoch already reached."""
     hits = sum(1 for d in decay_epochs if epoch >= d)

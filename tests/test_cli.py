@@ -12,7 +12,7 @@ from flowcast import cli
 from flowcast.attention import DegenerateAttentionError
 from flowcast.checkpoint import load_arrays, save_arrays
 from flowcast.cli import main
-from flowcast.context import load_embeddings, save_embeddings
+from flowcast.context import load_embeddings, node2vec_walks, save_embeddings, skipgram_train
 from flowcast.data import Dataset, DatasetMeta
 from flowcast.model import (
     EpochLog,
@@ -86,6 +86,35 @@ def test_embed_has_no_dim_flag(tmp_path):
         main(["embed", "--graph", str(graph_path), "--out", str(tmp_path / "e.txt"),
               "--dim", "32"])
     assert err.value.code == 2
+
+
+def test_embed_without_flags_writes_the_embeddings_train_builds(tmp_path):
+    # train without --embeddings calls the library with its defaults and cfg.seed
+    graph = ring_graph(5)
+    graph_path = tmp_path / "edges.csv"
+    graph_path.write_text("".join(f"{i},{(i + 1) % 5},1.0\n" for i in range(5)))
+    out, expected = tmp_path / "e.txt", tmp_path / "expected.txt"
+    assert main(["embed", "--graph", str(graph_path), "--out", str(out)]) == 0
+    walks = node2vec_walks(graph, seed=0)
+    save_embeddings(expected, skipgram_train(walks, seed=0, n_nodes=5))
+    assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, defaults",
+    [
+        (["embed", "--graph", "g", "--out", "o"],
+         dict(p=1.0, q=1.0, walks=10, length=80, window=10, negatives=5, epochs=5, seed=0)),
+        (["train", "--config", "c", "--data", "d", "--graph", "g", "--out", "o"],
+         dict(mask_eps=1.0)),
+        (["eval", "--checkpoint", "c", "--data", "d"], dict(mask_eps=1.0, horizons="3,6,12")),
+        (["bench", "--out", "o"], dict(dim=16, repeats=5, budget=64 * 1024 * 1024, seed=0)),
+        (["synth", "--out", "o"], dict(nodes=8, steps=2000, period=96, noise=0.05, seed=0)),
+    ],
+)
+def test_cli_defaults_are_the_library_defaults(argv, defaults):
+    args = cli.build_parser().parse_args(argv)
+    assert {name: getattr(args, name) for name in defaults} == defaults
 
 
 @pytest.mark.parametrize("flag", ["--walks", "--window", "--negatives", "--epochs"])

@@ -33,7 +33,7 @@ from flowcast.synth import make_ring_dataset, write_dataset_files
 def test_england_window_count():
     # 35040 steps of 15-minute readings, 12 in / 12 out
     assert 35040 - 24 + 1 == 35017
-    assert len(make_windows(np.zeros((240, 2, 1)))) == 240 - 24 + 1
+    assert len(make_windows(np.zeros((240, 2, 1)), 12, 12)) == 240 - 24 + 1
 
 
 def test_england_meta_derivations():
@@ -295,6 +295,14 @@ def test_too_short_series():
         make_windows(np.zeros((20, 2, 1)), 12, 12)
 
 
+@pytest.mark.parametrize(
+    "history, horizon, name", [(-3, 12, "history"), (0, 12, "history"), (12, 0, "horizon")]
+)
+def test_make_windows_rejects_a_span_below_one_naming_it(history, horizon, name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1, got "):
+        make_windows(np.zeros((40, 1, 1)), history, horizon)
+
+
 def test_split_boundaries_100_steps():
     bounds = split_boundaries(100)
     assert (bounds["train"], bounds["val"], bounds["test"]) == (
@@ -305,6 +313,22 @@ def test_split_boundaries_100_steps():
 def test_split_boundaries_require_unit_sum():
     with pytest.raises(ValueError):
         split_boundaries(100, (0.5, 0.2, 0.2))
+
+
+@pytest.mark.parametrize(
+    "fractions",
+    [(1.2, -0.1, -0.1), (0.7, 0.1, 0.2, 0.0), (0.5, 0.5), (0.7, 0.1, math.nan)],
+)
+def test_split_boundaries_require_three_fractions_in_the_unit_range(fractions):
+    with pytest.raises(ValueError, match=r"^fractions must be three values in \[0, 1\]"):
+        split_boundaries(100, fractions)
+
+
+@pytest.mark.parametrize("fractions", [(0.048, 0.030, 0.922), (0.096, 0.085, 0.819), (1.0, 0.0, 0.0)])
+def test_split_boundaries_accept_edge_and_benchmark_fractions(fractions):
+    train, val, test = split_boundaries(1000, fractions).values()
+    assert (train.start, train.stop, val.stop, test.stop) == (0, val.start, test.start, 1000)
+    assert all(r.start <= r.stop for r in (train, val, test))
 
 
 def test_chronological_split_no_leakage():

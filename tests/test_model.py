@@ -119,6 +119,8 @@ def test_config_rejects_nonpositive_counts(sizes):
         ({"seed": -1, "width": 8, "heads": 2, "head_dim": 4, "hops": 1}, "seed"),
         ({"lr": 10**400}, "lr"),
         ({"lr_decay_epochs": [-3, 2]}, "lr_decay_epochs"),
+        ({"start_weekday": -1}, "start_weekday"),
+        ({"start_weekday": 9}, "start_weekday"),
     ],
 )
 def test_config_rejects_bad_values_naming_the_key(values, key):
@@ -1534,6 +1536,8 @@ def _ring_adjacency_with(i, j, weight):
         ({"adam.m.input.w": np.zeros((4, 1))}, "adam.m.input.w"),
         ({"adam.v.input.w": -np.ones((1, 4))}, "adam.v.input.w"),
         ({"cfg.lr_decay_epochs": [-3.0, 2.0]}, "cfg entries: lr_decay_epochs"),
+        ({"cfg.start_weekday": [-1.0]}, "cfg entries: start_weekday"),
+        ({"cfg.start_weekday": [9.0]}, "cfg entries: start_weekday"),
     ],
 )
 def test_load_model_rejects_each_bad_entry_naming_it(tmp_path, tiny_model, changes, entry):

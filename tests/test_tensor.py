@@ -712,6 +712,23 @@ def test_adam_non_finite_last_gradient_changes_nothing(bad):
         assert state.v[name].tobytes() == v.tobytes(), name
 
 
+@pytest.mark.parametrize("lr", [np.nan, np.inf, 0.0, -1.0])
+def test_adam_rejects_a_learning_rate_not_finite_and_above_zero_changing_nothing(lr):
+    p = _params({"a": [1.0, 2.0], "b": [3.0]})
+    for t in p.values():
+        t.grad = np.ones_like(t.data)
+    state = AdamState.for_params(p)
+    adam_step(p, state, lr=0.1)  # nonzero moments to keep
+    before = {n: (t.data.copy(), state.m[n].copy(), state.v[n].copy()) for n, t in p.items()}
+    with pytest.raises(ValueError, match=f"learning rate .*got {lr}$"):
+        adam_step(p, state, lr=lr)
+    assert state.step == 1
+    for name, (data, m, v) in before.items():
+        assert p[name].data.tobytes() == data.tobytes(), name
+        assert state.m[name].tobytes() == m.tobytes(), name
+        assert state.v[name].tobytes() == v.tobytes(), name
+
+
 def test_zero_grads():
     p = _params({"w": [1.0]})
     p["w"].grad = np.ones(1)
@@ -721,10 +738,10 @@ def test_zero_grads():
 
 def test_lr_schedule_england():
     decay = [25, 35]
-    assert lr_at_epoch(24, 1e-3, decay) == pytest.approx(1e-3)
-    assert lr_at_epoch(25, 1e-3, decay) == pytest.approx(1e-4)
-    assert lr_at_epoch(34, 1e-3, decay) == pytest.approx(1e-4)
-    assert lr_at_epoch(35, 1e-3, decay) == pytest.approx(1e-5)
+    assert lr_at_epoch(24, 1e-3, decay, 0.1) == pytest.approx(1e-3)
+    assert lr_at_epoch(25, 1e-3, decay, 0.1) == pytest.approx(1e-4)
+    assert lr_at_epoch(34, 1e-3, decay, 0.1) == pytest.approx(1e-4)
+    assert lr_at_epoch(35, 1e-3, decay, 0.1) == pytest.approx(1e-5)
 
 
 # ---------------------------------------------------------------------------
