@@ -123,7 +123,13 @@ def skipgram_train(
     """Train node embeddings on walk co-occurrences; returns (N, dim).
 
     Nodes that never co-occur (isolated) keep their random initialization.
-    Deterministic for a fixed seed. A count below 1 raises ValueError.
+    Deterministic for a fixed seed. A count below 1, an empty walk or a node
+    id outside ``0..n_nodes - 1`` raises ValueError before any draw.
+
+    A batch steps through its distinct nodes: one product of the centers' and
+    targets' rows scores every pair, and the pairs' coefficients add into one
+    (targets x centers) matrix: a step costs O(distinct targets x distinct
+    centers x dim), bounded by the batch, not by the node count squared.
     """
     if not walks:
         raise ValueError("no walks given; run node2vec_walks first")
@@ -131,12 +137,13 @@ def skipgram_train(
     for name, value in sizes.items():
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
-    if n_nodes is None:
-        n_nodes = max(max(w) for w in walks) + 1
-
+    lengths = np.array([len(w) for w in walks])
     flat = np.concatenate([np.asarray(w, dtype=np.int64) for w in walks])
+    if n_nodes is None:
+        n_nodes = int(flat.max(initial=0)) + 1
+    _check_walks(lengths, flat, n_nodes)
     counts = np.bincount(flat, minlength=n_nodes).astype(np.float64)
-    centers, contexts = _walk_pairs(walks, flat, window)
+    centers, contexts = _walk_pairs(lengths, flat, window)
 
     rng = np.random.default_rng(seed)
     w_in = rng.uniform(-0.5 / dim, 0.5 / dim, size=(n_nodes, dim))
@@ -151,7 +158,6 @@ def skipgram_train(
     noise_cdf /= noise_cdf[-1]
     n_pairs = centers.size
     total_batches = max(1, epochs * ((n_pairs + batch - 1) // batch))
-    bins = np.arange(n_nodes * dim).reshape(n_nodes, dim)
     batch_no = 0
     for _ in range(epochs):
         # the order rng.permutation(n_pairs) draws, held as int32
@@ -161,49 +167,51 @@ def skipgram_train(
             idx = order[lo : lo + batch]
             cur_lr = lr * max(1e-4, 1.0 - batch_no / total_batches)
             batch_no += 1
-            c, o = centers[idx], contexts[idx]
             draws = rng.random((idx.size, negatives))
-            neg = noise_cdf.searchsorted(draws, side="right")
+            # each pair's targets: its context (positive), then its negatives
+            targets = np.column_stack([contexts[idx], noise_cdf.searchsorted(draws, side="right")])
+            c_nodes, ctr = _distinct(centers[idx], n_nodes)
+            t_nodes, tgt = _distinct(targets, n_nodes)
 
-            u = w_in[c]  # (B, dim)
-            v_pos = w_out[o]
-            v_neg = w_out[neg]  # (B, neg, dim)
-
-            s_pos = _sigmoid(np.einsum("bd,bd->b", u, v_pos))
-            s_neg = _sigmoid(np.einsum("bd,bnd->bn", u, v_neg))
-
-            coef_pos = (s_pos - 1.0)[:, None]  # d/dscore of -log sigmoid
-            coef_neg = s_neg[:, :, None]
+            u, v = w_in[c_nodes], w_out[t_nodes]
+            # d/dscore of the loss: sigmoid - 1 for a positive, sigmoid for a negative
+            coef = _sigmoid((u @ v.T)[ctr[:, None], tgt])
+            coef[:, 0] -= 1.0
+            k = np.bincount(
+                (tgt * c_nodes.size + ctr[:, None]).ravel(), weights=coef.ravel(),
+                minlength=t_nodes.size * c_nodes.size,
+            ).reshape(t_nodes.size, c_nodes.size)
 
             # Per-node MEAN gradients: a node hit many times in one batch
             # (tiny vocabularies) must not receive a proportionally huge
             # step, or the stale-weight updates compound and diverge.
-            grad_u = coef_pos * v_pos + np.einsum("bnk,bnd->bd", coef_neg, v_neg)
-            del v_pos, v_neg  # freed before the output rows' buffers are made
-            _mean_step(w_in, bins, c, grad_u, cur_lr)
-
-            # each target row takes its positive terms first, then its negatives
-            targets = np.concatenate([o, neg.ravel()])
-            grad_rows = np.empty((targets.size, dim))
-            np.multiply(coef_pos, u, out=grad_rows[: idx.size])
-            np.multiply(
-                coef_neg, u[:, None, :], out=grad_rows[idx.size :].reshape(neg.shape + (dim,))
-            )
-            _mean_step(w_out, bins, targets, grad_rows, cur_lr)
+            w_in[c_nodes] -= cur_lr * (k.T @ v) / np.bincount(ctr)[:, None]
+            w_out[t_nodes] -= cur_lr * (k @ u) / np.bincount(tgt.ravel())[:, None]
     if not np.all(np.isfinite(w_in)):
         raise FloatingPointError("skip-gram training produced non-finite embeddings")
     return w_in
 
 
+def _check_walks(lengths: np.ndarray, flat: np.ndarray, n_nodes: int) -> None:
+    """Raise ValueError naming the first empty walk or the first node id
+    outside ``0..n_nodes - 1``, and the walk that holds it."""
+    if not lengths.all():
+        raise ValueError(f"walk {int(np.argmin(lengths))} is empty")
+    bad = (flat < 0) | (flat >= n_nodes)
+    if bad.any():
+        at = int(bad.argmax())
+        walk = int(np.searchsorted(lengths.cumsum(), at, side="right"))
+        raise ValueError(f"walk {walk} holds node {flat[at]}, outside 0..{n_nodes - 1}")
+
+
 def _walk_pairs(
-    walks: list[list[int]], flat: np.ndarray, window: int
+    lengths: np.ndarray, flat: np.ndarray, window: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(center, context) node pairs: every position of each walk is a center,
     and its contexts are the other positions within ``window`` of it in the
     same walk. Pairs run center by center, contexts in walk order.
-    ``flat`` is the walks concatenated. The pairs are int32: they only
-    index node rows."""
-    lengths = np.array([len(w) for w in walks])
+    ``flat`` is the walks concatenated, ``lengths`` their lengths. The pairs
+    are int32: they only index node rows."""
     start = np.repeat(np.cumsum(lengths) - lengths, lengths)  # of each position's walk
     stop = start + np.repeat(lengths, lengths)
     offsets = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
@@ -213,15 +221,12 @@ def _walk_pairs(
     return np.broadcast_to(nodes[:, None], ctx.shape)[keep], nodes[ctx[keep]]
 
 
-def _mean_step(w: np.ndarray, bins, targets, rows, lr: float) -> None:
-    """Step each row of ``w`` that ``targets`` hits, in place, by ``lr`` times
-    the mean of the gradient ``rows`` aimed at it. ``bins[t, d]`` is the flat
-    bin of node t's column d; np.bincount adds each bin's entries in row
-    order, as np.add.at does, so the sums are the same to the bit."""
-    sums = np.bincount(bins[targets].ravel(), weights=rows.ravel(), minlength=bins.size)
-    cnt = np.bincount(targets, minlength=w.shape[0])
-    hit = cnt > 0
-    w[hit] -= lr * sums.reshape(bins.shape)[hit] / cnt[hit, None]
+def _distinct(ids: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct node ids among ``ids``, ascending, and each entry's
+    position among them, by a mark and a running count: O(n_nodes), no sort."""
+    seen = np.zeros(n_nodes, dtype=bool)
+    seen[ids] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[ids]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
