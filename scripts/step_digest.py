@@ -42,6 +42,7 @@ sys.path.insert(0, str(REPO / "src"))
 import numpy as np  # noqa: E402
 
 from flowcast import tensor as T  # noqa: E402
+from flowcast.context import EMBED_DIM  # noqa: E402
 from flowcast.model import Forecaster, forward_batch, load_config  # noqa: E402
 from flowcast.synth import ring_graph  # noqa: E402
 
@@ -52,34 +53,38 @@ STEPS = (("toy", "configs/toy.cfg", 8, 18, 40), ("ref228", "configs/pemsd7.cfg",
 def graph_nodes(root: T.Tensor) -> Counter:
     """Tensors reachable from ``root`` through parents, ``root`` included,
     counted by the function that built each (``leaf`` for no vjp)."""
-    seen, stack, ops = set(), [root], Counter()
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            ops[node.vjp.__qualname__.split(".")[0] if node.vjp else "leaf"] += 1
-            stack.extend(parent for parent, _ in node.parents)
-    return ops
+    return Counter(
+        node.vjp.__qualname__.split(".")[0] if node.vjp else "leaf"
+        for node in T._topological_order(root)
+    )
+
+
+def step_inputs(config: str, nodes: int, batch: int, predicted: int):
+    """A fresh model, one batch (windows, targets, starts) and ``predicted``
+    windows with their starts, drawn in that order from seed 0."""
+    cfg = load_config(REPO / config)
+    rng = np.random.default_rng(0)
+    model = Forecaster.new(cfg, ring_graph(nodes), rng.normal(size=(nodes, EMBED_DIM)))
+    xs = rng.normal(size=(batch, cfg.history, nodes, cfg.channels))
+    target = rng.normal(size=(batch, cfg.horizon, nodes, cfg.channels))
+    t0s = rng.integers(0, 7 * cfg.slots_per_day, size=batch)
+    windows = rng.normal(size=(predicted, cfg.history, nodes, cfg.channels))
+    starts = rng.integers(0, 7 * cfg.slots_per_day, size=predicted)
+    return model, (xs, target, t0s), (windows, starts)
 
 
 def run_step(config: str, nodes: int, batch: int, predicted: int) -> tuple[dict, Counter]:
     """Arrays of one train step, keyed ``pred`` and by parameter name, and
     of a ``predict`` of ``predicted`` windows, keyed ``predict``, and the
     loss graph's node count per op."""
-    cfg = load_config(REPO / config)
-    rng = np.random.default_rng(0)
-    model = Forecaster.new(cfg, ring_graph(nodes), rng.normal(size=(nodes, 64)))
-    xs = rng.normal(size=(batch, cfg.history, nodes, cfg.channels))
-    target = rng.normal(size=(batch, cfg.horizon, nodes, cfg.channels))
-    t0s = rng.integers(0, 7 * cfg.slots_per_day, size=batch)
-    pred = forward_batch(cfg, model.params, model.ginputs, model.node_emb, xs, t0s)
+    model, (xs, target, t0s), windows = step_inputs(config, nodes, batch, predicted)
+    pred = forward_batch(model.cfg, model.params, model.ginputs, model.node_emb, xs, t0s)
     loss = T.l1_loss(pred, T.Tensor(target), 1.0 / batch)
     count = graph_nodes(loss)
     T.backward(loss)
     arrays = {"pred": pred.data}
     arrays.update((name, p.grad) for name, p in model.params.named().items())
-    xs = rng.normal(size=(predicted, cfg.history, nodes, cfg.channels))
-    arrays["predict"] = model.predict(xs, rng.integers(0, 7 * cfg.slots_per_day, size=predicted))
+    arrays["predict"] = model.predict(*windows)
     return arrays, count
 
 

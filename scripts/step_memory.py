@@ -29,8 +29,8 @@ hop transitions, node embeddings and the step's inputs) are left out and
 reported as one line, so the table's total is the forward figure's arrays.
 
 Last, a ``predict`` line: tracemalloc's peak during one no-grad
-``Forecaster.predict`` of 40 toy or 1 reference window, drawn as
-``step_digest.py`` draws its predicted windows, and maxrss after an
+``Forecaster.predict`` of 40 toy or 1 reference window, drawn by
+``step_digest.step_inputs``, and maxrss after an
 untraced ``predict`` of them, which runs on the fresh model before any
 training step, so it reads the inference live set alone.
 
@@ -51,33 +51,18 @@ import types  # noqa: E402
 from collections import Counter  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-REPO = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(REPO / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
 from flowcast import tensor as T  # noqa: E402
-from flowcast.model import Forecaster, forward_batch, load_config  # noqa: E402
+from flowcast.model import Forecaster, forward_batch  # noqa: E402
 from flowcast.optim import zero_grads  # noqa: E402
-from flowcast.synth import ring_graph  # noqa: E402
+from step_digest import step_inputs  # noqa: E402
 
 # (name, config, ring nodes, batch, windows predicted), as in step_digest.py
 # but for one reference window predicted, a pass's worth
 STEPS = {"toy": ("configs/toy.cfg", 8, 18, 40), "ref228": ("configs/pemsd7.cfg", 228, 1, 1)}
-
-
-def step_inputs(config: str, nodes: int, batch: int, predicted: int):
-    """A fresh model, one batch (windows, targets, starts) and ``predicted``
-    windows with their starts, drawn as ``step_digest.py`` draws them."""
-    cfg = load_config(REPO / config)
-    rng = np.random.default_rng(0)
-    model = Forecaster.new(cfg, ring_graph(nodes), rng.normal(size=(nodes, 64)))
-    xs = rng.normal(size=(batch, cfg.history, nodes, cfg.channels))
-    target = rng.normal(size=(batch, cfg.horizon, nodes, cfg.channels))
-    t0s = rng.integers(0, 7 * cfg.slots_per_day, size=batch)
-    windows = rng.normal(size=(predicted, cfg.history, nodes, cfg.channels))
-    starts = rng.integers(0, 7 * cfg.slots_per_day, size=predicted)
-    return model, (xs, target, t0s), (windows, starts)
 
 
 def forward_loss(model: Forecaster, xs, target, t0s) -> T.Tensor:

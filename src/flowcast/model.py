@@ -61,10 +61,7 @@ __all__ = [
     "ContractError",
     "TrainingDiverged",
     "init_params",
-    "input_projection",
-    "output_projection",
     "context_block",
-    "block_forward",
     "transform_layer",
     "forward_batch",
     "WINDOW_BUDGET",
@@ -371,20 +368,6 @@ class GraphInputs:
 # ---------------------------------------------------------------------------
 # Forward pieces
 
-def input_projection(params: ModelParams, x: Tensor) -> Tensor:
-    """(..., T, N, C) -> (..., T, N, F), one shared linear map per (t, node)."""
-    if x.shape[-1] != params.in_w.shape[0]:
-        raise ShapeError(
-            f"input has {x.shape[-1]} channels, projection expects {params.in_w.shape[0]}"
-        )
-    return _fuse(params.in_w, params.in_b, [x])
-
-
-def output_projection(params: ModelParams, feats: Tensor) -> Tensor:
-    """(..., T, N, F) -> (..., T, N, C)."""
-    return _fuse(params.out_w, params.out_b, [feats])
-
-
 def _fuse(w: Tensor, b: Tensor, streams: list[Tensor], residual: bool = False) -> Tensor:
     """``concat(streams, axis=-1) @ w + b`` without the concat, plus stream 0
     itself when ``residual`` is set.
@@ -477,57 +460,39 @@ def _attend(
         raise DegenerateAttentionError(f"{block} {err}") from err
 
 
-def block_forward(
-    name: str,
-    block: BlockParams,
-    xh: Tensor,
-    emb_proj: Tensor,
-    time_proj: Tensor,
-    ginputs: GraphInputs,
-    h0: list[Tensor],
-) -> tuple[Tensor, list[Tensor]]:
-    """The encoder or decoder: :func:`context_block` from GRU states ``h0``,
-    then self attention with a residual connection, added inside the
-    attention node; a degenerate-normalizer error names ``name``. Returns
-    (..., T, N, F) features plus the GRU's final hidden states."""
-    ctx, finals = context_block(block, xh, emb_proj, time_proj, ginputs, h0)
-    return _attend(name, ctx, None, block.attn, residual=True), finals
-
-
 def transform_layer(
-    cfg: ModelConfig,
-    params: ModelParams,
-    enc: Tensor,
+    tp: TransformParams,
+    kv: Tensor,
     enc_finals: list[Tensor],
     x_last: Tensor,
     emb_proj: Tensor,
-    time_hist: Tensor,
     time_fut: Tensor,
 ) -> Tensor:
     """Bridge history to the horizon without decoding step by step.
 
-    A GRU seeded with the encoder's final hidden states rolls ``horizon``
-    steps from the (..., 1, N, F) step ``x_last`` in one :func:`gru_stack`
-    node, each step's output the next's input. The rollout (plus future
-    static context) forms the queries; encoder features (plus historical
-    static context) form keys and values of a cross attention. ``time_hist``
-    and ``time_fut`` are (..., T, 1, F). Returns (..., horizon, N, F) features.
+    A GRU seeded with the encoder's final hidden states rolls as many steps
+    as ``time_fut`` (..., T_p, 1, F) covers from the (..., 1, N, F) step
+    ``x_last`` in one :func:`gru_stack` node, each step's output the next's
+    input. The rollout (plus future static context) forms the queries of a
+    cross attention over ``kv``, the encoder features fused with historical
+    static context. Returns (..., T_p, N, F) features.
     """
-    tp = params.transform
-    kv = _fuse(tp.kv_fuse_w, tp.kv_fuse_b, [enc, emb_proj, time_hist])
-    rollout = gru_stack(x_last, enc_finals, tp.gru, cfg.horizon, gru_cell)
+    rollout = gru_stack(x_last, enc_finals, tp.gru, time_fut.shape[-3], gru_cell)
     q = _fuse(tp.q_fuse_w, tp.q_fuse_b, [rollout, emb_proj, time_fut])
     del rollout  # under no_grad, freed before the attention runs
     return _attend("transform", q, kv, tp.attn)
 
 
-def _check_windows_and_starts(xs: np.ndarray, t0s) -> None:
-    """Reject no windows, non-finite windows by sample index, and a ``t0s``
-    not of their count."""
+def _check_windows_and_starts(cfg: ModelConfig, ginputs: GraphInputs, xs: np.ndarray, t0s):
+    """Reject no windows, a ``t0s`` not of their count, windows not of shape
+    (history, nodes, channels), and non-finite windows by sample index."""
     if not len(xs):
         raise ContractError("no windows given")
     if len(t0s) != len(xs):
         raise ContractError(f"t0s has length {len(t0s)} for {len(xs)} windows; need one per window")
+    window = (cfg.history, ginputs.graph.n_nodes, cfg.channels)
+    if xs.shape[1:] != window:
+        raise ContractError(f"windows are {xs.shape[1:]}; need (history, nodes, channels) {window}")
     finite = np.isfinite(xs).reshape(len(xs), -1).all(axis=1)
     if not finite.all():
         raise ValueError(f"non-finite values in input sample {int(np.argmin(finite))}")
@@ -560,9 +525,10 @@ def forward_batch(
 
     All horizon steps come from one pass; predictions are never consumed
     as inputs (the only recurrence is over internal features). Rejects
-    B = 0, non-finite inputs by sample index, and a ``t0s`` not of length B.
+    B = 0, a ``t0s`` not of length B, windows not of shape (T_h, N, C) and
+    non-finite inputs by sample index.
     """
-    _check_windows_and_starts(xs, t0s)
+    _check_windows_and_starts(cfg, ginputs, xs, t0s)
     emb_proj = _fuse(params.emb_w, params.emb_b, [Tensor(node_emb)])
     hot = temporal_encoding(t0s, cfg.history + cfg.horizon, cfg.slots_per_day, cfg.start_weekday)
     # one time-slot row per (sample, step), shared by every node
@@ -570,23 +536,29 @@ def forward_batch(
         _fuse(params.time_w, params.time_b, [Tensor(part[..., None, :])])
         for part in (hot[:, : cfg.history], hot[:, cfg.history :])
     )
-    x_last = input_projection(params, Tensor(xs[:, cfg.history - 1 : cfg.history]))
-    xh = input_projection(params, Tensor(xs))
+    x_last = _fuse(params.in_w, params.in_b, [Tensor(xs[:, cfg.history - 1 : cfg.history])])
+    xh = _fuse(params.in_w, params.in_b, [Tensor(xs)])
     # Each stage's output is dropped after its last reader, as are the zero
     # initial GRU states, passed without a name. A graph holds what backward
     # reads anyway; under no_grad each (B, T, N, F) array, 2.8 MB a window
-    # on 228 nodes, is freed once read, so a ref228 window peaks at 16.1 MB.
-    enc, enc_finals = block_forward(
-        "encoder", params.encoder, xh, emb_proj, time_hist, ginputs,
+    # on 228 nodes, is freed once read, so a ref228 window peaks at 15.5 MB.
+    ctx, enc_finals = context_block(
+        params.encoder, xh, emb_proj, time_hist, ginputs,
         [Tensor(np.zeros(xh.shape[:-3] + xh.shape[-2:])) for _ in range(cfg.gru_layers)],
     )
     del xh
-    dec_in = transform_layer(cfg, params, enc, enc_finals, x_last, emb_proj, time_hist, time_fut)
-    del enc
-    dec_feats, _ = block_forward(
-        "decoder", params.decoder, dec_in, emb_proj, time_fut, ginputs, enc_finals
-    )
-    return output_projection(params, dec_feats)
+    enc = _attend("encoder", ctx, None, params.encoder.attn, residual=True)
+    del ctx
+    tp = params.transform
+    kv = _fuse(tp.kv_fuse_w, tp.kv_fuse_b, [enc, emb_proj, time_hist])
+    del enc  # before the rollout
+    dec_in = transform_layer(tp, kv, enc_finals, x_last, emb_proj, time_fut)
+    del kv
+    ctx, _ = context_block(params.decoder, dec_in, emb_proj, time_fut, ginputs, enc_finals)
+    del dec_in
+    dec = _attend("decoder", ctx, None, params.decoder.attn, residual=True)
+    del ctx
+    return _fuse(params.out_w, params.out_b, [dec])
 
 
 @dataclass
@@ -601,19 +573,22 @@ class Forecaster:
 
     @classmethod
     def new(cls, cfg: ModelConfig, graph: RoadGraph, node_emb: np.ndarray) -> "Forecaster":
-        return cls(
-            cfg=cfg,
-            params=init_params(cfg),
-            ginputs=GraphInputs.build(graph, cfg.hops),
-            node_emb=np.asarray(node_emb, dtype=np.float64),
-        )
+        """A model of fresh parameters; rejects node embeddings that are not
+        finite or not of shape (nodes, EMBED_DIM)."""
+        node_emb = np.asarray(node_emb, dtype=np.float64)
+        if node_emb.shape != (need := (graph.n_nodes, EMBED_DIM)):
+            raise ContractError(f"node embeddings are {node_emb.shape}; need {need}")
+        if not np.isfinite(node_emb).all():
+            raise ContractError("node embeddings are not all finite")
+        ginputs = GraphInputs.build(graph, cfg.hops)
+        return cls(cfg=cfg, params=init_params(cfg), ginputs=ginputs, node_emb=node_emb)
 
     def predict(self, xs: np.ndarray, t0s) -> np.ndarray:
         """Inference-only forward, (B, T_h, N, C) -> (B, T_p, N, C); no graph is built."""
-        _check_windows_and_starts(xs, t0s)
+        _check_windows_and_starts(self.cfg, self.ginputs, xs, t0s)
         # Consecutive chunks of windows_per_pass windows: a pass's arrays grow
         # with its windows (a no-grad window of the reference config on 228
-        # nodes peaks at about 16 MB), while per-pass overhead dominates small
+        # nodes peaks at about 15.5 MB), while per-pass overhead dominates small
         # graphs, so the reference config runs one window a pass and the toy
         # config hundreds. A window's prediction does not depend on its chunk.
         step = windows_per_pass(self.cfg, self.ginputs.graph.n_nodes)

@@ -27,16 +27,15 @@ from flowcast.model import (
     GraphInputs,
     ModelConfig,
     TrainingDiverged,
-    block_forward,
+    _attend,
+    _fuse,
     context_block,
     evaluate,
     forecast,
     forward_batch,
     init_params,
-    input_projection,
     load_config,
     load_model,
-    output_projection,
     prepare_dataset,
     save_config,
     save_model,
@@ -233,14 +232,15 @@ def test_config_overrides_win(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Projections
+# Projections: forward_batch maps the input and the output as one-stream
+# _fuse nodes, ``x @ w + b``
 
 def test_input_projection_ones():
     cfg = tiny_cfg()
     params = init_params(cfg)
     params.in_w.data = np.ones((1, 4))
     params.in_b.data = np.zeros(4)
-    out = input_projection(params, Tensor(np.ones((2, 3, 1))))
+    out = _fuse(params.in_w, params.in_b, [Tensor(np.ones((2, 3, 1)))])
     assert np.array_equal(out.data, np.ones((2, 3, 4)))
 
 
@@ -248,14 +248,16 @@ def test_input_projection_zero_weights():
     cfg = tiny_cfg()
     params = init_params(cfg)
     params.in_w.data = np.zeros((1, 4))
-    out = input_projection(params, Tensor(np.ones((2, 3, 1))))
+    out = _fuse(params.in_w, params.in_b, [Tensor(np.ones((2, 3, 1)))])
     assert not out.data.any()
 
 
 def test_input_projection_channel_mismatch():
+    # forward_batch rejects such a window at entry (see
+    # test_entry_rejects_a_window_of_the_wrong_shape); _fuse rejects it too
     params = init_params(tiny_cfg())
-    with pytest.raises(Exception, match="channel"):
-        input_projection(params, Tensor(np.zeros((2, 3, 2))))
+    with pytest.raises(ShapeError, match=re.escape("streams [(2, 3, 2)] do not fit weight (1, 4)")):
+        _fuse(params.in_w, params.in_b, [Tensor(np.zeros((2, 3, 2)))])
 
 
 def test_projection_gradients():
@@ -263,10 +265,10 @@ def test_projection_gradients():
     params = init_params(tiny_cfg())
     x = Tensor(rng.normal(size=(2, 3, 1)))
     c = Tensor(rng.normal(size=(2, 3, 4)))
-    backward(ops.sum_(ops.mul(input_projection(params, x), c)))
+    backward(ops.sum_(ops.mul(_fuse(params.in_w, params.in_b, [x]), c)))
 
     def forward():
-        return (input_projection(params, x).data * c.data).sum()
+        return (_fuse(params.in_w, params.in_b, [x]).data * c.data).sum()
 
     assert grad_close(params.in_w.grad, numeric_grad(forward, params.in_w.data))
     assert grad_close(params.in_b.grad, numeric_grad(forward, params.in_b.data))
@@ -274,12 +276,20 @@ def test_projection_gradients():
 
 def test_output_projection_shape():
     params = init_params(tiny_cfg())
-    out = output_projection(params, Tensor(np.zeros((2, 3, 4))))
+    out = _fuse(params.out_w, params.out_b, [Tensor(np.zeros((2, 3, 4)))])
     assert out.shape == (2, 3, 1)
 
 
 # ---------------------------------------------------------------------------
-# Context block
+# Context block, and the encoder and decoder built on it
+
+def _block(m, name: str, xh: Tensor, emb_proj: Tensor, time_proj: Tensor, h0: list[Tensor]):
+    """The encoder or decoder as forward_batch composes it: context_block,
+    then self attention with its residual added inside the attention node."""
+    block = getattr(m.params, name)
+    ctx, finals = context_block(block, xh, emb_proj, time_proj, m.ginputs, h0)
+    return _attend(name, ctx, None, block.attn, residual=True), finals
+
 
 def test_context_block_shape(tiny_model):
     m = tiny_model
@@ -315,11 +325,10 @@ def test_blocks_add_their_residuals_inside_the_nodes_that_produce_them(tiny_mode
     ctx, _ = context_block(m.params.encoder, xh, *statics, m.ginputs, h0)
     assert _graph_ops(ctx) == {"_fuse", "multi_hop_conv", "gru_stack"}
     assert ctx.vjp.__qualname__.startswith("_fuse.") and ctx.parents[0] == (xh, 0)
-    out, _ = block_forward("encoder", m.params.encoder, xh, *statics, m.ginputs, h0)
+    out = _attend("encoder", ctx, None, m.params.encoder.attn, residual=True)
     assert _graph_ops(out) == {"_fuse", "multi_hop_conv", "gru_stack", "multi_head_attention"}
-    (ctx, i), (query, j) = out.parents[:2]
     assert out.vjp.__qualname__.startswith("multi_head_attention.")
-    assert ctx is query and (i, j) == (0, 1)
+    assert out.parents[:2] == ((ctx, 0), (ctx, 1))
 
 
 def test_context_block_zeroed_fusion_is_residual(tiny_model):
@@ -551,9 +560,8 @@ def test_encoder_shapes_and_determinism(tiny_model):
     emb_proj, time_hist, _ = _projected_statics(m, 2, 2)
     xh = Tensor(np.random.default_rng(5).normal(size=(2, 3, 4)))
     h0 = [Tensor(np.zeros((3, 4)))]
-    enc = m.params.encoder
-    enc1, finals1 = block_forward("encoder", enc, xh, emb_proj, time_hist, m.ginputs, h0)
-    enc2, _ = block_forward("encoder", enc, xh, emb_proj, time_hist, m.ginputs, h0)
+    enc1, finals1 = _block(m, "encoder", xh, emb_proj, time_hist, h0)
+    enc2, _ = _block(m, "encoder", xh, emb_proj, time_hist, h0)
     assert enc1.shape == (2, 3, 4)
     assert len(finals1) == 1
     assert np.array_equal(enc1.data, enc2.data)
@@ -563,9 +571,9 @@ def test_encoder_gradient_coverage(tiny_model):
     m = tiny_model
     rng = np.random.default_rng(6)
     emb_proj, time_hist, _ = _projected_statics(m, 2, 2)
-    xh = input_projection(m.params, Tensor(rng.normal(size=(2, 3, 1))))
+    xh = _fuse(m.params.in_w, m.params.in_b, [Tensor(rng.normal(size=(2, 3, 1)))])
     h0 = [Tensor(np.zeros((3, 4)))]
-    enc, _ = block_forward("encoder", m.params.encoder, xh, emb_proj, time_hist, m.ginputs, h0)
+    enc, _ = _block(m, "encoder", xh, emb_proj, time_hist, h0)
     backward(ops.sum_(ops.mul(enc, Tensor(rng.normal(size=enc.shape)))))
     for name, p in m.params.encoder.named("encoder").items():
         assert p.grad is not None and np.any(p.grad != 0), f"dead parameter {name}"
@@ -575,16 +583,17 @@ def test_encoder_gradient_coverage(tiny_model):
 # Transform layer
 
 def test_transform_output_shape(tiny_model):
+    # the rollout covers the steps of time_fut: 3 here, one more than the
+    # config's horizon
     m = tiny_model
     rng = np.random.default_rng(7)
-    emb_proj, time_hist, time_fut = _projected_statics(m, 2, 2)
-    enc_tokens = Tensor(rng.normal(size=(2, 3, 4)))
+    emb_proj, _, time_fut = _projected_statics(m, 2, 3)
+    kv = Tensor(rng.normal(size=(2, 3, 4)))
     finals = [Tensor(rng.normal(size=(3, 4)))]
     out = transform_layer(
-        m.cfg, m.params, enc_tokens, finals, Tensor(rng.normal(size=(1, 3, 4))),
-        emb_proj, time_hist, time_fut,
+        m.params.transform, kv, finals, Tensor(rng.normal(size=(1, 3, 4))), emb_proj, time_fut
     )
-    assert out.shape == (2, 3, 4)
+    assert out.shape == (3, 3, 4)
 
 
 def test_transform_convexity_collapse():
@@ -596,37 +605,36 @@ def test_transform_convexity_collapse():
     m = Forecaster.new(cfg, graph, rng.normal(size=(3, 64)))
     tp = m.params.transform
     tp.attn.w_o.data = np.eye(4)
-    tp.kv_fuse_w.data = np.zeros_like(tp.kv_fuse_w.data)
-    tp.kv_fuse_b.data = rng.normal(size=4)  # all kv rows become this bias
-    emb_proj, time_hist, time_fut = _projected_statics(m, 2, 2)
+    row = rng.normal(size=4)
+    emb_proj, _, time_fut = _projected_statics(m, 2, 2)
     out = transform_layer(
-        m.cfg, m.params, Tensor(rng.normal(size=(2, 3, 4))),
+        tp, Tensor(np.broadcast_to(row, (2, 3, 4))),
         [Tensor(rng.normal(size=(3, 4)))], Tensor(rng.normal(size=(1, 3, 4))),
-        emb_proj, time_hist, time_fut,
+        emb_proj, time_fut,
     )
-    expected_value_row = tp.kv_fuse_b.data @ tp.attn.w_v[0].data
+    expected_value_row = row @ tp.attn.w_v[0].data
     assert np.max(np.abs(out.data - expected_value_row)) < 1e-10
 
 
 def test_transform_global_receptive_field(tiny_model):
+    # every encoder token reaches every output through the fused keys and values
     m = tiny_model
+    tp = m.params.transform
     rng = np.random.default_rng(9)
     emb_proj, time_hist, time_fut = _projected_statics(m, 2, 2)
     finals = [Tensor(rng.normal(size=(3, 4)))]
     x_last = Tensor(rng.normal(size=(1, 3, 4)))
     enc_tokens = rng.normal(size=(2, 3, 4))
-    base = transform_layer(
-        m.cfg, m.params, Tensor(enc_tokens), finals, x_last,
-        emb_proj, time_hist, time_fut,
-    )
+
+    def run(enc: np.ndarray) -> np.ndarray:
+        kv = _fuse(tp.kv_fuse_w, tp.kv_fuse_b, [Tensor(enc), emb_proj, time_hist])
+        return transform_layer(tp, kv, finals, x_last, emb_proj, time_fut).data
+
+    base = run(enc_tokens)
     for position in np.ndindex(2, 3):
         poked = enc_tokens.copy()
         poked[position] += 0.37
-        out = transform_layer(
-            m.cfg, m.params, Tensor(poked), finals, x_last,
-            emb_proj, time_hist, time_fut,
-        )
-        assert not np.array_equal(out.data, base.data), position
+        assert not np.array_equal(run(poked), base), position
 
 
 # ---------------------------------------------------------------------------
@@ -778,9 +786,9 @@ def test_decoder_shape(tiny_model):
     m = tiny_model
     rng = np.random.default_rng(10)
     emb_proj, _, time_fut = _projected_statics(m, 2, 2)
-    out, finals = block_forward(
-        "decoder", m.params.decoder, Tensor(rng.normal(size=(2, 3, 4))),
-        emb_proj, time_fut, m.ginputs, [Tensor(np.zeros((3, 4)))],
+    out, finals = _block(
+        m, "decoder", Tensor(rng.normal(size=(2, 3, 4))), emb_proj, time_fut,
+        [Tensor(np.zeros((3, 4)))],
     )
     assert out.shape == (2, 3, 4) and [h.shape for h in finals] == [(3, 4)]
 
@@ -792,9 +800,7 @@ def test_decoder_zeroed_attention_reduces_to_context_block(tiny_model):
     emb_proj, _, time_fut = _projected_statics(m, 2, 2)
     dec_tokens = Tensor(rng.normal(size=(2, 3, 4)))
     finals = [Tensor(rng.normal(size=(3, 4)))]
-    out, _ = block_forward(
-        "decoder", m.params.decoder, dec_tokens, emb_proj, time_fut, m.ginputs, finals
-    )
+    out, _ = _block(m, "decoder", dec_tokens, emb_proj, time_fut, finals)
     ctx, _ = context_block(
         m.params.decoder, dec_tokens,
         emb_proj, time_fut, m.ginputs, finals,
@@ -848,6 +854,45 @@ def test_predict_rejects_a_start_per_window_mismatch(tiny_model):
     xs = np.zeros((3, tiny_model.cfg.history, 3, 1))
     with pytest.raises(ContractError, match="^t0s has length 1 for 3 windows"):
         tiny_model.predict(xs, [5])
+
+
+@pytest.mark.parametrize("entry", ["forward_batch", "predict"])
+@pytest.mark.parametrize(
+    "window", [(3, 3, 1), (2, 4, 1), (2, 3, 2)], ids=["history", "nodes", "channels"]
+)
+def test_entry_rejects_a_window_of_the_wrong_shape(tiny_model, window, entry):
+    # rejected before any layer runs, naming both shapes
+    m = tiny_model
+    xs = np.zeros((2, *window))
+    run = {
+        "forward_batch": lambda: forward_batch(m.cfg, m.params, m.ginputs, m.node_emb, xs, [0, 0]),
+        "predict": lambda: m.predict(xs, [0, 0]),
+    }[entry]
+    expected = f"windows are {window}; need (history, nodes, channels) (2, 3, 1)"
+    with pytest.raises(ContractError, match=f"^{re.escape(expected)}$"):
+        run()
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        (np.zeros((5, 64)), r"^node embeddings are \(5, 64\); need \(3, 64\)$"),
+        (np.zeros((3, 32)), r"^node embeddings are \(3, 32\); need \(3, 64\)$"),
+        (np.full((3, 64), np.nan), "^node embeddings are not all finite$"),
+    ],
+    ids=["nodes", "width", "nan"],
+)
+def test_new_rejects_bad_node_embeddings(table, message):
+    # unchecked, each table would fail only in the first predict, the NaN
+    # table as a degenerate attention normalizer
+    with pytest.raises(ContractError, match=message):
+        Forecaster.new(tiny_cfg(), ring_graph(3), table)
+
+
+def test_train_rejects_bad_node_embeddings_before_training():
+    cfg, prepared, graph, node_emb = _prepared_ring(steps=120)
+    with pytest.raises(ContractError, match="node embeddings are"):
+        train(cfg, prepared, graph, node_emb[:, :32], mask_eps=1e-6)
 
 
 def test_forward_batch_rejects_no_windows(tiny_model):
@@ -932,16 +977,14 @@ def test_single_shot_inference_is_pointwise_on_features(tiny_model):
         )
         time_hist = ops.add(ops.matmul(Tensor(hist[:, None, :]), p.time_w), p.time_b)
         time_fut = ops.add(ops.matmul(Tensor(fut[:, None, :]), p.time_w), p.time_b)
-        xh = input_projection(p, Tensor(x))
+        xh = _fuse(p.in_w, p.in_b, [Tensor(x)])
         h0 = [Tensor(np.zeros((3, 4)))]
-        enc, finals = block_forward("encoder", p.encoder, xh, emb_proj, time_hist, m.ginputs, h0)
-        dec_in = transform_layer(
-            m.cfg, p, enc, finals, T._slice(xh, np.s_[m.cfg.history - 1 :]), emb_proj, time_hist,
-            time_fut,
-        )
-        feats, _ = block_forward(
-            "decoder", p.decoder, dec_in, emb_proj, time_fut, m.ginputs, finals
-        )
+        enc, finals = _block(m, "encoder", xh, emb_proj, time_hist, h0)
+        tp = p.transform
+        kv = _fuse(tp.kv_fuse_w, tp.kv_fuse_b, [enc, emb_proj, time_hist])
+        x_last = T._slice(xh, np.s_[m.cfg.history - 1 :])
+        dec_in = transform_layer(tp, kv, finals, x_last, emb_proj, time_fut)
+        feats, _ = _block(m, "decoder", dec_in, emb_proj, time_fut, finals)
         for t in range(m.cfg.horizon):
             step = ops.add(ops.matmul(T._slice(feats, t), p.out_w), p.out_b)
             assert np.array_equal(step.data, full[t])
@@ -1250,13 +1293,15 @@ def test_ref228_predict_of_two_windows_peaks_as_one_window():
     assert two <= 1.1 * one, (one / 1e6, two / 1e6)
 
 
-def test_ref228_no_grad_window_peaks_under_17_mb():
-    # forward_batch drops each stage's output after its last reader: 16.1 MB;
-    # one (1, 12, 228, 128) output kept to the end adds 2.8 MB, and the input
-    # projection and the encoder output kept through the decoder read 21.7 MB
+def test_ref228_no_grad_window_peaks_under_16_mb():
+    # forward_batch drops each stage's output after its last reader, the
+    # encoder output before the transform's rollout: 15.5 MB; keeping the
+    # encoder output through the rollout read 16.1 MB, one (1, 12, 228, 128)
+    # output kept to the end adds 2.8 MB, and the input projection and the
+    # encoder output kept through the decoder read 21.7 MB
     model, windows = _model_and_windows(REF_CFG, 228, 1, seed=74)
     peak = _traced_peak(lambda: model.predict(windows[0].x[None], [windows[0].t0]))
-    assert peak <= 17e6, peak / 1e6
+    assert peak <= 16e6, peak / 1e6
 
 
 def test_training_deterministic_same_seed():
