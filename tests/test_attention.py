@@ -10,6 +10,8 @@ from flowcast import tensor as T
 from flowcast.attention import (
     AttentionParams,
     DegenerateAttentionError,
+    _head_forward,
+    _row_max,
     linear_attention,
     multi_head_attention,
     softmax_attention,
@@ -496,10 +498,11 @@ def test_mha_inference_peak_memory_stays_near_its_output():
 
 
 @pytest.mark.parametrize("residual", [False, True])
-def test_tracked_mha_keeps_each_heads_arrays_but_not_the_concatenated_heads(residual):
-    # per head phi(q), phi(k) and v, the summary, normalizer and denominators;
-    # the backward rebuilds each head's output from them, so keeping the
-    # concatenated heads would add (M, heads * d) floats
+@pytest.mark.parametrize("cross", [False, True], ids=["self", "cross"])
+def test_tracked_mha_holds_only_its_output(cross, residual):
+    # the backward rebuilds each head from the node's inputs, so the node
+    # keeps no head's phi(q), phi(k), v, summary, normalizer or denominators:
+    # keeping them held 4 * (3 M d + M + d d + d) floats more here, 1.6 MB
     rng = np.random.default_rng(78)
     heads, d, width = 4, 8, 32
     params = AttentionParams(
@@ -507,15 +510,65 @@ def test_tracked_mha_keeps_each_heads_arrays_but_not_the_concatenated_heads(resi
         w_o=T.param(rng.uniform(-0.1, 0.1, (width, width))),
     )
     x = T.param(rng.normal(size=(1, 16, 128, width)))
-    m = 16 * 128
+    kv = T.param(rng.normal(size=(1, 16, 128, width))) if cross else None
     tracemalloc.start()
     try:
-        out = multi_head_attention(x, None, params, residual)
+        out = multi_head_attention(x, kv, params, residual)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    per_head = (3 * m * d + m + d * d + d) * 8
-    assert held <= out.data.nbytes + heads * per_head + 16384  # and the arrays' objects
+    assert out.requires_grad
+    assert held <= out.data.nbytes + 16384  # and the node's objects
+
+
+@pytest.mark.parametrize("cross", [False, True], ids=["self", "cross"])
+def test_ref228_mha_matches_separate_head_projections_to_the_byte(cross):
+    # each head projects with one (F, 3d) product, (F, 2d) for cross
+    # attention's keys and values; the oracle makes a product per weight, so
+    # a BLAS whose column blocks round apart from the whole product fails
+    # here. The 12 x 228 joint tokens of a ref228 window are one step of
+    # 2736 nodes, as the token-layout oracle reads its last two axes
+    rng = np.random.default_rng(80)
+    heads, d, width = 8, 16, 128
+    params = AttentionParams(
+        *([Tensor(rng.normal(0, width**-0.5, (width, d))) for _ in range(heads)] for _ in "qkv"),
+        w_o=Tensor(rng.normal(0, width**-0.5, (width, width))),
+    )
+    x = Tensor(rng.normal(size=(1, 1, 12 * 228, width)))
+    kv = Tensor(rng.normal(size=(1, 1, 12 * 228, width))) if cross else None
+    with T.no_grad():
+        out = multi_head_attention(x, kv, params)
+        want = oracles.multi_head_attention(x, kv, params)
+    assert out.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 8, 16])
+def test_row_max_fold_gives_the_bytes_of_max(width):
+    # up to 16 columns, which covers the configs' head widths (8 and 16),
+    # a view into a wider product as the heads read it
+    rng = np.random.default_rng(81)
+    p = rng.choice([0.0, -0.0, np.inf, -np.inf, 1.0, -1.0], size=(3, 2000, 3 * width))
+    q = p[..., width : 2 * width]
+    assert _row_max(q).tobytes() == q.max(axis=-1, keepdims=True).tobytes()
+
+
+@pytest.mark.parametrize("width", [17, 32, 64])
+def test_row_max_fold_shifts_wide_rows_to_the_bits_of_max(width):
+    # past 16 columns a row of zeros of both signs may take either zero's
+    # sign, which q - max maps to the same bits
+    rng = np.random.default_rng(82)
+    q = rng.choice([0.0, -0.0, np.inf, -np.inf, 1.0, -1.0], size=(2000, width))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        assert (q - _row_max(q)).tobytes() == (q - q.max(axis=-1, keepdims=True)).tobytes()
+
+
+@pytest.mark.parametrize("col", [0, 5, 15])
+def test_head_forward_with_a_nan_query_row_is_degenerate(col):
+    rng = np.random.default_rng(83)
+    q, k, v = (rng.normal(size=(6, 16)) for _ in range(3))
+    q[4, col] = np.nan
+    with pytest.raises(DegenerateAttentionError, match="query row 4$"):
+        _head_forward(q, k, v)
 
 
 @pytest.mark.parametrize("batch", [1, 3])
